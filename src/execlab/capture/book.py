@@ -42,9 +42,6 @@ class LocalBook:
         prices = sorted(self.asks)[:depth]
         return [(p, self.asks[p]) for p in prices]
 
-    def copy(self) -> "LocalBook":
-        return LocalBook(dict(self.bids), dict(self.asks), self.last_update_local_ts)
-
 
 def apply_snapshot(book: LocalBook, payload: BookPayload, local_ts: int) -> LocalBook:
     """Replace the book with the snapshot; zero-qty levels are skipped.

@@ -47,9 +47,6 @@ class ClockMap:
         frac = (local_ts - l0) / (l1 - l0)
         return e0 + int(round(frac * (e1 - e0)))
 
-    def to_exchange_array(self, local_ts: np.ndarray) -> np.ndarray:
-        return np.array([self.to_exchange(int(t)) for t in np.asarray(local_ts)], dtype=np.int64)
-
 
 def align_clock(records: Iterable[MarketRecord], venue: str | None = None) -> ClockMap:
     """Build a ClockMap from the records of one venue stream.

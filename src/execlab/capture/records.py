@@ -96,44 +96,54 @@ class MarketRecord:
         return line
 
 
-def _require(cond: bool, line_no: int, reason: str) -> None:
-    if not cond:
-        raise MalformedLine(line_no, reason)
+_NUMBER = (int, float)  # bool is an int, so it passes as a number
 
 
 def _parse_levels(raw, line_no: int, what: str) -> tuple[tuple[float, float], ...]:
-    _require(isinstance(raw, list), line_no, f"{what} must be a list")
+    if not isinstance(raw, list):
+        raise MalformedLine(line_no, f"{what} must be a list")
     out = []
     for lvl in raw:
-        _require(
-            isinstance(lvl, list) and len(lvl) == 2, line_no, f"{what} level must be [price, qty]"
-        )
+        if not (isinstance(lvl, list) and len(lvl) == 2):
+            raise MalformedLine(line_no, f"{what} level must be [price, qty]")
         price, qty = lvl
-        _require(isinstance(price, (int, float)) and price > 0, line_no, f"{what} price must be > 0")
-        _require(isinstance(qty, (int, float)) and qty >= 0, line_no, f"{what} qty must be >= 0")
+        if not (isinstance(price, _NUMBER) and price > 0):
+            raise MalformedLine(line_no, f"{what} price must be > 0")
+        if not (isinstance(qty, _NUMBER) and qty >= 0):
+            raise MalformedLine(line_no, f"{what} qty must be >= 0")
         out.append((float(price), float(qty)))
     return tuple(out)
 
 
 def parse_record(obj: dict, line_no: int = 0) -> MarketRecord:
-    _require(isinstance(obj, dict), line_no, "record must be a JSON object")
-    for key in ("venue", "kind", "local_ts", "payload"):
-        _require(key in obj, line_no, f"missing field {key!r}")
-    venue = obj["venue"]
-    kind = obj["kind"]
-    local_ts = obj["local_ts"]
-    _require(isinstance(venue, str) and venue != "", line_no, "venue must be a nonempty string")
-    _require(isinstance(local_ts, int), line_no, "local_ts must be an integer")
+    if not isinstance(obj, dict):
+        raise MalformedLine(line_no, "record must be a JSON object")
+    try:
+        venue = obj["venue"]
+        kind = obj["kind"]
+        local_ts = obj["local_ts"]
+        body = obj["payload"]
+    except KeyError:
+        missing = next(k for k in ("venue", "kind", "local_ts", "payload") if k not in obj)
+        raise MalformedLine(line_no, f"missing field {missing!r}") from None
+    if not (isinstance(venue, str) and venue != ""):
+        raise MalformedLine(line_no, "venue must be a nonempty string")
+    if not isinstance(local_ts, int):
+        raise MalformedLine(line_no, "local_ts must be an integer")
     exch_ts = obj.get("exch_ts")
-    _require(exch_ts is None or isinstance(exch_ts, int), line_no, "exch_ts must be an integer")
-    body = obj["payload"]
-    _require(isinstance(body, dict), line_no, "payload must be an object")
+    if not (exch_ts is None or isinstance(exch_ts, int)):
+        raise MalformedLine(line_no, "exch_ts must be an integer")
+    if not isinstance(body, dict):
+        raise MalformedLine(line_no, "payload must be an object")
 
     if kind == KIND_TRADE:
         price, qty, side = body.get("price"), body.get("qty"), body.get("side")
-        _require(isinstance(price, (int, float)) and price > 0, line_no, "trade price must be > 0")
-        _require(isinstance(qty, (int, float)) and qty > 0, line_no, "trade qty must be > 0")
-        _require(side in (SIDE_BUY, SIDE_SELL), line_no, "trade side must be 'buy' or 'sell'")
+        if not (isinstance(price, _NUMBER) and price > 0):
+            raise MalformedLine(line_no, "trade price must be > 0")
+        if not (isinstance(qty, _NUMBER) and qty > 0):
+            raise MalformedLine(line_no, "trade qty must be > 0")
+        if side not in (SIDE_BUY, SIDE_SELL):
+            raise MalformedLine(line_no, "trade side must be 'buy' or 'sell'")
         payload: Payload = TradePayload(float(price), float(qty), side)
     elif kind in (KIND_BOOK_SNAPSHOT, KIND_BOOK_DELTA):
         payload = BookPayload(
@@ -144,7 +154,8 @@ def parse_record(obj: dict, line_no: int = 0) -> MarketRecord:
         vals = []
         for key in ("bid_price", "bid_qty", "ask_price", "ask_qty"):
             v = body.get(key)
-            _require(isinstance(v, (int, float)) and v > 0, line_no, f"ticker {key} must be > 0")
+            if not (isinstance(v, _NUMBER) and v > 0):
+                raise MalformedLine(line_no, f"ticker {key} must be > 0")
             vals.append(float(v))
         payload = TickerPayload(*vals)
     else:

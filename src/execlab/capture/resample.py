@@ -4,6 +4,12 @@ Each grid point g owns the half-open window (g - 10ms, g].  A frame carries
 the last book state with local_ts <= g and the taker volumes aggregated over
 the window, so no record after g can influence it.  Venues with no two-sided
 book yet are marked absent; downstream features treat absent as missing.
+
+The book changes far less often than the grid ticks, so each venue keeps the
+book-derived part of its last row (present, best bid/ask, mid, top levels) and
+rebuilds it only when a book record has arrived since the last emit.  This
+relies on one invariant: every book mutation passes through
+``_VenueAccumulator.on_record``.
 """
 
 from __future__ import annotations
@@ -69,79 +75,85 @@ class FrameSet:
         return sorted(self.venues)
 
 
+_NAN_LEVELS = (math.nan,) * BOOK_DEPTH
+_ZERO_LEVELS = (0.0,) * BOOK_DEPTH
+
+
+def _book_part(book: LocalBook) -> tuple[float, ...]:
+    """present, best bid, best ask, mid, then bid prices, bid qtys, ask prices,
+    ask qtys padded to BOOK_DEPTH (prices with NaN, qtys with 0)."""
+    present = book.two_sided()
+    bb = book.best_bid()
+    ba = book.best_ask()
+    bids = book.top_levels("bid", BOOK_DEPTH)
+    asks = book.top_levels("ask", BOOK_DEPTH)
+    bid_pad = BOOK_DEPTH - len(bids)
+    ask_pad = BOOK_DEPTH - len(asks)
+    return (
+        1.0 if present else 0.0,
+        bb if bb is not None else math.nan,
+        ba if ba is not None else math.nan,
+        (bb + ba) / 2.0 if present else math.nan,
+        *(p for p, _ in bids), *_NAN_LEVELS[:bid_pad],
+        *(q for _, q in bids), *_ZERO_LEVELS[:bid_pad],
+        *(p for p, _ in asks), *_NAN_LEVELS[:ask_pad],
+        *(q for _, q in asks), *_ZERO_LEVELS[:ask_pad],
+    )
+
+
 class _VenueAccumulator:
     def __init__(self):
         self.book = LocalBook()
         self.buy = 0.0
         self.sell = 0.0
         self.rejected_tickers = 0
-        self.rows: list[tuple] = []
+        self.rows: list[tuple[float, ...]] = []  # buy, sell, then _book_part
+        self._book_cells: tuple[float, ...] = ()
+        self._book_changed = True
 
     def on_record(self, rec: MarketRecord) -> None:
-        if rec.kind == KIND_TRADE:
+        kind = rec.kind
+        if kind == KIND_TRADE:
             if rec.payload.side == SIDE_BUY:
                 self.buy += rec.payload.qty
             else:
                 self.sell += rec.payload.qty
-        elif rec.kind == KIND_BOOK_SNAPSHOT:
+            return
+        self._book_changed = True
+        if kind == KIND_BOOK_SNAPSHOT:
             apply_snapshot(self.book, rec.payload, rec.local_ts)
-        elif rec.kind == KIND_BOOK_DELTA:
+        elif kind == KIND_BOOK_DELTA:
             apply_delta(self.book, rec.payload, rec.local_ts)
-        elif rec.kind == KIND_TICKER:
+        elif kind == KIND_TICKER:
             try:
                 merge_ticker(self.book, rec.payload, rec.local_ts)
             except CrossedTicker:
                 self.rejected_tickers += 1
 
     def emit(self) -> None:
-        book = self.book
-        present = book.two_sided()
-        bids = book.top_levels("bid", BOOK_DEPTH)
-        asks = book.top_levels("ask", BOOK_DEPTH)
-        bb = book.best_bid()
-        ba = book.best_ask()
-        self.rows.append(
-            (
-                present,
-                bb if bb is not None else math.nan,
-                ba if ba is not None else math.nan,
-                (bb + ba) / 2.0 if present else math.nan,
-                self.buy,
-                self.sell,
-                bids,
-                asks,
-            )
-        )
+        if self._book_changed:
+            self._book_cells = _book_part(self.book)
+            self._book_changed = False
+        self.rows.append((self.buy, self.sell, *self._book_cells))
         self.buy = 0.0
         self.sell = 0.0
 
 
-def _rows_to_frames(rows: list[tuple]) -> VenueFrames:
-    n = len(rows)
-    present = np.zeros(n, dtype=bool)
-    best_bid = np.full(n, np.nan)
-    best_ask = np.full(n, np.nan)
-    mid = np.full(n, np.nan)
-    buy = np.zeros(n)
-    sell = np.zeros(n)
-    bid_px = np.full((n, BOOK_DEPTH), np.nan)
-    bid_qty = np.zeros((n, BOOK_DEPTH))
-    ask_px = np.full((n, BOOK_DEPTH), np.nan)
-    ask_qty = np.zeros((n, BOOK_DEPTH))
-    for i, (p, bb, ba, m, bv, sv, bids, asks) in enumerate(rows):
-        present[i] = p
-        best_bid[i] = bb
-        best_ask[i] = ba
-        mid[i] = m
-        buy[i] = bv
-        sell[i] = sv
-        for j, (px, q) in enumerate(bids):
-            bid_px[i, j] = px
-            bid_qty[i, j] = q
-        for j, (px, q) in enumerate(asks):
-            ask_px[i, j] = px
-            ask_qty[i, j] = q
-    return VenueFrames(present, best_bid, best_ask, mid, buy, sell, bid_px, bid_qty, ask_px, ask_qty)
+def _rows_to_frames(rows: list[tuple[float, ...]]) -> VenueFrames:
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), 6 + 4 * BOOK_DEPTH)
+    levels = table[:, 6:].reshape(len(rows), 4, BOOK_DEPTH)
+    return VenueFrames(
+        present=table[:, 2] != 0.0,
+        best_bid=table[:, 3].copy(),
+        best_ask=table[:, 4].copy(),
+        mid=table[:, 5].copy(),
+        buy_volume=table[:, 0].copy(),
+        sell_volume=table[:, 1].copy(),
+        bid_price=levels[:, 0].copy(),
+        bid_qty=levels[:, 1].copy(),
+        ask_price=levels[:, 2].copy(),
+        ask_qty=levels[:, 3].copy(),
+    )
 
 
 def resample(
@@ -188,10 +200,18 @@ def resample(
     )
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return ""
-    return format(x, ".9g")
+def _format_column(col: np.ndarray) -> list[str]:
+    """``format(x, ".9g")`` of every cell, NaN as "".
+
+    Each distinct bit pattern is formatted once.  Keying on bits rather than
+    on float equality keeps 0.0 and -0.0 apart, which compare equal but print
+    differently.
+    """
+    bits, where = np.unique(np.asarray(col, dtype=np.float64).view(np.int64), return_inverse=True)
+    cells = [
+        "" if math.isnan(x) else format(x, ".9g") for x in bits.view(np.float64).tolist()
+    ]
+    return np.array(cells, dtype=object)[where].tolist()
 
 
 def write_frames_csv(frames: FrameSet, path: str | Path) -> None:
@@ -201,19 +221,17 @@ def write_frames_csv(frames: FrameSet, path: str | Path) -> None:
 
 def _write_frames(frames: FrameSet, fh: IO[str]) -> None:
     fh.write(",".join(CSV_COLUMNS) + "\n")
+    grid_ts = [str(ts) for ts in frames.grid_ts.tolist()]
+    n = len(grid_ts)
     for venue in frames.venue_names:
         vf = frames.venues[venue]
-        for i, ts in enumerate(frames.grid_ts):
-            cells = [
-                str(int(ts)),
-                venue,
-                "1" if vf.present[i] else "0",
-                _fmt(vf.best_bid[i]),
-                _fmt(vf.best_ask[i]),
-                _fmt(vf.mid[i]),
-                _fmt(vf.buy_volume[i]),
-                _fmt(vf.sell_volume[i]),
-            ]
-            for block in (vf.bid_price, vf.bid_qty, vf.ask_price, vf.ask_qty):
-                cells.extend(_fmt(block[i, j]) for j in range(BOOK_DEPTH))
-            fh.write(",".join(cells) + "\n")
+        columns = [
+            grid_ts,
+            [venue] * n,
+            ["1" if p else "0" for p in vf.present.tolist()],
+        ]
+        for col in (vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume):
+            columns.append(_format_column(col))
+        for block in (vf.bid_price, vf.bid_qty, vf.ask_price, vf.ask_qty):
+            columns.extend(_format_column(block[:, j]) for j in range(BOOK_DEPTH))
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -7,7 +7,7 @@
     execlab train --config <f> [--out-dir <d>] [--seed <n>]
     execlab evaluate --config <f> [--out-dir <d>] [--seed <n>]
 
-Every run writes a manifest (config digest, seeds, outputs) into the output
+Every run writes a manifest (config and capture digests, seeds, outputs) into the output
 directory; identical configs reproduce outputs byte for byte.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .capture import align_clock, read_capture, resample, write_frames_csv
-from .config import ExperimentConfig, config_digest, load_config
+from .config import ExperimentConfig, file_sha256, load_config
 from .env import ProblemSpec
 from .errors import ConfigError, ExecLabError, MissingInput
 from .evalkit import (
@@ -66,11 +66,14 @@ def _load_frames(capture_path: Path):
     return resample(read_capture(capture_path))
 
 
-def _write_manifest(out_dir: Path, command: str, config_path: Path | None, seeds: dict, outputs: list[Path]) -> None:
+def _write_manifest(
+    out_dir: Path, command: str, config_path: Path, capture_path: Path, seeds: dict, outputs: list[Path]
+) -> None:
     manifest = {
         "command": command,
         "package_version": __version__,
-        "config_sha256": config_digest(config_path) if config_path else None,
+        "config_sha256": file_sha256(config_path),
+        "capture_sha256": file_sha256(capture_path),
         "seeds": seeds,
         "outputs": sorted(str(p) for p in outputs),
     }
@@ -188,7 +191,7 @@ def cmd_signals_report(args) -> int:
     bins_path = out_dir / "bin_curves.csv"
     bins_path.write_text("\n".join(bin_lines) + "\n", encoding="utf-8")
     outputs += [horizons_path, bins_path]
-    _write_manifest(out_dir, "signals report", Path(args.config), {"seed": cfg.seed}, outputs)
+    _write_manifest(out_dir, "signals report", Path(args.config), capture_path, {"seed": cfg.seed}, outputs)
     print(f"wrote {len(series)} feature reports to {out_dir}")
     return 0
 
@@ -223,7 +226,7 @@ def cmd_train(args) -> int:
     log_path = out_dir / f"training_log_{scope}.csv"
     log_path.write_text("\n".join(log.csv_lines()) + "\n", encoding="utf-8")
     _write_manifest(
-        out_dir, "train", Path(args.config), {"train_seed": seed}, [ckpt_path, log_path]
+        out_dir, "train", Path(args.config), capture_path, {"train_seed": seed}, [ckpt_path, log_path]
     )
     final = log.rows[-1] if log.rows else {}
     print(
@@ -298,7 +301,9 @@ def cmd_evaluate(args) -> int:
             write_trace_csv(result.traces[i], frames.grid_ts, trace_path)
             outputs.append(trace_path)
 
-    _write_manifest(out_dir, "evaluate", Path(args.config), {"eval_seed": cfg.evaluate.seed}, outputs)
+    _write_manifest(
+        out_dir, "evaluate", Path(args.config), capture_path, {"eval_seed": cfg.evaluate.seed}, outputs
+    )
     for row in report.table():
         print(
             f"{row['policy']}: IS_mean {row['IS_mean_bps']:.3f} bps, "

@@ -156,5 +156,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def config_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def file_sha256(path: str | Path) -> str:
+    """SHA-256 of a file's bytes, read in blocks so a large capture is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -11,6 +12,7 @@ from execlab.capture import (
 )
 from execlab.capture.records import (
     BookPayload,
+    parse_record,
     read_capture_lines,
     record_to_line,
     write_capture_lines,
@@ -109,3 +111,150 @@ def test_write_lines_returns_count():
 def test_exch_ts_omitted_when_absent():
     rec = MarketRecord("v0", "trade", 1, TradePayload(1.0, 1.0, "sell"))
     assert '"exch_ts"' not in record_to_line(rec)
+
+
+# -- every rejection, with its exact reason and line number -------------------
+
+GOOD_TRADE = {"price": 1.0, "qty": 1.0, "side": "buy"}
+GOOD_TICKER = {"bid_price": 1.0, "bid_qty": 1.0, "ask_price": 2.0, "ask_qty": 1.0}
+
+
+_DROP = object()
+
+
+def _line(kind="trade", payload=GOOD_TRADE, **fields):
+    """One wire line: a valid record of `kind` with `fields` replaced (or dropped)."""
+    obj = {"venue": "v0", "kind": kind, "local_ts": 5, "exch_ts": 4, "payload": payload, **fields}
+    return json.dumps({key: value for key, value in obj.items() if value is not _DROP})
+
+
+def _rejection(line):
+    """(line_no, reason) for `line` read as the third line of a capture."""
+    ok = _line()
+    with pytest.raises(MalformedLine) as exc:
+        list(read_capture_lines([ok, ok, line]))
+    assert str(exc.value) == f"line {exc.value.line_no}: {exc.value.reason}"
+    return exc.value.line_no, exc.value.reason
+
+
+def _book(bids=(), asks=()):
+    return {"bids": bids, "asks": asks}
+
+
+REJECTIONS = [
+    ("[1, 2]", "record must be a JSON object"),
+    ('"trade"', "record must be a JSON object"),
+    ("null", "record must be a JSON object"),
+    (_line(venue=_DROP), "missing field 'venue'"),
+    (_line(kind=_DROP), "missing field 'kind'"),
+    (_line(local_ts=_DROP), "missing field 'local_ts'"),
+    (_line(payload=_DROP), "missing field 'payload'"),
+    (_line(venue=_DROP, payload=_DROP), "missing field 'venue'"),
+    (_line(venue=""), "venue must be a nonempty string"),
+    (_line(venue=7), "venue must be a nonempty string"),
+    (_line(venue=None), "venue must be a nonempty string"),
+    (_line(local_ts=1.5), "local_ts must be an integer"),
+    (_line(local_ts="5"), "local_ts must be an integer"),
+    (_line(local_ts=None), "local_ts must be an integer"),
+    (_line(exch_ts=1.5), "exch_ts must be an integer"),
+    (_line(exch_ts="4"), "exch_ts must be an integer"),
+    (_line(payload=[1.0]), "payload must be an object"),
+    (_line(payload="x"), "payload must be an object"),
+    # Checks run in order: venue, local_ts, exch_ts, payload, then the body.
+    (_line(venue="", local_ts=1.5), "venue must be a nonempty string"),
+    (_line(local_ts=1.5, exch_ts=1.5), "local_ts must be an integer"),
+    (_line(exch_ts=1.5, payload=[]), "exch_ts must be an integer"),
+    (_line(kind="nope", payload=[]), "payload must be an object"),
+    (_line(payload={"qty": 1.0, "side": "buy"}), "trade price must be > 0"),
+    (_line(payload={**GOOD_TRADE, "price": 0.0}), "trade price must be > 0"),
+    (_line(payload={**GOOD_TRADE, "price": -2}), "trade price must be > 0"),
+    (_line(payload={**GOOD_TRADE, "price": "1.0"}), "trade price must be > 0"),
+    (_line(payload={**GOOD_TRADE, "price": None}), "trade price must be > 0"),
+    (_line(payload={**GOOD_TRADE, "price": False}), "trade price must be > 0"),
+    (_line(payload={"price": 1.0, "side": "buy"}), "trade qty must be > 0"),
+    (_line(payload={**GOOD_TRADE, "qty": 0}), "trade qty must be > 0"),
+    (_line(payload={**GOOD_TRADE, "qty": [1.0]}), "trade qty must be > 0"),
+    (_line(payload={"price": 1.0, "qty": 1.0}), "trade side must be 'buy' or 'sell'"),
+    (_line(payload={**GOOD_TRADE, "side": "BUY"}), "trade side must be 'buy' or 'sell'"),
+    (_line(payload={**GOOD_TRADE, "side": 1}), "trade side must be 'buy' or 'sell'"),
+    (_line(payload={"price": 0.0, "qty": 0.0, "side": "x"}), "trade price must be > 0"),
+    (_line(payload={"price": 1.0, "qty": 0.0, "side": "x"}), "trade qty must be > 0"),
+]
+for _kind in ("book_snapshot", "book_delta"):
+    for _side, _other in (("bids", "asks"), ("asks", "bids")):
+        REJECTIONS += [
+            (_line(_kind, {_side: {"1": 2}}), f"{_side} must be a list"),
+            (_line(_kind, {_side: None}), f"{_side} must be a list"),
+            (_line(_kind, {_side: [[1.0, 1.0], 5]}), f"{_side} level must be [price, qty]"),
+            (_line(_kind, {_side: [[1.0]]}), f"{_side} level must be [price, qty]"),
+            (_line(_kind, {_side: [[1.0, 1.0, 1.0]]}), f"{_side} level must be [price, qty]"),
+            (_line(_kind, {_side: [{"price": 1.0}]}), f"{_side} level must be [price, qty]"),
+            (_line(_kind, {_side: [[0.0, 1.0]]}), f"{_side} price must be > 0"),
+            (_line(_kind, {_side: [[-1.0, 1.0]]}), f"{_side} price must be > 0"),
+            (_line(_kind, {_side: [["1", 1.0]]}), f"{_side} price must be > 0"),
+            (_line(_kind, {_side: [[None, 1.0]]}), f"{_side} price must be > 0"),
+            (_line(_kind, {_side: [[1.0, -0.5]]}), f"{_side} qty must be >= 0"),
+            (_line(_kind, {_side: [[1.0, "0"]]}), f"{_side} qty must be >= 0"),
+            (_line(_kind, {_side: [[1.0, 1.0], [2.0, None]]}), f"{_side} qty must be >= 0"),
+            (_line(_kind, {_side: [[0.0, -1.0]]}), f"{_side} price must be > 0"),
+        ]
+    # Bids are checked before asks.
+    REJECTIONS.append((_line(_kind, {"bids": [[0.0, 1.0]], "asks": 3}), "bids price must be > 0"))
+for _key in ("bid_price", "bid_qty", "ask_price", "ask_qty"):
+    REJECTIONS += [
+        (_line("ticker", {k: v for k, v in GOOD_TICKER.items() if k != _key}), f"ticker {_key} must be > 0"),
+        (_line("ticker", {**GOOD_TICKER, _key: 0.0}), f"ticker {_key} must be > 0"),
+        (_line("ticker", {**GOOD_TICKER, _key: -1}), f"ticker {_key} must be > 0"),
+        (_line("ticker", {**GOOD_TICKER, _key: "1"}), f"ticker {_key} must be > 0"),
+        (_line("ticker", {**GOOD_TICKER, _key: False}), f"ticker {_key} must be > 0"),
+    ]
+# Ticker fields are checked in wire order.
+REJECTIONS.append((_line("ticker", {"bid_price": 1.0, "bid_qty": 0, "ask_price": 0}), "ticker bid_qty must be > 0"))
+
+
+@pytest.mark.parametrize("line, reason", REJECTIONS)
+def test_every_rejection_reason_and_line(line, reason):
+    assert _rejection(line) == (3, reason)
+
+
+def test_parse_record_rejects_non_object_directly():
+    with pytest.raises(MalformedLine) as exc:
+        parse_record(["venue"], 12)
+    assert (exc.value.line_no, exc.value.reason) == (12, "record must be a JSON object")
+
+
+def test_unknown_kind_checked_after_payload_shape():
+    with pytest.raises(UnknownKind) as exc:
+        list(read_capture_lines([_line(), _line(kind="quote", payload={"a": 1})]))
+    assert (exc.value.kind, exc.value.line_no) == ("quote", 2)
+    with pytest.raises(UnknownKind) as exc:
+        list(read_capture_lines([_line(kind=None)]))
+    assert (exc.value.kind, exc.value.line_no) == ("None", 1)
+
+
+def test_bools_are_accepted_as_numbers():
+    (trade,) = read_capture_lines([_line(local_ts=True, exch_ts=False, payload={"price": True, "qty": True, "side": "sell"})])
+    assert (trade.local_ts, trade.exch_ts) == (True, False)
+    assert trade.payload == TradePayload(1.0, 1.0, "sell")
+    assert type(trade.payload.price) is float
+    (book,) = read_capture_lines([_line("book_delta", {"bids": [[True, False]], "asks": [[2, True]]})])
+    assert book.payload == BookPayload(bids=((1.0, 0.0),), asks=((2.0, 1.0),))
+    assert all(type(x) is float for lvl in book.payload.bids + book.payload.asks for x in lvl)
+    (ticker,) = read_capture_lines([_line("ticker", {"bid_price": True, "bid_qty": 1, "ask_price": 2, "ask_qty": True})])
+    assert ticker.payload == TickerPayload(1.0, 1.0, 2.0, 1.0)
+
+
+def test_accepted_edge_values():
+    (rec,) = read_capture_lines([_line(exch_ts=None, payload={**GOOD_TRADE, "extra": 1})])
+    assert rec.exch_ts is None
+    (rec,) = read_capture_lines([_line(exch_ts=_DROP)])
+    assert rec.exch_ts is None
+    (rec,) = read_capture_lines([_line("book_snapshot", {})])
+    assert rec.payload == BookPayload()
+    (rec,) = read_capture_lines([_line("book_snapshot", {"bids": [], "asks": [[1e300, 0]]})])
+    assert rec.payload == BookPayload(bids=(), asks=((1e300, 0.0),))
+    (rec,) = read_capture_lines(['{"venue":"v","kind":"trade","local_ts":1,"payload":{"price":Infinity,"qty":1,"side":"buy"}}'])
+    assert rec.payload.price == float("inf")
+    with pytest.raises(MalformedLine) as exc:
+        list(read_capture_lines(['{"venue":"v","kind":"trade","local_ts":1,"payload":{"price":NaN,"qty":1,"side":"buy"}}']))
+    assert exc.value.reason == "trade price must be > 0"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,7 +103,7 @@ def test_cli_capture_align_and_resample(pipeline):
 
 
 def test_cli_signals_report(pipeline):
-    root, cfg_path, _ = pipeline
+    root, cfg_path, capture = pipeline
     assert main(["signals", "report", "--config", str(cfg_path)]) == 0
     out = root / "out"
     data = json.loads((out / "report_cross_flow_imbalance_norm.json").read_text())
@@ -111,7 +112,8 @@ def test_cli_signals_report(pipeline):
     assert (out / "bin_curves.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "signals report"
-    assert manifest["config_sha256"]
+    assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    assert manifest["capture_sha256"] == hashlib.sha256(capture.read_bytes()).hexdigest()
 
 
 def test_cli_train_then_evaluate(pipeline):
@@ -121,6 +123,9 @@ def test_cli_train_then_evaluate(pipeline):
     ckpt = out / "ppo_cross.npz"
     assert ckpt.exists()
     assert (out / "training_log_cross.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "train"
+    assert manifest["capture_sha256"] == hashlib.sha256((root / "market.ndjson").read_bytes()).hexdigest()
 
     cfg_eval = root / "cfg_eval.json"
     write_config(
@@ -140,6 +145,9 @@ def test_cli_train_then_evaluate(pipeline):
     assert (out / "histogram.csv").exists()
     assert (out / "action_heatmap.csv").exists()
     assert (out / "trace_TWAP_0.csv").exists()
+    capture_sha256 = hashlib.sha256((root / "market.ndjson").read_bytes()).hexdigest()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["command"], manifest["capture_sha256"]) == ("evaluate", capture_sha256)
 
 
 def test_cli_reports_are_reproducible(pipeline, tmp_path):

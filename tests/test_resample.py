@@ -1,19 +1,32 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from execlab.capture import (
+    BOOK_DEPTH,
+    CSV_COLUMNS,
     GRID_NS,
+    FrameSet,
     MarketRecord,
     TickerPayload,
     TradePayload,
+    VenueFrames,
     merge_streams,
+    read_capture,
     resample,
     write_frames_csv,
 )
+from execlab.capture.book import LocalBook, apply_delta, apply_snapshot, merge_ticker
 from execlab.capture.records import BookPayload
-from execlab.errors import UnsortedInput
+from execlab.errors import CrossedTicker, UnsortedInput
+from execlab.synth import SynthConfig, generate
 
 MS = 1_000_000
+SHORT_MARKET_FRAMES_SHA256 = "102ab502e1013e545babd2ed18915795c81011f6dad326563e368b0bc4f3af4b"
 
 
 def snap(ts, venue="v0", bid=100.0, ask=100.1):
@@ -107,3 +120,214 @@ def test_merge_streams_orders_by_local_ts():
 def test_grid_points_are_multiples_of_grid():
     frames = resample([snap(3 * MS), trade(47 * MS, 1.0, "sell")])
     assert all(ts % GRID_NS == 0 for ts in frames.grid_ts)
+
+
+# -- the frames CSV writer against a cell-by-cell reference --------------------
+
+
+def _reference_csv(frames) -> str:
+    """The frames CSV written one cell at a time with format(x, ".9g")."""
+
+    def fmt(x):
+        return "" if math.isnan(x) else format(x, ".9g")
+
+    lines = [",".join(CSV_COLUMNS)]
+    for venue in frames.venue_names:
+        vf = frames.venues[venue]
+        for i, ts in enumerate(frames.grid_ts):
+            cells = [str(int(ts)), venue, "1" if vf.present[i] else "0"]
+            cells += [fmt(col[i]) for col in (vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume)]
+            for block in (vf.bid_price, vf.bid_qty, vf.ask_price, vf.ask_qty):
+                cells += [fmt(block[i, j]) for j in range(BOOK_DEPTH)]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = np.array(
+    [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+     1.7976931348623157e308, -1.7976931348623157e308, 1e300, 123456789012.0, 0.1, 1 / 3, 100.05, 1e-9]
+)
+
+
+def _random_frameset(rng, n, venues):
+    def col(*shape):
+        out = np.where(rng.random(shape) < 0.5, rng.choice(SPECIAL_FLOATS, shape), rng.normal(0, 1e3, shape))
+        # Long runs of one value, as in a book that rarely changes.
+        return np.repeat(out[: -(-n // 3)], 3, axis=0)[:n]
+
+    frames = {}
+    for v in venues:
+        frames[v] = VenueFrames(
+            rng.random(n) < 0.7, col(n), col(n), col(n), col(n), col(n),
+            col(n, BOOK_DEPTH), col(n, BOOK_DEPTH), col(n, BOOK_DEPTH), col(n, BOOK_DEPTH),
+        )
+    grid = (np.arange(n, dtype=np.int64) + rng.integers(0, 2**40)) * GRID_NS
+    return FrameSet(grid_ts=grid, venues=frames)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), n_venues=st.integers(0, 3))
+def test_frames_csv_matches_cell_by_cell_reference(tmp_path_factory, seed, n, n_venues):
+    frames = _random_frameset(np.random.default_rng(seed), n, [f"v{i}" for i in range(n_venues)][::-1])
+    path = tmp_path_factory.mktemp("csv") / "frames.csv"
+    write_frames_csv(frames, path)
+    assert path.read_bytes() == _reference_csv(frames).encode("utf-8")
+
+
+def test_frames_csv_keeps_signed_zero_apart(tmp_path):
+    col = np.array([0.0, -0.0, 0.0, -0.0, np.nan, -np.nan])
+    vf = VenueFrames(np.ones(6, bool), col, col, col, col, col, *(np.zeros((6, BOOK_DEPTH)) for _ in range(4)))
+    frames = FrameSet(grid_ts=np.arange(6, dtype=np.int64) * GRID_NS, venues={"v0": vf})
+    write_frames_csv(frames, tmp_path / "frames.csv")
+    text = (tmp_path / "frames.csv").read_text()
+    assert [line.split(",")[3] for line in text.splitlines()[1:]] == ["0", "-0", "0", "-0", "", ""]
+    assert text == _reference_csv(frames)
+
+
+def test_frames_csv_digest_of_short_synthetic_market(tmp_path):
+    cfg = SynthConfig(seed=1234, signal_strength=0.5, lag_ms=(0, 200, 300), tilt_noise=0.6)
+    capture = tmp_path / "market.ndjson"
+    generate(cfg, 5.0, capture)
+    path = tmp_path / "frames.csv"
+    write_frames_csv(resample(read_capture(capture)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHORT_MARKET_FRAMES_SHA256
+
+
+# -- the resampler against one that rebuilds top-of-book at every grid point ---
+
+
+def _reference_resample(records, venues=None, grid_ns=GRID_NS):
+    """Resample by re-reading every book from LocalBook at every grid point."""
+    records = list(records)
+    if venues is None:
+        venues = sorted({r.venue for r in records})
+    books = {v: LocalBook() for v in venues}
+    volumes = {v: [0.0, 0.0] for v in venues}
+    rows = {v: [] for v in venues}
+    grid_points = []
+
+    def emit():
+        for v in venues:
+            book = books[v]
+            bb, ba = book.best_bid(), book.best_ask()
+            present = book.two_sided()
+            rows[v].append(
+                (present, math.nan if bb is None else bb, math.nan if ba is None else ba,
+                 (bb + ba) / 2.0 if present else math.nan, *volumes[v],
+                 book.top_levels("bid", BOOK_DEPTH), book.top_levels("ask", BOOK_DEPTH))
+            )
+            volumes[v] = [0.0, 0.0]
+
+    grid = None
+    for rec in records:
+        if grid is None:
+            grid = -(-rec.local_ts // grid_ns) * grid_ns
+        while rec.local_ts > grid:
+            grid_points.append(grid)
+            emit()
+            grid += grid_ns
+        if rec.venue not in books:
+            continue
+        book = books[rec.venue]
+        if rec.kind == "trade":
+            volumes[rec.venue][0 if rec.payload.side == "buy" else 1] += rec.payload.qty
+        elif rec.kind == "book_snapshot":
+            apply_snapshot(book, rec.payload, rec.local_ts)
+        elif rec.kind == "book_delta":
+            apply_delta(book, rec.payload, rec.local_ts)
+        else:
+            try:
+                merge_ticker(book, rec.payload, rec.local_ts)
+            except CrossedTicker:
+                pass
+    if grid is not None:
+        grid_points.append(grid)
+        emit()
+
+    out = {}
+    for v in venues:
+        n = len(rows[v])
+        cols = {
+            "present": np.zeros(n, dtype=bool),
+            **{k: np.full(n, np.nan) for k in ("best_bid", "best_ask", "mid")},
+            "buy_volume": np.zeros(n),
+            "sell_volume": np.zeros(n),
+            "bid_price": np.full((n, BOOK_DEPTH), np.nan),
+            "bid_qty": np.zeros((n, BOOK_DEPTH)),
+            "ask_price": np.full((n, BOOK_DEPTH), np.nan),
+            "ask_qty": np.zeros((n, BOOK_DEPTH)),
+        }
+        for i, (p, bb, ba, mid, buy, sell, bids, asks) in enumerate(rows[v]):
+            cols["present"][i] = p
+            cols["best_bid"][i], cols["best_ask"][i], cols["mid"][i] = bb, ba, mid
+            cols["buy_volume"][i], cols["sell_volume"][i] = buy, sell
+            for j, (px, q) in enumerate(bids):
+                cols["bid_price"][i, j], cols["bid_qty"][i, j] = px, q
+            for j, (px, q) in enumerate(asks):
+                cols["ask_price"][i, j], cols["ask_qty"][i, j] = px, q
+        out[v] = VenueFrames(**cols)
+    return FrameSet(grid_ts=np.asarray(grid_points, dtype=np.int64), venues=out, grid_ns=grid_ns)
+
+
+_PRICE = st.integers(990, 1010).map(lambda k: k / 10)  # few prices, so levels collide and cross
+_QTY = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+_LEVELS = st.lists(st.tuples(_PRICE, _QTY), max_size=7).map(tuple)
+_PAYLOADS = {
+    "trade": st.builds(TradePayload, _PRICE, st.sampled_from([0.25, 1.0, 3.0]), st.sampled_from(["buy", "sell"])),
+    "book_snapshot": st.builds(BookPayload, _LEVELS, _LEVELS),
+    "book_delta": st.builds(BookPayload, _LEVELS, _LEVELS),
+    # Crossed tickers (bid >= ask) are drawn too; the resampler rejects them.
+    "ticker": st.builds(TickerPayload, _PRICE, st.sampled_from([1.0, 2.0]), _PRICE, st.sampled_from([1.0, 2.0])),
+}
+
+
+@st.composite
+def _streams(draw):
+    ts = draw(st.integers(0, 3 * GRID_NS))
+    records = []
+    for _ in range(draw(st.integers(0, 60))):
+        # Steps of 0, within one window, exactly one grid step, or across several.
+        ts += draw(st.sampled_from([0, 1, 3 * MS, GRID_NS, 4 * GRID_NS + 7]))
+        kind = draw(st.sampled_from(sorted(_PAYLOADS)))
+        venue = draw(st.sampled_from(["v0", "v1", "v2"]))
+        records.append(MarketRecord(venue, kind, ts, draw(_PAYLOADS[kind])))
+    # None discovers the venues; a list may leave some out or name one with no records.
+    venues = draw(st.sampled_from([None, ["v0", "v1", "v2"], ["v0", "v1", "v2", "v9"], ["v2", "v1"]]))
+    return records, venues
+
+
+def _assert_frames_equal(got, want):
+    assert got.grid_ns == want.grid_ns
+    assert got.grid_ts.dtype == want.grid_ts.dtype and np.array_equal(got.grid_ts, want.grid_ts)
+    assert list(got.venues) == list(want.venues)
+    for v, vf in want.venues.items():
+        for name, col in vars(vf).items():
+            mine = getattr(got.venues[v], name)
+            assert mine.dtype == col.dtype and mine.shape == col.shape, (v, name)
+            assert np.array_equal(mine, col, equal_nan=True), (v, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_streams())
+def test_resample_matches_per_grid_point_rebuild(stream):
+    records, venues = stream
+    _assert_frames_equal(resample(records, venues=venues), _reference_resample(records, venues))
+
+
+def test_resample_matches_reference_on_every_kind_of_update():
+    records = [
+        snap(1 * MS),
+        MarketRecord("v0", "book_delta", 12 * MS, BookPayload(bids=((100.0, 0.0), (99.9, 1.0)))),
+        MarketRecord("v0", "book_delta", 23 * MS, BookPayload(bids=((100.2, 1.0),))),  # crosses the ask
+        MarketRecord("v0", "ticker", 34 * MS, TickerPayload(100.3, 1.0, 100.1, 1.0)),  # crossed: rejected
+        MarketRecord("v0", "ticker", 45 * MS, TickerPayload(100.0, 1.0, 100.4, 1.0)),
+        trade(51 * MS, 1.0, "buy"),
+        MarketRecord("v0", "book_delta", 62 * MS, BookPayload(asks=((100.4, 0.0),))),  # one-sided again
+        trade(95 * MS, 2.0, "sell", venue="v1"),
+    ]
+    got = resample(records, venues=["v0", "v1"])
+    _assert_frames_equal(got, _reference_resample(records, ["v0", "v1"]))
+    v = got.venues["v0"]
+    assert v.present.tolist() == [True, True, False, False, True, True, False, False, False, False]
+    assert v.best_bid[4] == 100.0 and np.isnan(v.best_ask[6])
+    assert not got.venues["v1"].present.any()
