@@ -66,6 +66,16 @@ def _load_frames(capture_path: Path):
     return resample(read_capture(capture_path))
 
 
+def _check_target_venue(frames, cfg: ExperimentConfig) -> None:
+    target = cfg.signals.target_venue
+    if target not in frames.venues:
+        raise ConfigError(
+            f"signals.target_venue {target!r} is not a venue of the capture "
+            f"(venues: {', '.join(frames.venue_names)})",
+            field="signals.target_venue",
+        )
+
+
 def _write_manifest(
     out_dir: Path, command: str, config_path: Path, capture_path: Path, seeds: dict, outputs: list[Path]
 ) -> None:
@@ -140,6 +150,7 @@ def cmd_signals_report(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     capture_path = _require_file(cfg.paths.capture, "capture")
     frames = _load_frames(capture_path)
+    _check_target_venue(frames, cfg)
     target = cfg.signals.target_venue
     w = window_steps(cfg.signals.window_ms, frames.grid_ns)
 
@@ -201,6 +212,7 @@ def cmd_train(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     capture_path = _require_file(cfg.paths.capture, "capture")
     frames = _load_frames(capture_path)
+    _check_target_venue(frames, cfg)
     scope = cfg.train.scope
     seed = args.seed if args.seed is not None else cfg.train.seed
     features = feature_bundle(frames, cfg.signals.target_venue, scope, cfg.signals.window_ms)
@@ -242,6 +254,14 @@ def _load_arm(path_value, frames, cfg, scope) -> Arm | None:
         return None
     params, _, _ = load_checkpoint(_require_file(path_value, f"checkpoint_{scope}"))
     features = feature_bundle(frames, cfg.signals.target_venue, scope, cfg.signals.window_ms)
+    want = (len(features) + 2, cfg.problem.total_units + 1)
+    if (params.n_inputs, params.n_actions) != want:
+        raise ConfigError(
+            f"paths.checkpoint_{scope}: checkpoint has n_inputs={params.n_inputs}, "
+            f"n_actions={params.n_actions}; the {scope} arm needs n_inputs={want[0]}, "
+            f"n_actions={want[1]}",
+            field=f"paths.checkpoint_{scope}",
+        )
     return Arm(policy=SampledPolicy(params, seed=cfg.evaluate.seed), features=features)
 
 
@@ -252,6 +272,7 @@ def cmd_evaluate(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     capture_path = _require_file(cfg.paths.capture, "capture")
     frames = _load_frames(capture_path)
+    _check_target_venue(frames, cfg)
     spec: ProblemSpec = cfg.problem
     target = cfg.signals.target_venue
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .env import ProblemSpec
-from .errors import ConfigError
+from .errors import ConfigError, InvalidConfig
 from .ppo.agent import PpoConfig
 from .signals import DEFAULT_HORIZONS_MS, DEFAULT_WINDOW_MS
 from .synth import SynthConfig
@@ -131,6 +131,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for name, cls in _SECTION_TYPES.items():
         if name in raw:
             setattr(cfg, name, _build_section(name, cls, raw[name]))
+    try:
+        cfg.synth.validate()
+    except InvalidConfig as exc:
+        raise ConfigError(f"section 'synth': {exc}", field="synth") from exc
     _apply_env_overrides(cfg)
     return cfg
 

@@ -14,20 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from .capture.resample import FrameSet
-from .env import EpisodeTrace, ExecState, ExecutionEnv, ProblemSpec, run_episode
-from .ppo.agent import PolicyParams, action_mask, policy_forward, sample_actions
+from .env import EpisodeTrace, ExecutionEnv, ProblemSpec, States, run_episodes
+from .env import run_episode  # noqa: F401  perfbench/tracing.py patches this name; no caller here
+from .ppo.agent import PolicyParams, action_mask, policy_forward
 
 
 def twap_schedule(spec: ProblemSpec) -> list[int]:
     """Equal slices; a non-divisible remainder is spread over the earliest steps."""
     base, rem = divmod(spec.total_units, spec.n_decisions)
     return [base + 1 if i < rem else base for i in range(spec.n_decisions)]
-
-
-def cash(trace: EpisodeTrace) -> float:
-    """Total cash of an episode: fills net of fee/impact, terminal liquidation,
-    minus the ending penalty.  The environment accumulates exactly these terms."""
-    return trace.total_cash
 
 
 def implementation_shortfall(cash_value: float, total_units: float, start_price: float) -> float:
@@ -50,12 +45,11 @@ class TwapPolicy:
     """Sell the fixed schedule regardless of state (capped by inventory)."""
 
     def __init__(self, spec: ProblemSpec):
-        self.schedule = twap_schedule(spec)
+        self.schedule = np.array(twap_schedule(spec))
         self.n = spec.n_decisions
 
-    def __call__(self, state: ExecState, vector: np.ndarray) -> int:
-        step_index = self.n - state.steps_left
-        return min(self.schedule[step_index], state.inventory)
+    def __call__(self, states: States) -> np.ndarray:
+        return np.minimum(self.schedule[self.n - states.steps_left], states.inventory)
 
 
 class GreedyPolicy:
@@ -68,33 +62,40 @@ class GreedyPolicy:
     def __init__(self, params: PolicyParams):
         self.params = params
 
-    def _probs(self, state: ExecState, vector: np.ndarray) -> np.ndarray:
-        mask = action_mask(state.inventory, self.params.n_actions)
-        probs, _, _, _ = policy_forward(self.params, vector[None, :], mask)
-        return probs[0]
+    def _probs(self, states: States) -> np.ndarray:
+        mask = action_mask(states.inventory, self.params.n_actions)
+        probs, _, _, _ = policy_forward(self.params, states.vectors, mask)
+        return probs
 
-    def expected_action(self, state: ExecState, vector: np.ndarray) -> float:
-        probs = self._probs(state, vector)
-        return float(probs @ np.arange(self.params.n_actions))
+    def expected_action(self, states: States) -> np.ndarray:
+        return self._probs(states) @ np.arange(self.params.n_actions)
 
-    def __call__(self, state: ExecState, vector: np.ndarray) -> int:
-        return int(np.argmax(self._probs(state, vector)))
+    def __call__(self, states: States) -> np.ndarray:
+        return np.argmax(self._probs(states), axis=1)
 
 
 class SampledPolicy(GreedyPolicy):
     """Draw from the trained policy's action distribution (seeded).
 
     This evaluates the stochastic policy PPO actually optimizes; reports
-    stay deterministic because the draw stream is seeded.
+    stay deterministic because the draw stream is seeded.  At the first
+    decision of a batch the policy takes one uniform draw per (episode,
+    decision) in episode-major order, the stream that one draw per call
+    over episodes run one after another would give.
     """
 
     def __init__(self, params: PolicyParams, seed: int = 0):
         super().__init__(params)
         self.rng = np.random.default_rng(seed)
+        self._draws = np.empty((0, 0))
 
-    def __call__(self, state: ExecState, vector: np.ndarray) -> int:
-        probs = self._probs(state, vector)
-        return int(sample_actions(probs[None, :], self.rng)[0])
+    def __call__(self, states: States) -> np.ndarray:
+        step = states.n_decisions - states.steps_left
+        if (step == 0).all():
+            self._draws = self.rng.random((len(step), states.n_decisions))
+        u = self._draws[np.arange(len(step)), step]
+        # the categorical rule of sample_actions, with the pre-drawn uniforms
+        return (u[:, None] > np.cumsum(self._probs(states), axis=-1)).sum(axis=-1)
 
 
 class RandomPolicy:
@@ -103,8 +104,8 @@ class RandomPolicy:
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
 
-    def __call__(self, state: ExecState, vector: np.ndarray) -> int:
-        return int(self.rng.integers(0, state.inventory + 1))
+    def __call__(self, states: States) -> np.ndarray:
+        return self.rng.integers(0, states.inventory + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +214,14 @@ def compare(
     }
     rng = np.random.default_rng(seed)
     starts = next(iter(envs.values())).sample_starts(n_episodes, rng)
+    p0 = frames.venues[target_venue].best_bid[starts]
 
     results: dict[str, PolicyResult] = {}
     for name, arm in arms.items():
-        env = envs[name]
-        shortfalls = np.empty(n_episodes)
-        traces: list[EpisodeTrace] = []
-        for i, start in enumerate(starts):
-            trace = run_episode(env, arm.policy, int(start))
-            p0 = float(env.frames.venues[target_venue].best_bid[start])
-            shortfalls[i] = implementation_shortfall(trace.total_cash, spec.total_units, p0) * 1e4
-            if keep_traces:
-                traces.append(trace)
-        results[name] = PolicyResult(name, shortfalls, traces)
+        traces = run_episodes(envs[name], arm.policy, starts)
+        cash = np.array([trace.total_cash for trace in traces])
+        shortfalls = implementation_shortfall(cash, spec.total_units, p0) * 1e4
+        results[name] = PolicyResult(name, shortfalls, traces if keep_traces else [])
 
     pooled = np.concatenate([r.shortfalls_bps for r in results.values()])
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -306,40 +302,36 @@ def action_heatmap(
     are reported as missing.
     """
     env = ExecutionEnv(frames, spec, features, target_venue)
-    rng = np.random.default_rng(seed)
-    starts = env.sample_starts(n_episodes, rng)
+    starts = env.sample_starts(n_episodes, np.random.default_rng(seed))
     sig_idx = env.feature_names.index(signal_name)
     sigma = float(np.nanstd(features[signal_name]))
     expected = getattr(policy, "expected_action", None)
 
-    sums = {b: np.zeros((n_buckets, n_buckets)) for b in SIGNAL_BUCKETS}
-    counts = {b: np.zeros((n_buckets, n_buckets), dtype=int) for b in SIGNAL_BUCKETS}
-    for start in starts:
-        state = env.reset(int(start))
-        done = False
-        while not done:
-            if state.inventory > 0:
-                vector = state.vector(spec)
-                action = int(policy(state, vector))
-                recorded = float(expected(state, vector)) if expected else float(action)
-                time_frac = state.steps_left / spec.n_decisions
-                vol_frac = state.inventory / spec.total_units
-                t_b = min(int(time_frac * n_buckets), n_buckets - 1)
-                v_b = min(int(vol_frac * n_buckets), n_buckets - 1)
-                sig = state.signals[sig_idx]
-                if sigma > 0 and sig > sigma:
-                    bucket = "increase"
-                elif sigma > 0 and sig < -sigma:
-                    bucket = "decrease"
-                else:
-                    bucket = "unchanged"
-                sums[bucket][t_b, v_b] += recorded / state.inventory
-                counts[bucket][t_b, v_b] += 1
-            else:
-                action = 0
-            result = env.step(action)
-            state = result.state
-            done = result.done
+    visits = []  # (inventory, steps_left, signal, recorded action) per decision
+    states = env.reset(starts)
+    for _ in range(spec.n_decisions):
+        actions = policy(states)
+        recorded = expected(states) if expected else actions
+        visits.append((states.inventory, states.steps_left, states.signals[:, sig_idx], recorded))
+        env.step(actions)
+        states = env.states
+    # Episode-major, as if the episodes ran one after another, so that each
+    # cell sums its visits in that order.
+    inventory, steps_left, signal, recorded = (np.stack(c, axis=1).ravel() for c in zip(*visits))
+    held = inventory > 0
+    t_b = np.minimum((steps_left / spec.n_decisions * n_buckets).astype(int), n_buckets - 1)
+    v_b = np.minimum((inventory / spec.total_units * n_buckets).astype(int), n_buckets - 1)
+    cell = t_b * n_buckets + v_b
+    bucket = np.full(len(signal), SIGNAL_BUCKETS.index("unchanged"))
+    if sigma > 0:
+        bucket[signal > sigma] = SIGNAL_BUCKETS.index("increase")
+        bucket[signal < -sigma] = SIGNAL_BUCKETS.index("decrease")
+    sums, counts = {}, {}
+    for i, name in enumerate(SIGNAL_BUCKETS):
+        visit = held & (bucket == i)
+        frac = recorded[visit] / inventory[visit]
+        sums[name] = np.bincount(cell[visit], frac, n_buckets**2).reshape(n_buckets, n_buckets)
+        counts[name] = np.bincount(cell[visit], None, n_buckets**2).reshape(n_buckets, n_buckets)
     return HeatmapGrid(n_buckets=n_buckets, sums=sums, counts=counts, min_count=min_count)
 
 

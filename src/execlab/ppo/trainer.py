@@ -1,13 +1,13 @@
 """Rollout collection against the execution environment and the training loop.
 
-A rollout runs a batch of environments in lockstep: one batched forward pass
-per decision level, one scalar env.step per environment; episodes that
-finish early drop out of the batch.
+A rollout runs a batch of episodes in lockstep: one batched forward pass and
+one batched env.step per decision level; episodes that finish early drop out
+of the forward pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,76 +51,41 @@ class TrainLog:
 
 
 def collect_rollout(
-    envs: list[ExecutionEnv],
+    env: ExecutionEnv,
     starts: np.ndarray,
     params: PolicyParams,
-    config: PpoConfig,
     rng: np.random.Generator,
     inventories: np.ndarray | None = None,
     steps_left: np.ndarray | None = None,
 ) -> tuple[RolloutBuffer, np.ndarray]:
-    """Run len(envs) episodes in lockstep; returns (buffer, per-episode rewards).
+    """Run one episode per start in lockstep; returns (buffer, per-episode rewards).
 
     Episodes may start mid-horizon (exploring starts); finished episodes drop
-    out of the lockstep batch.
+    out of the forward pass.  The buffer holds each episode's steps in order,
+    episode after episode.
     """
-    n_env = len(envs)
-    spec = envs[0].spec
-    n_actions = params.n_actions
-
-    states = [
-        env.reset(
-            int(s),
-            inventory=None if inventories is None else int(inventories[i]),
-            steps_left=None if steps_left is None else int(steps_left[i]),
-        )
-        for i, (env, s) in enumerate(zip(envs, starts))
-    ]
-    per_env: list[dict[str, list]] = [
-        {k: [] for k in ("states", "actions", "masks", "log_probs", "rewards", "values", "dones")}
-        for _ in range(n_env)
-    ]
-    episode_reward = np.zeros(n_env)
-    active = list(range(n_env))
-    while active:
-        vecs = np.stack([states[i].vector(spec) for i in active])
-        inv = np.array([states[i].inventory for i in active])
-        masks = action_mask(inv, n_actions)
+    states = env.reset(starts, inventory=inventories, steps_left=steps_left)
+    episode_reward = np.zeros(len(states.rows))
+    steps = []
+    for _ in range(env.spec.n_decisions):
+        active = np.flatnonzero(states.steps_left > 0)
+        if not len(active):
+            break
+        vecs = states.vectors[active]
+        masks = action_mask(states.inventory[active], params.n_actions)
         probs, values, _, _ = policy_forward(params, vecs, masks)
         actions = sample_actions(probs, rng)
+        all_actions = np.zeros(len(states.rows), dtype=np.int64)
+        all_actions[active] = actions
+        rewards, _, dones = env.step(all_actions)
+        episode_reward += rewards
         logp = np.log(probs[np.arange(len(active)), actions])
-        still_active = []
-        for j, i in enumerate(active):
-            result = envs[i].step(int(actions[j]))
-            episode_reward[i] += result.reward
-            rec = per_env[i]
-            rec["states"].append(vecs[j])
-            rec["actions"].append(int(actions[j]))
-            rec["masks"].append(masks[j])
-            rec["log_probs"].append(float(logp[j]))
-            rec["rewards"].append(result.reward)
-            rec["values"].append(float(values[j]))
-            rec["dones"].append(result.done)
-            states[i] = result.state
-            if not result.done:
-                still_active.append(i)
-        active = still_active
-
-    def flat(key, dtype=None):
-        chunks = [np.asarray(per_env[i][key]) for i in range(n_env)]
-        arr = np.concatenate(chunks, axis=0)
-        return arr.astype(dtype) if dtype is not None else arr
-
-    buffer = RolloutBuffer(
-        states=flat("states"),
-        actions=flat("actions", np.int64),
-        masks=flat("masks", bool),
-        log_probs=flat("log_probs"),
-        rewards=flat("rewards"),
-        values=flat("values"),
-        dones=flat("dones", bool),
-    )
-    return buffer, episode_reward
+        steps.append((active, vecs, actions, masks, logp, rewards[active], values, dones[active]))
+        states = env.states
+    episode, *columns = (np.concatenate(column) for column in zip(*steps))
+    # a stable sort keeps each episode's steps in time order
+    order = np.argsort(episode, kind="stable")
+    return RolloutBuffer(*(column[order] for column in columns)), episode_reward
 
 
 def train_policy(
@@ -132,7 +97,6 @@ def train_policy(
     n_updates: int,
     seed: int,
     explore_starts: float = 0.2,
-    anneal_entropy: bool = False,
 ) -> tuple[PolicyParams, TrainLog]:
     """Train a policy on episodes sampled from one capture.
 
@@ -140,9 +104,7 @@ def train_policy(
     (inventory, steps_left) instead of the full problem, so late-horizon
     states with inventory remaining stay represented in every rollout; the
     sell-by-the-deadline behavior would otherwise decay once the policy stops
-    visiting them.  Evaluation always runs full episodes.  With
-    `anneal_entropy` the entropy coefficient decays linearly to zero so the
-    final policy commits instead of keeping exploration mass.
+    visiting them.  Evaluation always runs full episodes.
     """
     rng = np.random.default_rng(seed)
     n_actions = spec.total_units + 1
@@ -150,11 +112,11 @@ def train_policy(
     params = PolicyParams.init(rng, n_inputs, n_actions)
 
     episodes_per_rollout = max(1, config.rollout_steps // spec.n_decisions)
-    envs = [ExecutionEnv(frames, spec, features, target_venue) for _ in range(episodes_per_rollout)]
+    env = ExecutionEnv(frames, spec, features, target_venue)
     log = TrainLog()
     full_rewards_slice = slice(0, None)
     for upd in range(n_updates):
-        starts = envs[0].sample_starts(episodes_per_rollout, rng)
+        starts = env.sample_starts(episodes_per_rollout, rng)
         inventories = np.full(episodes_per_rollout, spec.total_units)
         steps = np.full(episodes_per_rollout, spec.n_decisions)
         n_explore = int(round(explore_starts * episodes_per_rollout))
@@ -171,16 +133,11 @@ def train_policy(
             inventories[-n_explore:] = q_exp.astype(int)
             steps[-n_explore:] = m_exp
             full_rewards_slice = slice(0, episodes_per_rollout - n_explore)
-        step_config = config
-        if anneal_entropy and n_updates > 1:
-            step_config = replace(
-                config, entropy_coef=config.entropy_coef * (1.0 - upd / (n_updates - 1))
-            )
         buffer, episode_rewards = collect_rollout(
-            envs, starts, params, step_config, rng, inventories=inventories, steps_left=steps
+            env, starts, params, rng, inventories=inventories, steps_left=steps
         )
-        buffer.finalize(step_config)
-        stats = update(params, buffer, step_config, rng)
+        buffer.finalize(config)
+        stats = update(params, buffer, config, rng)
         log.append(
             update=upd,
             episodes=episodes_per_rollout,

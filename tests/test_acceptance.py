@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from execlab.capture import read_capture, resample
-from execlab.env import ExecutionEnv, ProblemSpec, run_episode
+from execlab.env import ExecutionEnv, ProblemSpec, run_episode, run_episodes
 from execlab.evalkit import (
     SIGNAL_BUCKETS,
     Arm,
@@ -154,9 +154,8 @@ def test_criterion_2_rewards_telescope_to_shortfall(market, bundles):
         rng = np.random.default_rng(21)
         starts = env.sample_starts(500, rng)
         policy = RandomPolicy(seed=9)
-        for start in starts:
-            trace = run_episode(env, policy, int(start))
-            p0 = float(market.venues[TARGET].best_bid[start])
+        for trace in run_episodes(env, policy, starts):
+            p0 = float(market.venues[TARGET].best_bid[trace.start_row])
             shortfall = implementation_shortfall(trace.total_cash, spec.total_units, p0)
             rel = abs(trace.total_reward - shortfall) / max(abs(shortfall), 1e-12)
             worst = max(worst, rel)
@@ -439,18 +438,16 @@ def test_criterion_8_no_lookahead_audit(tmp_path):
         # environment states at decision rows up to the cutoff
         env_mut = ExecutionEnv(frames_mut, spec, feats_mut, TARGET)
         start = 0
-        s_base = env_base.reset(start)
-        s_mut = env_mut.reset(start)
-        while s_base.row + spec.decision_steps() <= cut_row:
-            clean &= np.array_equal(
-                s_base.vector(spec), s_mut.vector(spec), equal_nan=True
-            )
+        s_base = env_base.reset([start])
+        s_mut = env_mut.reset([start])
+        while s_base.rows[0] + spec.decision_steps() <= cut_row:
+            clean &= np.array_equal(s_base.vectors, s_mut.vectors, equal_nan=True)
             probes += 1
-            r_base = env_base.step(min(5, s_base.inventory))
-            r_mut = env_mut.step(min(5, s_mut.inventory))
-            clean &= r_base.reward == r_mut.reward
-            s_base, s_mut = r_base.state, r_mut.state
-            if r_base.done:
+            r_base, _, done = env_base.step(np.minimum(5, s_base.inventory))
+            r_mut, _, _ = env_mut.step(np.minimum(5, s_mut.inventory))
+            clean &= r_base[0] == r_mut[0]
+            s_base, s_mut = env_base.states, env_mut.states
+            if done[0]:
                 break
     elapsed = time.time() - t0
     ok = clean and probes >= 10_000 and elapsed < 60.0

@@ -1,11 +1,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from execlab.cli import main
 from execlab.config import load_config, parse_config
 from execlab.errors import ConfigError
+from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -58,6 +60,13 @@ def test_unsupported_version_rejected():
 def test_bad_section_value_reported():
     with pytest.raises(ConfigError):
         parse_config({"version": 1, "train": {"scope": "dual"}})
+
+
+def test_invalid_synth_section_rejected_at_load():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"version": 1, "synth": {"n_venues": 0}})
+    assert exc.value.field == "synth"
+    assert "n_venues" in str(exc.value)
 
 
 def test_env_var_path_override(tmp_path, monkeypatch):
@@ -186,3 +195,60 @@ def test_cli_synth_gen_deterministic(tmp_path):
     assert main(["synth", "gen", "--config", str(cfg), "--out", str(a)]) == 0
     assert main(["synth", "gen", "--config", str(cfg), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_invalid_synth_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", synth={"n_venues": 0})
+    code = main(["synth", "gen", "--config", str(cfg), "--out", str(tmp_path / "m.ndjson")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: ") and "n_venues" in err
+    assert not (tmp_path / "m.ndjson").exists()
+
+
+@pytest.mark.parametrize("command", [["signals", "report"], ["train"], ["evaluate"]])
+def test_cli_unknown_target_venue_exit_code(pipeline, tmp_path, capsys, command):
+    _, _, capture = pipeline
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(tmp_path / "out")},
+        signals={"target_venue": "v9"},
+    )
+    code = main(command + ["--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: ") and "signals.target_venue" in err and "'v9'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_checkpoint_of_wrong_scope_exit_code(pipeline, tmp_path, capsys):
+    _, _, capture = pipeline
+    # a cross-scope network (5 features + 2) in the single-scope slot (2 features + 2)
+    ckpt = tmp_path / "cross.npz"
+    save_checkpoint(ckpt, PolicyParams.init(np.random.default_rng(0), 7, 51), PpoConfig())
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(tmp_path / "out"), "checkpoint_single": str(ckpt)},
+    )
+    code = main(["evaluate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: paths.checkpoint_single: ")
+    assert "n_inputs=7" in err and "n_inputs=4" in err
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+
+def test_cli_checkpoint_with_wrong_action_count_exit_code(pipeline, tmp_path, capsys):
+    _, _, capture = pipeline
+    ckpt = tmp_path / "cross.npz"
+    save_checkpoint(ckpt, PolicyParams.init(np.random.default_rng(0), 7, 51), PpoConfig())
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(tmp_path / "out"), "checkpoint_cross": str(ckpt)},
+        problem={"total_units": 20},
+    )
+    code = main(["evaluate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: paths.checkpoint_cross: ")
+    assert "n_actions=51" in err and "n_actions=21" in err

@@ -6,6 +6,7 @@ from execlab.env import (
     ProblemSpec,
     impact_cost,
     run_episode,
+    run_episodes,
     settle_terminal,
     uniform_start_pvalue,
 )
@@ -66,49 +67,51 @@ def test_settle_terminal_examples():
 
 def test_reward_zero_action_flat_price(flat):
     env = make_env(flat)
-    env.reset(0)
-    result = env.step(0)
-    assert result.reward == pytest.approx(0.0, abs=1e-15)
+    env.reset([0])
+    rewards, _, _ = env.step([0])
+    assert rewards[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_reward_hand_example_partial_sale(flat):
     # q 50 -> 45 at flat price: reward = -fee * 5 / 50 = -3e-5
     env = make_env(flat)
-    env.reset(0)
-    result = env.step(5)
-    assert result.reward == pytest.approx(-3e-5, rel=1e-9)
-    assert result.state.inventory == 45
+    env.reset([0])
+    rewards, _, _ = env.step([5])
+    assert rewards[0] == pytest.approx(-3e-5, rel=1e-9)
+    assert env.states.inventory[0] == 45
 
 
 def test_reward_hand_example_sell_everything(flat):
     env = make_env(flat)
-    env.reset(0)
-    result = env.step(50)
-    assert result.reward == pytest.approx(-3e-4, rel=1e-9)
-    assert result.state.inventory == 0
+    env.reset([0])
+    rewards, _, _ = env.step([50])
+    assert rewards[0] == pytest.approx(-3e-4, rel=1e-9)
+    assert env.states.inventory[0] == 0
 
 
 def test_oversell_guarded(flat):
     env = make_env(flat)
-    env.reset(0)
-    env.step(30)
+    env.reset([0])
+    env.step([30])
     with pytest.raises(OversellError):
-        env.step(21)
+        env.step([21])
 
 
 def test_terminal_penalty_in_reward_and_cash(flat):
     spec = ProblemSpec()
     env = make_env(flat, spec)
-    state = env.reset(0)
+    state = env.reset([0])
     for _ in range(spec.n_decisions - 1):
-        result = env.step(0)
-        state = result.state
-    final = env.step(0)  # hold everything to the end
-    assert final.done
-    # liquidation of 50 at the flat bid minus penalty 0.02 * 2500 * bid
-    bid = state.price
-    assert final.info["penalty"] == pytest.approx(0.02 * 2500 * bid)
-    assert final.cash_delta == pytest.approx(50 * bid - 0.02 * 2500 * bid)
+        env.step([0])
+        state = env.states
+    rewards, cash_delta, done = env.step([0])  # hold everything to the end
+    assert done[0]
+    # liquidation of 50 at the flat bid minus penalty 0.02 * 2500 * bid; the
+    # flat price leaves the penalty as the whole reward
+    bid = float(flat.venues["v0"].best_bid[state.rows[0]])
+    penalty = -rewards[0] * spec.total_units * float(flat.venues["v0"].best_bid[0])
+    assert penalty == pytest.approx(0.02 * 2500 * bid)
+    assert cash_delta[0] == pytest.approx(50 * bid - 0.02 * 2500 * bid)
 
 
 def test_inventory_conservation(noisy):
@@ -116,8 +119,7 @@ def test_inventory_conservation(noisy):
     env = make_env(noisy, ProblemSpec(), fb, "v1")
     policy = RandomPolicy(seed=3)
     rng = np.random.default_rng(0)
-    for start in env.sample_starts(50, rng):
-        trace = run_episode(env, policy, int(start))
+    for trace in run_episodes(env, policy, env.sample_starts(50, rng)):
         q_end = trace.inventory[-1] - trace.actions[-1]
         assert sum(trace.actions) + q_end == ProblemSpec().total_units
 
@@ -129,9 +131,8 @@ def test_rewards_sum_to_shortfall_all_fill_models(noisy):
         env = make_env(noisy, spec, fb, "v1")
         policy = RandomPolicy(seed=11)
         rng = np.random.default_rng(1)
-        for start in env.sample_starts(100, rng):
-            trace = run_episode(env, policy, int(start))
-            p0 = float(noisy.venues["v1"].best_bid[start])
+        for trace in run_episodes(env, policy, env.sample_starts(100, rng)):
+            p0 = float(noisy.venues["v1"].best_bid[trace.start_row])
             shortfall = implementation_shortfall(trace.total_cash, spec.total_units, p0)
             assert trace.total_reward == pytest.approx(shortfall, rel=1e-9, abs=1e-15)
 
@@ -141,9 +142,9 @@ def test_episode_determinism(noisy):
     env = make_env(noisy, ProblemSpec(), fb, "v1")
     t1 = run_episode(env, RandomPolicy(seed=5), 100)
     t2 = run_episode(env, RandomPolicy(seed=5), 100)
-    assert t1.actions == t2.actions
-    assert t1.rewards == t2.rewards
-    assert t1.cash == t2.cash
+    assert np.array_equal(t1.actions, t2.actions)
+    assert np.array_equal(t1.rewards, t2.rewards)
+    assert np.array_equal(t1.cash, t2.cash)
 
 
 # -- episode sampling ---------------------------------------------------------
@@ -183,39 +184,69 @@ def test_sampled_starts_uniform(noisy):
 
 def test_state_fractions_at_boundaries(flat):
     env = make_env(flat)
-    spec = ProblemSpec()
-    state = env.reset(0)
-    vec = state.vector(spec)
+    vec = env.reset([0]).vectors[0]
     assert vec[-2] == 1.0  # q / V
     assert vec[-1] == 1.0  # m / H
-    result = env.step(50)
-    assert result.state.vector(spec)[-2] == 0.0
+    env.step([50])
+    assert env.states.vectors[0][-2] == 0.0
 
 
 def test_flat_market_signals_zero_or_missing(flat):
     fb = feature_bundle(flat, "v0", "cross")
     env = make_env(flat, features=fb)
-    state = env.reset(0)
+    state = env.reset([0])
     assert np.all(state.signals == 0.0)
     # spread needs a peer venue: missing, substituted with 0 and flagged
-    assert "peer_spread_centered_bps" in state.missing
+    assert state.missing[0, env.feature_names.index("peer_spread_centered_bps")]
 
 
 def test_book_walk_fill_worse_than_quote(noisy):
     fb = feature_bundle(noisy, "v1", "single")
     env_q = make_env(noisy, ProblemSpec(fill_model="quote"), fb, "v1")
     env_w = make_env(noisy, ProblemSpec(fill_model="walk"), fb, "v1")
-    env_q.reset(0)
-    env_w.reset(0)
-    r_q = env_q.step(40)
-    r_w = env_w.step(40)
-    assert r_w.info["fill_price"] <= r_q.info["fill_price"]
+    _, px_q = env_q.fill(np.array([0]), np.array([40]))
+    _, px_w = env_w.fill(np.array([0]), np.array([40]))
+    assert px_w[0] <= px_q[0]
 
 
 def test_linear_impact_moves_fill_price(noisy):
     fb = feature_bundle(noisy, "v1", "single")
     spec = ProblemSpec(fill_model="linear", linear_impact_k=0.01)
     env = make_env(noisy, spec, fb, "v1")
-    state = env.reset(0)
-    result = env.step(10)
-    assert result.info["fill_price"] == pytest.approx(state.price - 0.01 * 10)
+    state = env.reset([0])
+    _, fill_px = env.fill(state.rows, np.array([10]))
+    price = float(noisy.venues["v1"].best_bid[state.rows[0]])
+    assert fill_px[0] == pytest.approx(price - 0.01 * 10)
+
+
+# -- batches ----------------------------------------------------------------------
+
+
+def test_reset_checks_ranges(flat):
+    env = make_env(flat)
+    with pytest.raises(ValueError):
+        env.reset([0, 1], inventory=[50, 51])
+    with pytest.raises(ValueError):
+        env.reset([0, 1], steps_left=[0, 10])
+    with pytest.raises(ValueError):
+        env.reset([0], steps_left=11)
+
+
+def test_finished_episodes_hold_until_the_batch_ends(flat):
+    env = make_env(flat)
+    env.reset([0, 0], inventory=[50, 10], steps_left=[10, 1])
+    rewards, cash, done = env.step([5, 0])
+    assert done.tolist() == [False, True]
+    with pytest.raises(OversellError):
+        env.step([5, 1])  # a finished episode may only hold
+    for _ in range(9):
+        rewards, cash, done = env.step([5, 0])
+        assert rewards[1] == 0.0 and cash[1] == 0.0
+    assert done.all()
+    with pytest.raises(RuntimeError):
+        env.step([0, 0])
+
+
+def test_step_before_reset_raises(flat):
+    with pytest.raises(RuntimeError):
+        make_env(flat).step([0])

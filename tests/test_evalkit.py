@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from execlab.env import ExecutionEnv, ProblemSpec, run_episode
+from execlab.env import ExecutionEnv, ProblemSpec, run_episode, run_episodes
 from execlab.evalkit import (
     Arm,
     GreedyPolicy,
     RandomPolicy,
+    SampledPolicy,
     TwapPolicy,
     action_heatmap,
-    cash,
     compare,
     gain,
     implementation_shortfall,
@@ -52,9 +52,9 @@ def test_cash_sell_all_at_start_no_fee():
     frames = flat_market_frames(100.0, 51.0)
     spec = ProblemSpec(fee_rate=0.0)
     env = ExecutionEnv(frames, spec, {}, "v0")
-    trace = run_episode(env, lambda s, v: s.inventory, 0)
+    trace = run_episode(env, lambda states: states.inventory, 0)
     p0 = float(frames.venues["v0"].best_bid[0])
-    assert cash(trace) == pytest.approx(spec.total_units * p0, rel=1e-12)
+    assert trace.total_cash == pytest.approx(spec.total_units * p0, rel=1e-12)
 
 
 def test_cash_flat_twap_with_fee_closed_form():
@@ -63,7 +63,7 @@ def test_cash_flat_twap_with_fee_closed_form():
     env = ExecutionEnv(frames, spec, {}, "v0")
     trace = run_episode(env, TwapPolicy(spec), 0)
     p0 = float(frames.venues["v0"].best_bid[0])
-    assert cash(trace) == pytest.approx(spec.total_units * p0 * (1 - 3e-4), rel=1e-12)
+    assert trace.total_cash == pytest.approx(spec.total_units * p0 * (1 - 3e-4), rel=1e-12)
 
 
 def test_terminal_contribution_hand_example():
@@ -157,17 +157,47 @@ def test_report_emitters(tmp_path, noisy):
     assert len(trace_lines) == 1 + spec.n_decisions
 
 
+def test_sampled_policy_batch_matches_episodes_one_at_a_time(noisy):
+    # one batch draws the same uniforms, in the same order, as one draw per
+    # decision over episodes run one after another
+    spec = ProblemSpec(horizon_s=20.0)
+    fb = feature_bundle(noisy, "v1", "cross")
+    params = PolicyParams.init(np.random.default_rng(4), len(fb) + 2, spec.total_units + 1)
+    env = ExecutionEnv(noisy, spec, fb, "v1")
+    starts = env.sample_starts(40, np.random.default_rng(8))
+    batch = run_episodes(env, SampledPolicy(params, seed=3), starts)
+    policy = SampledPolicy(params, seed=3)
+    for start, trace in zip(starts, batch):
+        single = run_episode(env, policy, int(start))
+        assert np.array_equal(single.actions, trace.actions)
+        assert np.array_equal(single.cash, trace.cash)
+    assert len({int(a) for t in batch for a in t.actions}) > 3
+
+
+def test_policies_are_batch_callables(noisy):
+    spec = ProblemSpec(horizon_s=20.0, total_units=52)
+    fb = feature_bundle(noisy, "v1", "single")
+    env = ExecutionEnv(noisy, spec, fb, "v1")
+    states = env.reset([0, 5, 9], inventory=[52, 3, 0])
+    assert TwapPolicy(spec)(states).tolist() == [6, 3, 0]
+    params = PolicyParams.init(np.random.default_rng(0), len(fb) + 2, spec.total_units + 1)
+    for policy in (GreedyPolicy(params), SampledPolicy(params, 1), RandomPolicy(2)):
+        actions = policy(states)
+        assert actions.shape == (3,)
+        assert np.all((actions >= 0) & (actions <= states.inventory))
+
+
 # -- heatmap ---------------------------------------------------------------------
 
 
 class AlwaysDump:
-    def __call__(self, state, vec):
-        return state.inventory
+    def __call__(self, states):
+        return states.inventory
 
 
 class NeverSell:
-    def __call__(self, state, vec):
-        return 0
+    def __call__(self, states):
+        return np.zeros_like(states.inventory)
 
 
 def test_heatmap_aggressiveness_bounds(noisy):
