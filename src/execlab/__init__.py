@@ -7,5 +7,3 @@ implementation shortfall against a TWAP baseline.
 """
 
 __version__ = "0.1.0"
-
-from . import capture, env, evalkit, lob, ppo, signals, synth  # noqa: F401

@@ -39,16 +39,9 @@ from .evalkit import (
 )
 from .ppo.agent import load_checkpoint, save_checkpoint
 from .ppo.trainer import train_policy
-from .signals import (
-    cross_sum,
-    depth_imbalance,
-    feature_bundle,
-    flow_imbalance,
-    flow_imbalance_norm,
-    horizon_report,
-    peer_spread,
-    peer_spread_centered,
-    window_steps,
+from .signals import REPORT_SERIES, feature_bundle, feature_series, horizon_report
+from .signals import (  # noqa: F401  perfbench/tracing.py patches these names; no caller here
+    cross_sum, depth_imbalance, flow_imbalance, flow_imbalance_norm, peer_spread, peer_spread_centered,
 )
 from .synth import generate
 
@@ -152,27 +145,14 @@ def cmd_signals_report(args) -> int:
     frames = _load_frames(capture_path)
     _check_target_venue(frames, cfg)
     target = cfg.signals.target_venue
-    w = window_steps(cfg.signals.window_ms, frames.grid_ns)
-
-    series = []
-    for feature_name in cfg.signals.features:
-        if feature_name == "flow_imbalance_norm":
-            per_venue = [
-                flow_imbalance_norm(flow_imbalance(frames, v), w) for v in frames.venue_names
-            ]
-            series.append(per_venue[frames.venue_names.index(target)])
-            series.append(cross_sum(per_venue, "cross_flow_imbalance_norm"))
-        elif feature_name == "depth_imbalance":
-            per_venue = [depth_imbalance(frames, v) for v in frames.venue_names]
-            series.append(per_venue[frames.venue_names.index(target)])
-            series.append(cross_sum(per_venue, "cross_depth_imbalance"))
-        elif feature_name == "peer_spread_centered":
-            if len(frames.venue_names) > 1:
-                series.append(peer_spread_centered(peer_spread(frames, target), w))
-        else:
-            raise ConfigError(
-                f"unknown signals.features entry {feature_name!r}", field="signals.features"
-            )
+    by_name = feature_series(frames, target, cfg.signals.window_ms)
+    # With a single venue there is no peer, so no peer spread to fit.
+    series = [
+        by_name[name]
+        for entry in cfg.signals.features
+        for name in REPORT_SERIES[entry]
+        if name != "peer_spread_centered" or len(frames.venue_names) > 1
+    ]
 
     outputs = []
     horizon_lines = ["feature,horizon_ms,alpha,beta,r2,n"]

@@ -17,7 +17,8 @@ from pathlib import Path
 from .env import ProblemSpec
 from .errors import ConfigError, InvalidConfig
 from .ppo.agent import PpoConfig
-from .signals import DEFAULT_HORIZONS_MS, DEFAULT_WINDOW_MS
+from .signals import CROSS_FEATURES, DEFAULT_HORIZONS_MS, DEFAULT_WINDOW_MS, REPORT_SERIES
+from .signals import horizon_steps, window_steps
 from .synth import SynthConfig
 
 CONFIG_VERSION = 1
@@ -41,6 +42,22 @@ class SignalsSpec:
     bin_horizon_ms: int = 5000
     features: tuple[str, ...] = ("flow_imbalance_norm", "depth_imbalance", "peer_spread_centered")
 
+    def __post_init__(self):
+        durations = [("window_ms", window_steps, self.window_ms)]
+        durations += [("horizons_ms", horizon_steps, h) for h in self.horizons_ms]
+        durations.append(("bin_horizon_ms", horizon_steps, self.bin_horizon_ms))
+        for name, to_steps, ms in durations:
+            try:
+                to_steps(ms)
+            except ValueError as exc:
+                raise ConfigError(f"signals.{name}: {exc}", field=f"signals.{name}") from exc
+        for name in self.features:
+            if name not in REPORT_SERIES:
+                raise ConfigError(
+                    f"signals.features entry {name!r} is not one of {tuple(REPORT_SERIES)}",
+                    field="signals.features",
+                )
+
 
 @dataclass
 class TrainSpec:
@@ -60,6 +77,12 @@ class EvaluateSpec:
     heatmap_signal: str = "cross_depth_imbalance"
     heatmap_episodes: int = 200
     trace_episodes: int = 1
+
+    def __post_init__(self):
+        if self.heatmap_signal not in CROSS_FEATURES:
+            raise ConfigError(
+                f"evaluate.heatmap_signal must be one of {CROSS_FEATURES}", field="evaluate.heatmap_signal"
+            )
 
 
 @dataclass

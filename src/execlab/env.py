@@ -24,10 +24,9 @@ model is evaluated for the whole batch at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .capture.resample import GRID_NS, FrameSet
 from .errors import CaptureTooShort, OversellError
@@ -58,10 +57,6 @@ class ProblemSpec:
             raise ValueError("fee, impact and penalty coefficients must be >= 0")
         if self.fill_model not in FILL_MODELS:
             raise ValueError(f"fill_model must be one of {FILL_MODELS}")
-
-    @property
-    def decision_interval_s(self) -> float:
-        return self.horizon_s / self.n_decisions
 
     def decision_steps(self, grid_ns: int = GRID_NS) -> int:
         steps_ns = self.horizon_s / self.n_decisions * 1e9
@@ -332,10 +327,3 @@ def run_episodes(env: ExecutionEnv, policy: Policy, start_rows) -> list[EpisodeT
 def run_episode(env: ExecutionEnv, policy: Policy, start_row: int) -> EpisodeTrace:
     """A batch of one."""
     return run_episodes(env, policy, [start_row])[0]
-
-
-def uniform_start_pvalue(starts: Sequence[int], n_admissible: int, buckets: int = 10) -> float:
-    """Chi-square p-value that sampled starts are uniform over the admissible range."""
-    edges = np.linspace(0, n_admissible, buckets + 1)
-    counts, _ = np.histogram(starts, bins=edges)
-    return float(scipy_stats.chisquare(counts).pvalue)

@@ -16,22 +16,12 @@ class BookView:
     bids: tuple[tuple[float, float], ...]
     asks: tuple[tuple[float, float], ...]
 
-    @property
-    def mid(self) -> float:
-        return (self.bids[0][0] + self.asks[0][0]) / 2.0
-
 
 @dataclass(frozen=True)
 class FillResult:
     avg_price: float  # qty-weighted; 0.0 when nothing filled
     filled_qty: float
     book: BookView
-
-
-def depth_sum(view: BookView, side: str, levels: int = 5) -> float:
-    """Cumulative resting quantity over the best `levels` levels of a side."""
-    lvls = view.bids if side == "bid" else view.asks
-    return float(sum(q for _, q in lvls[:levels]))
 
 
 def fill_market_sell(view: BookView, qty: float) -> FillResult:

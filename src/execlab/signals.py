@@ -28,21 +28,18 @@ class FeatureSeries:
     grid_ts: np.ndarray
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def window_steps(window_ms: int, grid_ns: int = GRID_NS) -> int:
     steps = window_ms * 1_000_000 // grid_ns
     if steps < 1:
-        raise ValueError("window shorter than one grid step")
+        raise ValueError(f"{window_ms} ms is shorter than one {grid_ns / 1e6:g} ms grid step")
     return steps
 
 
 def horizon_steps(horizon_ms: int, grid_ns: int = GRID_NS) -> int:
     ns = horizon_ms * 1_000_000
     if ns <= 0 or ns % grid_ns:
-        raise ValueError("horizon must be a positive multiple of the grid")
+        raise ValueError(f"{horizon_ms} ms is not a positive multiple of the {grid_ns / 1e6:g} ms grid")
     return ns // grid_ns
 
 
@@ -213,9 +210,6 @@ class RegressionReport:
     bin_mean_bps: np.ndarray  # NaN where a bin is empty
     bin_counts: np.ndarray
 
-    def r2_by_horizon(self) -> dict[int, float]:
-        return {h: f.r2 for h, f in zip(self.horizons_ms, self.fits)}
-
     def to_json_dict(self) -> dict:
         return {
             "feature": self.feature,
@@ -291,8 +285,15 @@ def horizon_report(
 
 
 # ---------------------------------------------------------------------------
-# Bundles consumed by the execution environment
+# The feature set shared by the signals report and the execution agent
 # ---------------------------------------------------------------------------
+
+# Each `signals.features` config entry and the series the report fits for it.
+REPORT_SERIES = {
+    "flow_imbalance_norm": ("flow_imbalance_norm", "cross_flow_imbalance_norm"),
+    "depth_imbalance": ("depth_imbalance", "cross_depth_imbalance"),
+    "peer_spread_centered": ("peer_spread_centered",),
+}
 
 SINGLE_FEATURES = ("flow_imbalance_norm", "depth_imbalance")
 CROSS_FEATURES = (
@@ -304,6 +305,28 @@ CROSS_FEATURES = (
 )
 
 
+def feature_series(
+    frames: FrameSet, target_venue: str, window_ms: int = DEFAULT_WINDOW_MS
+) -> dict[str, FeatureSeries]:
+    """Every feature of one target venue by name: its own normalized flow and
+    depth imbalances, their sums over all venues (`cross_` prefix), and the
+    centered peer spread in price units.  The report and the agent's bundle
+    both select from these, so both see the same numbers.
+    """
+    w = window_steps(window_ms, frames.grid_ns)
+    oimn = [flow_imbalance_norm(flow_imbalance(frames, v), w) for v in frames.venue_names]
+    imb = [depth_imbalance(frames, v) for v in frames.venue_names]
+    target = frames.venue_names.index(target_venue)
+    series = (
+        oimn[target],
+        imb[target],
+        cross_sum(oimn, "cross_flow_imbalance_norm"),
+        cross_sum(imb, "cross_depth_imbalance"),
+        peer_spread_centered(peer_spread(frames, target_venue), w),
+    )
+    return {s.name: s for s in series}
+
+
 def feature_bundle(
     frames: FrameSet,
     target_venue: str,
@@ -312,31 +335,15 @@ def feature_bundle(
 ) -> dict[str, np.ndarray]:
     """Feature arrays over the full grid for one experiment arm.
 
-    scope "single": the target venue's own normalized flow and depth
-    imbalances.  scope "cross": those plus the cross-venue sums and the
-    centered peer spread (scaled to bps of the target mid so every entry
-    is O(1)).
+    scope "single": SINGLE_FEATURES, the target venue's own normalized flow
+    and depth imbalances.  scope "cross": CROSS_FEATURES, those plus the
+    cross-venue sums and the centered peer spread (scaled to bps of the
+    target mid so every entry is O(1)).
     """
     if scope not in ("single", "cross"):
         raise ValueError(f"scope must be 'single' or 'cross', got {scope!r}")
-    w = window_steps(window_ms, frames.grid_ns)
-    oimn = {
-        v: flow_imbalance_norm(flow_imbalance(frames, v), w) for v in frames.venue_names
-    }
-    imb = {v: depth_imbalance(frames, v) for v in frames.venue_names}
-    out: dict[str, np.ndarray] = {
-        "flow_imbalance_norm": oimn[target_venue].values,
-        "depth_imbalance": imb[target_venue].values,
-    }
-    if scope == "cross":
-        out["cross_flow_imbalance_norm"] = cross_sum(
-            list(oimn.values()), "cross_flow_imbalance_norm"
-        ).values
-        out["cross_depth_imbalance"] = cross_sum(
-            list(imb.values()), "cross_depth_imbalance"
-        ).values
-        spread = peer_spread_centered(peer_spread(frames, target_venue), w).values
-        mid = frames.venues[target_venue].mid
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out["peer_spread_centered_bps"] = 1e4 * spread / mid
-    return out
+    values = {name: s.values for name, s in feature_series(frames, target_venue, window_ms).items()}
+    mid = frames.venues[target_venue].mid
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values["peer_spread_centered_bps"] = 1e4 * values["peer_spread_centered"] / mid
+    return {name: values[name] for name in (SINGLE_FEATURES if scope == "single" else CROSS_FEATURES)}

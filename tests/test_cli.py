@@ -4,10 +4,13 @@ import json
 import numpy as np
 import pytest
 
+import execlab.cli
+from execlab.capture import read_capture, resample
 from execlab.cli import main
 from execlab.config import load_config, parse_config
 from execlab.errors import ConfigError
 from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
+from execlab.signals import feature_bundle
 
 
 def write_config(path, **overrides):
@@ -125,6 +128,58 @@ def test_cli_signals_report(pipeline):
     assert manifest["capture_sha256"] == hashlib.sha256(capture.read_bytes()).hexdigest()
 
 
+# SHA-256 of every signals report file on the pipeline fixture: a change to
+# the report's bytes must be deliberate and update these.
+REPORT_DIGESTS = {
+    "bin_curves.csv": "58baae754710db97545552dae02759b3fee7b5d130a62b535d4381876ab5bf6f",
+    "horizon_r2.csv": "7c9bf77fff4e752bd21d5d0a2a07367fc726fa7620775d9133a1863b16ca2262",
+    "report_cross_depth_imbalance.json": "ae241fdeb5a3b4b4a750dc185fbdad2bf859917277fd722aa725970a40e2aa52",
+    "report_cross_flow_imbalance_norm.json": "4d865ef38629842d85a3512bfecb7a998c1397f7f8679ab57917fbc024259a4b",
+    "report_depth_imbalance.json": "588f2918e51ce75aa6113dfaf20b0eb68d46697b542b51bfa1dbf50b08a8f9ca",
+    "report_flow_imbalance_norm.json": "ebbc868c350d66e3bc262b94640e8198f46c7b8289cae413d4cc9c2ab20fd200",
+    "report_peer_spread_centered.json": "f120051d5bb5eb238ce5d5c5a10e7b119afcb05186d4c4f3a580e982410b794c",
+}
+
+
+def test_cli_signals_report_bytes_pinned(pipeline, tmp_path):
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out)})
+    assert main(["signals", "report", "--config", str(cfg)]) == 0
+    written = {p.name for p in out.glob("report_*.json")} | {"bin_curves.csv", "horizon_r2.csv"}
+    assert written == set(REPORT_DIGESTS)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
+    assert digests == REPORT_DIGESTS
+
+
+def test_cli_report_fits_the_agents_features(pipeline, tmp_path, monkeypatch):
+    # Every series the report fits is, bit for bit, the column of the same name
+    # in the agent's cross bundle; the peer spread is in price units in the
+    # report and in bps of the target mid in the bundle.
+    _, _, capture = pipeline
+    fitted = {}
+    real = execlab.cli.horizon_report
+
+    def record(feature, *args, **kwargs):
+        fitted[feature.name] = feature.values
+        return real(feature, *args, **kwargs)
+
+    monkeypatch.setattr(execlab.cli, "horizon_report", record)
+    cfg = write_config(
+        tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(tmp_path / "out")}
+    )
+    assert main(["signals", "report", "--config", str(cfg)]) == 0
+    frames = resample(read_capture(capture))
+    bundle = feature_bundle(frames, "v1", "cross", load_config(cfg).signals.window_ms)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fitted["peer_spread_centered_bps"] = (
+            1e4 * fitted.pop("peer_spread_centered") / frames.venues["v1"].mid
+        )
+    assert sorted(fitted) == sorted(bundle)
+    for name, column in bundle.items():
+        assert column.tobytes() == fitted[name].tobytes(), name
+
+
 def test_cli_train_then_evaluate(pipeline):
     root, cfg_path, _ = pipeline
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -219,6 +274,35 @@ def test_cli_unknown_target_venue_exit_code(pipeline, tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigParse: ") and "signals.target_venue" in err and "'v9'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        ("signals", {"window_ms": 5}, "signals.window_ms"),
+        ("signals", {"horizons_ms": [100, 15]}, "signals.horizons_ms"),
+        ("signals", {"bin_horizon_ms": 2505}, "signals.bin_horizon_ms"),
+        ("signals", {"features": ["depth_imbalance", "nope"]}, "signals.features"),
+        ("evaluate", {"heatmap_signal": "nope"}, "evaluate.heatmap_signal"),
+    ],
+)
+def test_cli_bad_signal_setting_exit_code(pipeline, tmp_path, capsys, section, value, field):
+    _, _, capture = pipeline
+    ckpt = tmp_path / "cross.npz"
+    save_checkpoint(ckpt, PolicyParams.init(np.random.default_rng(0), 7, 51), PpoConfig())
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(ckpt)},
+        **{section: value},
+    )
+    command = ["evaluate"] if section == "evaluate" else ["signals", "report"]
+    code = main(command + ["--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_checkpoint_of_wrong_scope_exit_code(pipeline, tmp_path, capsys):

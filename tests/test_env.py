@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from execlab.env import (
     ExecutionEnv,
@@ -8,7 +9,6 @@ from execlab.env import (
     run_episode,
     run_episodes,
     settle_terminal,
-    uniform_start_pvalue,
 )
 from execlab.errors import CaptureTooShort, OversellError
 from execlab.evalkit import RandomPolicy, implementation_shortfall
@@ -28,6 +28,13 @@ def noisy():
 
 def make_env(frames, spec=None, features=None, venue="v0"):
     return ExecutionEnv(frames, spec or ProblemSpec(), features or {}, venue)
+
+
+def uniform_start_pvalue(starts, n_admissible, buckets=10):
+    """Chi-square p-value that sampled starts are uniform over the admissible range."""
+    edges = np.linspace(0, n_admissible, buckets + 1)
+    counts, _ = np.histogram(starts, bins=edges)
+    return float(scipy_stats.chisquare(counts).pvalue)
 
 
 # -- spec and helpers ---------------------------------------------------------

@@ -1,29 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from execlab.lob import BookView, depth_sum, fill_market_sell
+from execlab.lob import BookView, fill_market_sell
 
 
 def view(bids=(), asks=()):
     return BookView(tuple(bids), tuple(asks))
-
-
-def test_depth_sum_empty_side_is_zero():
-    assert depth_sum(view(asks=[(100.1, 1.0)]), "bid") == 0.0
-
-
-def test_depth_sum_five_levels():
-    v = view(bids=[(100 - i * 0.1, float(i + 1)) for i in range(5)])
-    assert depth_sum(v, "bid", 5) == 15.0
-
-
-def test_depth_sum_partial_depth():
-    assert depth_sum(view(bids=[(100.0, 7.0)]), "bid", 5) == 7.0
-
-
-def test_depth_sum_caps_at_requested_levels():
-    v = view(asks=[(100 + i * 0.1, 1.0) for i in range(8)])
-    assert depth_sum(v, "ask", 5) == 5.0
 
 
 def test_fill_zero_qty_leaves_book():
