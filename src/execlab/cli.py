@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .capture import align_clock, read_capture, resample, write_frames_csv
 from .config import ExperimentConfig, file_sha256, load_config
-from .env import ProblemSpec
-from .errors import ConfigError, ExecLabError, MissingInput
+from .env import ProblemSpec, policy_dims
+from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput
 from .evalkit import (
     Arm,
     SampledPolicy,
@@ -232,15 +232,27 @@ def cmd_train(args) -> int:
 def _load_arm(path_value, frames, cfg, scope) -> Arm | None:
     if not path_value:
         return None
-    params, _, _ = load_checkpoint(_require_file(path_value, f"checkpoint_{scope}"))
-    features = feature_bundle(frames, cfg.signals.target_venue, scope, cfg.signals.window_ms)
-    want = (len(features) + 2, cfg.problem.total_units + 1)
+    field = f"paths.checkpoint_{scope}"
+    try:
+        params, _, meta = load_checkpoint(_require_file(path_value, f"checkpoint_{scope}"))
+    except CheckpointError as exc:
+        raise ConfigError(f"{field}: {exc}", field=field) from exc
+    target = cfg.signals.target_venue
+    # Checkpoints saved without meta carry no target venue and are accepted.
+    if meta.get("target_venue", target) != target:
+        raise ConfigError(
+            f"{field}: checkpoint was trained for target venue {meta['target_venue']!r}, "
+            f"signals.target_venue is {target!r}",
+            field=field,
+        )
+    features = feature_bundle(frames, target, scope, cfg.signals.window_ms)
+    want = policy_dims(cfg.problem, features)
     if (params.n_inputs, params.n_actions) != want:
         raise ConfigError(
-            f"paths.checkpoint_{scope}: checkpoint has n_inputs={params.n_inputs}, "
+            f"{field}: checkpoint has n_inputs={params.n_inputs}, "
             f"n_actions={params.n_actions}; the {scope} arm needs n_inputs={want[0]}, "
             f"n_actions={want[1]}",
-            field=f"paths.checkpoint_{scope}",
+            field=field,
         )
     return Arm(policy=SampledPolicy(params, seed=cfg.evaluate.seed), features=features)
 

@@ -111,7 +111,10 @@ _SECTION_TYPES = {
 
 _SCALAR_KEYS = ("version", "seed", "synth_duration_s")
 
-_TUPLE_FIELDS = {"lag_ms", "basis", "depth_profile", "horizons_ms", "features"}
+# JSON has no tuples: a list given for a field whose default is a tuple becomes one.
+_TUPLE_FIELDS = {
+    f.name for cls in _SECTION_TYPES.values() for f in fields(cls) if isinstance(f.default, tuple)
+}
 
 
 def _build_section(name: str, cls, raw: dict):

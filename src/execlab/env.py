@@ -93,6 +93,13 @@ class States:
     vectors: np.ndarray  # policy inputs: signals, inventory / V, steps_left / H
 
 
+def policy_dims(spec: ProblemSpec, features: dict[str, np.ndarray]) -> tuple[int, int]:
+    """(input width, action count) of a policy over `features`: a state vector
+    is the features, inventory / V and steps_left / H, and an action sells
+    0..V units."""
+    return len(features) + 2, spec.total_units + 1
+
+
 class ExecutionEnv:
     """A batch of episodes over one FrameSet, stepped in lockstep.
 

@@ -52,6 +52,10 @@ class MissingInput(ExecLabError):
     """A path referenced by the config does not exist."""
 
 
+class CheckpointError(ExecLabError):
+    """A policy checkpoint file cannot be read back."""
+
+
 class CaptureTooShort(ExecLabError):
     """Capture does not admit a single full execution episode."""
 

@@ -18,13 +18,16 @@ finite differences (gradcheck.py).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import AllMaskedError, NonFiniteLossError
-from .net import AdamState, MlpParams, ForwardCache, adam_step, init_mlp, mlp_backward, mlp_forward
+from ..errors import AllMaskedError, CheckpointError, NonFiniteLossError
+from .net import (
+    FIELDS, AdamState, MlpParams, ForwardCache, adam_step, init_mlp, mlp_backward, mlp_forward,
+)
 
 CHECKPOINT_VERSION = 1
 
@@ -76,16 +79,12 @@ class PolicyParams:
         )
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(
+        return replace(
+            self,
             actor=self.actor.copy(),
             critic=self.critic.copy(),
-            actor_opt=AdamState(self.actor_opt.m.copy(), self.actor_opt.v.copy(), self.actor_opt.t),
-            critic_opt=AdamState(
-                self.critic_opt.m.copy(), self.critic_opt.v.copy(), self.critic_opt.t
-            ),
-            n_inputs=self.n_inputs,
-            n_actions=self.n_actions,
-            updates_done=self.updates_done,
+            actor_opt=self.actor_opt.copy(),
+            critic_opt=self.critic_opt.copy(),
         )
 
 
@@ -241,9 +240,8 @@ def ppo_loss(
     grad_value = (config.value_coef * 2.0 * value_err / n)[:, None]
     critic_grads = mlp_backward(params.critic, critic_cache, grad_value)
 
-    for g in (*actor_grads.arrays, *critic_grads.arrays):
-        if not np.isfinite(g).all():
-            raise NonFiniteLossError("non-finite gradient")
+    if not (np.isfinite(actor_grads.flat).all() and np.isfinite(critic_grads.flat).all()):
+        raise NonFiniteLossError("non-finite gradient")
 
     stats = LossStats(
         total=total,
@@ -257,11 +255,11 @@ def ppo_loss(
 
 
 def _clip_grad_norm(grads: MlpParams, max_norm: float) -> None:
+    # Summed layer by layer: one dot product over the whole vector adds in a
+    # different order and changes the trained parameters' bits.
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.arrays)))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.arrays:
-            g *= scale
+        grads.flat *= max_norm / total
 
 
 def update(
@@ -274,9 +272,7 @@ def update(
     if buffer.advantages is None:
         buffer.finalize(config)
     n = len(buffer)
-    stats_acc: dict[str, list[float]] = {
-        k: [] for k in ("total", "clip_objective", "value_loss", "entropy", "approx_kl", "clip_fraction")
-    }
+    stats_acc: dict[str, list[float]] = {f.name: [] for f in fields(LossStats)}
     for _ in range(config.update_epochs):
         order = rng.permutation(n)
         for lo in range(0, n, config.minibatch_size):
@@ -311,7 +307,7 @@ def update(
 def save_checkpoint(path: str | Path, params: PolicyParams, config: PpoConfig, meta: dict | None = None) -> None:
     arrays = {}
     for net_name, net in (("actor", params.actor), ("critic", params.critic)):
-        for field_name, arr in zip(("w1", "b1", "w2", "b2", "w3", "b3"), net.arrays):
+        for field_name, arr in zip(FIELDS, net.arrays):
             arrays[f"{net_name}_{field_name}"] = arr
     arrays["actor_opt_m"] = params.actor_opt.m
     arrays["actor_opt_v"] = params.actor_opt.v
@@ -332,26 +328,57 @@ def save_checkpoint(path: str | Path, params: PolicyParams, config: PpoConfig, m
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header_json"]).decode("utf-8"))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        nets = {}
-        for net_name in ("actor", "critic"):
-            nets[net_name] = MlpParams(
-                *(data[f"{net_name}_{f}"].copy() for f in ("w1", "b1", "w2", "b2", "w3", "b3"))
-            )
-        params = PolicyParams(
-            actor=nets["actor"],
-            critic=nets["critic"],
-            actor_opt=AdamState(
-                data["actor_opt_m"].copy(), data["actor_opt_v"].copy(), header["actor_opt_t"]
-            ),
-            critic_opt=AdamState(
-                data["critic_opt_m"].copy(), data["critic_opt_v"].copy(), header["critic_opt_t"]
-            ),
-            n_inputs=header["n_inputs"],
-            n_actions=header["n_actions"],
-            updates_done=header["updates_done"],
+    """(params, config, meta) from a file `save_checkpoint` wrote.
+
+    Raises CheckpointError when the file is not an npz archive, lacks an
+    array or a header field, has another version, or holds a weight array
+    whose shape does not fit the network its header describes.
+    """
+    try:
+        data = np.load(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"not an npz archive: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError("a single .npy array, not an npz archive")
+    with data:
+
+        def array(key: str) -> np.ndarray:
+            if key not in data.files:
+                raise CheckpointError(f"no {key!r} array")
+            return data[key]
+
+        try:
+            header = json.loads(bytes(array("header_json")).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"header_json is not JSON: {exc}") from exc
+        version = header.get("version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        needed = {"n_inputs", "n_actions", "updates_done", "actor_opt_t", "critic_opt_t", "config", "meta"}
+        if missing := sorted(needed - header.keys()):
+            raise CheckpointError(f"header_json has no {', '.join(map(repr, missing))}")
+        n_inputs, n_actions = header["n_inputs"], header["n_actions"]
+        nets = {"actor": MlpParams(n_inputs, n_actions), "critic": MlpParams(n_inputs, 1)}
+        for net_name, net in nets.items():
+            for field_name, view in zip(FIELDS, net.arrays):
+                stored = array(f"{net_name}_{field_name}")
+                if stored.shape != view.shape:
+                    raise CheckpointError(
+                        f"{net_name}_{field_name} has shape {stored.shape}, the header's "
+                        f"n_inputs={n_inputs}, n_actions={n_actions} need {view.shape}"
+                    )
+                view[...] = stored
+        actor_opt, critic_opt = (
+            AdamState(array(f"{name}_opt_m"), array(f"{name}_opt_v"), header[f"{name}_opt_t"])
+            for name in nets
         )
+    params = PolicyParams(
+        actor=nets["actor"],
+        critic=nets["critic"],
+        actor_opt=actor_opt,
+        critic_opt=critic_opt,
+        n_inputs=n_inputs,
+        n_actions=n_actions,
+        updates_done=header["updates_done"],
+    )
     return params, PpoConfig(**header["config"]), header["meta"]

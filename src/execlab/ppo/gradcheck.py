@@ -37,16 +37,6 @@ def gradient_check(
     return worst
 
 
-def _flatten_policy(params: PolicyParams) -> np.ndarray:
-    return np.concatenate([params.actor.flatten(), params.critic.flatten()])
-
-
-def _set_policy_flat(params: PolicyParams, flat: np.ndarray) -> None:
-    n_actor = params.actor.size
-    params.actor.set_flat(flat[:n_actor])
-    params.critic.set_flat(flat[n_actor:])
-
-
 def gradient_check_ppo(
     params: PolicyParams,
     batch: dict[str, np.ndarray],
@@ -57,11 +47,13 @@ def gradient_check_ppo(
 ) -> float:
     """Finite-difference check of the full PPO loss (actor + critic weights)."""
     work = params.copy()
+    n_actor = work.actor.size
 
     def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        _set_policy_flat(work, theta)
+        work.actor.flat[:] = theta[:n_actor]
+        work.critic.flat[:] = theta[n_actor:]
         stats, actor_grads, critic_grads = ppo_loss(work, batch, config)
-        grad = np.concatenate([actor_grads.flatten(), critic_grads.flatten()])
-        return stats.total, grad
+        return stats.total, np.concatenate([actor_grads.flat, critic_grads.flat])
 
-    return gradient_check(loss_and_grad, _flatten_policy(params), rng, n_probes, h)
+    theta = np.concatenate([params.actor.flat, params.critic.flat])
+    return gradient_check(loss_and_grad, theta, rng, n_probes, h)

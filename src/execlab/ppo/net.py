@@ -3,45 +3,43 @@
 The whole package trains networks of exactly this shape (64x64 tanh trunk),
 so forward, backward and the optimizer are written out explicitly instead of
 pulling in an autodiff framework.  `gradcheck` verifies the algebra.
+
+A network's parameters live in one contiguous float64 vector; the layer
+arrays are reshaped views into it, in `FIELDS` order.  Adam and the
+gradients work on the vector, the forward and backward passes on the views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 HIDDEN = 64
 
+FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
-@dataclass
+
 class MlpParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    """Parameters (or gradients) of one network: `flat` is the vector, `arrays`
+    and the attributes named in `FIELDS` are views into it."""
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+    def __init__(self, n_in: int, n_out: int, flat: np.ndarray | None = None):
+        shapes = ((n_in, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, n_out), (n_out,))
+        bounds = np.cumsum([0, *(prod(s) for s in shapes)])
+        self.n_in, self.n_out = n_in, n_out
+        self.flat = np.zeros(bounds[-1]) if flat is None else flat
+        self.arrays = tuple(self.flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes))
+        for name, view in zip(FIELDS, self.arrays):
+            setattr(self, name, view)
 
     @property
     def size(self) -> int:
-        return sum(a.size for a in self.arrays)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays])
+        return self.flat.size
 
     def copy(self) -> "MlpParams":
-        return MlpParams(*(a.copy() for a in self.arrays))
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        i = 0
-        for a in self.arrays:
-            a[...] = flat[i : i + a.size].reshape(a.shape)
-            i += a.size
+        return MlpParams(self.n_in, self.n_out, self.flat.copy())
 
 
 def init_mlp(
@@ -49,18 +47,10 @@ def init_mlp(
 ) -> MlpParams:
     """He-style scaled normal init; the output layer starts near zero so the
     policy begins close to uniform and the value head close to zero."""
-
-    def layer(fan_in: int, fan_out: int, scale: float) -> np.ndarray:
-        return rng.standard_normal((fan_in, fan_out)) * scale / np.sqrt(fan_in)
-
-    return MlpParams(
-        w1=layer(n_in, HIDDEN, 1.0),
-        b1=np.zeros(HIDDEN),
-        w2=layer(HIDDEN, HIDDEN, 1.0),
-        b2=np.zeros(HIDDEN),
-        w3=layer(HIDDEN, n_out, out_scale),
-        b3=np.zeros(n_out),
-    )
+    params = MlpParams(n_in, n_out)
+    for w, scale in ((params.w1, 1.0), (params.w2, 1.0), (params.w3, out_scale)):
+        w[...] = rng.standard_normal(w.shape) * scale / np.sqrt(w.shape[0])
+    return params
 
 
 @dataclass
@@ -80,16 +70,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> ForwardCache:
 
 def mlp_backward(params: MlpParams, cache: ForwardCache, grad_out: np.ndarray) -> MlpParams:
     """Gradients of a scalar loss given dL/d(out); returns an MlpParams of grads."""
+    grads = MlpParams(params.n_in, params.n_out, np.empty(params.size))
     g3 = grad_out
-    dw3 = cache.h2.T @ g3
-    db3 = g3.sum(axis=0)
+    np.matmul(cache.h2.T, g3, out=grads.w3)
+    g3.sum(axis=0, out=grads.b3)
     g2 = (g3 @ params.w3.T) * (1.0 - cache.h2 * cache.h2)
-    dw2 = cache.h1.T @ g2
-    db2 = g2.sum(axis=0)
+    np.matmul(cache.h1.T, g2, out=grads.w2)
+    g2.sum(axis=0, out=grads.b2)
     g1 = (g2 @ params.w2.T) * (1.0 - cache.h1 * cache.h1)
-    dw1 = cache.x.T @ g1
-    db1 = g1.sum(axis=0)
-    return MlpParams(dw1, db1, dw2, db2, dw3, db3)
+    np.matmul(cache.x.T, g1, out=grads.w1)
+    g1.sum(axis=0, out=grads.b1)
+    return grads
 
 
 @dataclass
@@ -102,6 +93,9 @@ class AdamState:
     def zeros(cls, n: int) -> "AdamState":
         return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
+    def copy(self) -> "AdamState":
+        return AdamState(self.m.copy(), self.v.copy(), self.t)
+
 
 def adam_step(
     params: MlpParams,
@@ -112,13 +106,11 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place Adam update on the flattened parameter vector."""
-    g = grads.flatten()
+    """In-place Adam update of the parameter vector."""
+    g = grads.flat
     state.t += 1
     state.m = beta1 * state.m + (1.0 - beta1) * g
     state.v = beta2 * state.v + (1.0 - beta2) * g * g
     m_hat = state.m / (1.0 - beta1**state.t)
     v_hat = state.v / (1.0 - beta2**state.t)
-    flat = params.flatten()
-    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    params.set_flat(flat)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)

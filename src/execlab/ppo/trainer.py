@@ -7,13 +7,14 @@ of the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..capture.resample import FrameSet
-from ..env import ExecutionEnv, ProblemSpec
+from ..env import ExecutionEnv, ProblemSpec, policy_dims
 from .agent import (
+    LossStats,
     PolicyParams,
     PpoConfig,
     RolloutBuffer,
@@ -28,17 +29,7 @@ from .agent import (
 class TrainLog:
     rows: list[dict] = field(default_factory=list)
 
-    COLUMNS = (
-        "update",
-        "episodes",
-        "mean_episode_reward_bps",
-        "total",
-        "clip_objective",
-        "value_loss",
-        "entropy",
-        "approx_kl",
-        "clip_fraction",
-    )
+    COLUMNS = ("update", "episodes", "mean_episode_reward_bps", *(f.name for f in fields(LossStats)))
 
     def append(self, **kwargs) -> None:
         self.rows.append(kwargs)
@@ -107,9 +98,7 @@ def train_policy(
     visiting them.  Evaluation always runs full episodes.
     """
     rng = np.random.default_rng(seed)
-    n_actions = spec.total_units + 1
-    n_inputs = len(features) + 2
-    params = PolicyParams.init(rng, n_inputs, n_actions)
+    params = PolicyParams.init(rng, *policy_dims(spec, features))
 
     episodes_per_rollout = max(1, config.rollout_steps // spec.n_decisions)
     env = ExecutionEnv(frames, spec, features, target_venue)

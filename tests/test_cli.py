@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,17 +216,35 @@ def test_cli_train_then_evaluate(pipeline):
 
 
 def test_cli_reports_are_reproducible(pipeline, tmp_path):
-    root, cfg_path, capture = pipeline
-    outs = []
+    # Two runs of every command into two directories: each file a manifest
+    # lists matches its counterpart byte for byte.
+    _, _, capture = pipeline
+    outputs = []
     for name in ("r1", "r2"):
         out_dir = tmp_path / name
-        write_config(
-            tmp_path / f"{name}.json",
-            paths={"capture": str(capture), "out_dir": str(out_dir)},
-        )
-        assert main(["evaluate", "--config", str(tmp_path / f"{name}.json")]) == 0
-        outs.append((out_dir / "comparison.json").read_bytes())
-    assert outs[0] == outs[1]
+        paths = {
+            "capture": str(capture),
+            "out_dir": str(out_dir),
+            "checkpoint_single": str(out_dir / "single.npz"),
+            "checkpoint_cross": str(out_dir / "cross.npz"),
+        }
+        listed = {}
+        for command, scope in (
+            (["signals", "report"], "cross"),
+            (["train"], "single"),
+            (["train"], "cross"),
+            (["evaluate"], "cross"),
+        ):
+            cfg = write_config(tmp_path / f"{name}_{scope}.json", paths=paths, train={"scope": scope})
+            assert main(command + ["--config", str(cfg)]) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            listed.update({Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]})
+        outputs.append(listed)
+    assert {"single.npz", "cross.npz", "training_log_single.csv", "comparison.json"} <= set(outputs[0])
+    assert "action_heatmap.csv" in outputs[0] and "horizon_r2.csv" in outputs[0]
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    for file_name, data in outputs[0].items():
+        assert data == outputs[1][file_name], file_name
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):
@@ -336,3 +355,71 @@ def test_cli_checkpoint_with_wrong_action_count_exit_code(pipeline, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigParse: paths.checkpoint_cross: ")
     assert "n_actions=51" in err and "n_actions=21" in err
+
+
+def edit_header(change):
+    def damage(arrays):
+        header = json.loads(bytes(arrays["header_json"]).decode("utf-8"))
+        change(header)
+        arrays["header_json"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda arrays: arrays.pop("header_json"), "no 'header_json' array"),
+        (lambda arrays: arrays.pop("actor_w2"), "no 'actor_w2' array"),
+        (lambda arrays: arrays.pop("critic_opt_v"), "no 'critic_opt_v' array"),
+        (edit_header(lambda header: header.update(version=99)), "unsupported checkpoint version 99"),
+        (edit_header(lambda header: header.pop("n_inputs")), "header_json has no 'n_inputs'"),
+        (lambda arrays: arrays.update(actor_w1=np.zeros((4, 64))), "actor_w1 has shape (4, 64)"),
+        ("not a checkpoint\n", "not an npz archive"),
+        (np.zeros(3), "not an npz archive"),
+    ],
+    ids=["no-header", "no-weight", "no-adam", "version", "no-header-field", "shape", "text", "npy"],
+)
+def test_cli_unreadable_checkpoint_exit_code(pipeline, tmp_path, capsys, damage, message):
+    _, _, capture = pipeline
+    ckpt = tmp_path / "cross.npz"
+    if isinstance(damage, str):
+        ckpt.write_text(damage)
+    elif isinstance(damage, np.ndarray):
+        with open(ckpt, "wb") as fh:
+            np.save(fh, damage)
+    else:
+        save_checkpoint(ckpt, PolicyParams.init(np.random.default_rng(0), 7, 51), PpoConfig())
+        with np.load(ckpt) as data:
+            arrays = {key: data[key] for key in data.files}
+        damage(arrays)
+        np.savez(ckpt, **arrays)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(tmp_path / "out"), "checkpoint_cross": str(ckpt)},
+    )
+    code = main(["evaluate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: paths.checkpoint_cross: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+
+def test_cli_checkpoint_of_other_target_venue_exit_code(pipeline, tmp_path, capsys):
+    _, _, capture = pipeline
+    params = PolicyParams.init(np.random.default_rng(0), 7, 51)
+    ckpt = tmp_path / "cross.npz"
+    save_checkpoint(ckpt, params, PpoConfig(), meta={"scope": "cross", "target_venue": "v1", "seed": 5})
+    paths = {"capture": str(capture), "out_dir": str(tmp_path / "out"), "checkpoint_cross": str(ckpt)}
+    cfg = write_config(tmp_path / "cfg.json", paths=paths, signals={"target_venue": "v2"})
+    code = main(["evaluate", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: paths.checkpoint_cross: ")
+    assert "'v1'" in err and "'v2'" in err
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+    # a checkpoint without meta names no target venue and is accepted
+    save_checkpoint(ckpt, params, PpoConfig())
+    assert main(["evaluate", "--config", str(cfg)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from execlab.env import ExecutionEnv, ProblemSpec, run_episode, run_episodes
+from execlab.env import ExecutionEnv, ProblemSpec, policy_dims, run_episode, run_episodes
 from execlab.evalkit import (
     Arm,
     GreedyPolicy,
@@ -116,7 +116,7 @@ def test_compare_is_deterministic(noisy):
 def test_compare_pairing_same_starts(noisy):
     spec = ProblemSpec(horizon_s=20.0)
     fb = feature_bundle(noisy, "v1", "single")
-    params = PolicyParams.init(np.random.default_rng(0), len(fb) + 2, spec.total_units + 1)
+    params = PolicyParams.init(np.random.default_rng(0), *policy_dims(spec, fb))
     arms = {
         "TWAP": Arm(TwapPolicy(spec)),
         "PPO_single": Arm(GreedyPolicy(params), fb),
@@ -162,7 +162,7 @@ def test_sampled_policy_batch_matches_episodes_one_at_a_time(noisy):
     # decision over episodes run one after another
     spec = ProblemSpec(horizon_s=20.0)
     fb = feature_bundle(noisy, "v1", "cross")
-    params = PolicyParams.init(np.random.default_rng(4), len(fb) + 2, spec.total_units + 1)
+    params = PolicyParams.init(np.random.default_rng(4), *policy_dims(spec, fb))
     env = ExecutionEnv(noisy, spec, fb, "v1")
     starts = env.sample_starts(40, np.random.default_rng(8))
     batch = run_episodes(env, SampledPolicy(params, seed=3), starts)
@@ -180,7 +180,7 @@ def test_policies_are_batch_callables(noisy):
     env = ExecutionEnv(noisy, spec, fb, "v1")
     states = env.reset([0, 5, 9], inventory=[52, 3, 0])
     assert TwapPolicy(spec)(states).tolist() == [6, 3, 0]
-    params = PolicyParams.init(np.random.default_rng(0), len(fb) + 2, spec.total_units + 1)
+    params = PolicyParams.init(np.random.default_rng(0), *policy_dims(spec, fb))
     for policy in (GreedyPolicy(params), SampledPolicy(params, 1), RandomPolicy(2)):
         actions = policy(states)
         assert actions.shape == (3,)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,8 @@ from execlab.ppo import (
     save_checkpoint,
     update,
 )
-from execlab.ppo.net import init_mlp
+from execlab.ppo import agent
+from execlab.ppo.net import FIELDS, init_mlp
 
 
 def make_params(n_inputs=7, n_actions=51, seed=0):
@@ -215,12 +218,12 @@ def test_gradient_check_critic_only():
 
     def critic_loss(theta):
         work = params.copy()
-        work.critic.set_flat(theta)
+        work.critic.flat[:] = theta
         stats, _, critic_grads = ppo_loss(work, batch, config)
         # isolate the value term: actor part of the loss is theta-independent
-        return stats.total, critic_grads.flatten()
+        return stats.total, critic_grads.flat
 
-    err = gradient_check(critic_loss, params.critic.flatten(), rng, n_probes=80, h=1e-5)
+    err = gradient_check(critic_loss, params.critic.flat, rng, n_probes=80, h=1e-5)
     assert err <= 1e-5
 
 
@@ -296,6 +299,113 @@ def test_zero_advantages_move_actor_only_via_entropy():
     assert any(np.abs(g).max() > 0 for g in actor_grads_ent.arrays)
 
 
+# The six-array layout that one vector per network replaced, kept as the
+# reference: gradients come back as six arrays, Adam concatenates them and the
+# parameters, and writes the updated vector back array by array.
+
+
+@dataclass
+class SixArrays:
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    w3: np.ndarray
+    b3: np.ndarray
+
+    @property
+    def arrays(self):
+        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+
+    def flatten(self):
+        return np.concatenate([a.ravel() for a in self.arrays])
+
+    flat = property(flatten)  # ppo_loss reads the gradients' vector to test finiteness
+
+    def set_flat(self, flat):
+        i = 0
+        for a in self.arrays:
+            a[...] = flat[i : i + a.size].reshape(a.shape)
+            i += a.size
+
+
+def reference_mlp_backward(params, cache, grad_out):
+    g3 = grad_out
+    dw3 = cache.h2.T @ g3
+    db3 = g3.sum(axis=0)
+    g2 = (g3 @ params.w3.T) * (1.0 - cache.h2 * cache.h2)
+    dw2 = cache.h1.T @ g2
+    db2 = g2.sum(axis=0)
+    g1 = (g2 @ params.w2.T) * (1.0 - cache.h1 * cache.h1)
+    dw1 = cache.x.T @ g1
+    db1 = g1.sum(axis=0)
+    return SixArrays(dw1, db1, dw2, db2, dw3, db3)
+
+
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    g = grads.flatten()
+    state.t += 1
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = state.m / (1.0 - beta1**state.t)
+    v_hat = state.v / (1.0 - beta2**state.t)
+    flat = params.flatten()
+    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    params.set_flat(flat)
+
+
+def reference_clip_grad_norm(grads, max_norm):
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.arrays)))
+    if total > max_norm:
+        scale = max_norm / total
+        for g in grads.arrays:
+            g *= scale
+    return total > max_norm
+
+
+@pytest.mark.parametrize("max_grad_norm", [0.5, 0.0])
+def test_flat_layout_matches_six_array_reference(monkeypatch, max_grad_norm):
+    config = PpoConfig(minibatch_size=64, max_grad_norm=max_grad_norm)
+
+    def train(layout):
+        rng = np.random.default_rng(3)
+        params = layout(PolicyParams.init(rng, 3, 5))
+        for _ in range(3):
+            update(params, _bandit_rollout(params, config, rng), config, rng)
+        return params
+
+    def six_arrays(params):
+        return replace(
+            params,
+            actor=SixArrays(*(a.copy() for a in params.actor.arrays)),
+            critic=SixArrays(*(a.copy() for a in params.critic.arrays)),
+        )
+
+    new = train(lambda params: params)
+    clipped = []
+    with monkeypatch.context() as m:
+        m.setattr(agent, "mlp_backward", reference_mlp_backward)
+        m.setattr(agent, "adam_step", reference_adam_step)
+        m.setattr(agent, "_clip_grad_norm", lambda g, n: clipped.append(reference_clip_grad_norm(g, n)))
+        ref = train(six_arrays)
+    assert any(clipped) == (max_grad_norm > 0)
+    for name in ("actor", "critic"):
+        assert getattr(new, name).flat.tobytes() == getattr(ref, name).flatten().tobytes()
+        new_opt, ref_opt = getattr(new, f"{name}_opt"), getattr(ref, f"{name}_opt")
+        assert (new_opt.t, new_opt.m.tobytes(), new_opt.v.tobytes()) == (
+            ref_opt.t, ref_opt.m.tobytes(), ref_opt.v.tobytes()
+        )
+
+        # perfbench hashes `arrays`: they must be views of the vector, in FIELDS order
+        net = getattr(new, name).copy()
+        net.flat[:] = np.arange(net.size)
+        assert np.concatenate([a.ravel() for a in net.arrays]).tobytes() == net.flat.tobytes()
+        for field_name, view in zip(FIELDS, net.arrays):
+            assert getattr(net, field_name) is view
+            assert np.shares_memory(view, net.flat)
+            assert not np.shares_memory(view, getattr(new, name).flat)
+
+
 def test_update_is_deterministic_under_seed():
     def run():
         params = PolicyParams.init(np.random.default_rng(3), 3, 5)
@@ -304,7 +414,7 @@ def test_update_is_deterministic_under_seed():
         for _ in range(3):
             buf = _bandit_rollout(params, config, rng, n_actions=params.n_actions)
             update(params, buf, config, rng)
-        return params.actor.flatten()
+        return params.actor.flat
 
     assert np.array_equal(run(), run())
 
@@ -320,8 +430,8 @@ def test_checkpoint_round_trip(tmp_path):
     loaded, loaded_config, meta = load_checkpoint(path)
     assert loaded_config == config
     assert meta == {"scope": "cross", "seed": 5}
-    assert np.array_equal(loaded.actor.flatten(), params.actor.flatten())
-    assert np.array_equal(loaded.critic.flatten(), params.critic.flatten())
+    assert np.array_equal(loaded.actor.flat, params.actor.flat)
+    assert np.array_equal(loaded.critic.flat, params.critic.flat)
     assert loaded.n_actions == params.n_actions
     state = np.random.default_rng(0).standard_normal((3, 7))
     mask = action_mask(np.array([50, 10, 3]), 51)
