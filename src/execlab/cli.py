@@ -7,8 +7,10 @@
     execlab train --config <f> [--out-dir <d>] [--seed <n>]
     execlab evaluate --config <f> [--out-dir <d>] [--seed <n>]
 
-Every run writes a manifest (config and capture digests, seeds, outputs) into the output
-directory; identical configs reproduce outputs byte for byte.
+`signals report`, `train` and `evaluate` each write their own manifest (config and
+capture digests, seeds, outputs) into the output directory: manifest_signals_report.json,
+manifest_train_<scope>.json, manifest_evaluate.json.  Identical configs reproduce
+outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .capture import align_clock, read_capture, resample, write_frames_csv
-from .config import ExperimentConfig, file_sha256, load_config
-from .env import ProblemSpec, policy_dims
+from .config import SCOPES, file_sha256, load_config
+from .env import policy_dims
 from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput
 from .evalkit import (
     Arm,
@@ -32,10 +34,7 @@ from .evalkit import (
     TwapPolicy,
     action_heatmap,
     compare,
-    write_heatmap_csv,
-    write_histogram_csv,
-    write_report_json,
-    write_trace_csv,
+    trace_csv_lines,
 )
 from .ppo.agent import load_checkpoint, save_checkpoint
 from .ppo.trainer import train_policy
@@ -55,35 +54,59 @@ def _require_file(path: str | None, what: str) -> Path:
     return p
 
 
-def _load_frames(capture_path: Path):
-    return resample(read_capture(capture_path))
-
-
-def _check_target_venue(frames, cfg: ExperimentConfig) -> None:
-    target = cfg.signals.target_venue
-    if target not in frames.venues:
-        raise ConfigError(
-            f"signals.target_venue {target!r} is not a venue of the capture "
-            f"(venues: {', '.join(frames.venue_names)})",
-            field="signals.target_venue",
-        )
-
-
-def _write_manifest(
-    out_dir: Path, command: str, config_path: Path, capture_path: Path, seeds: dict, outputs: list[Path]
-) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "config_sha256": file_sha256(config_path),
-        "capture_sha256": file_sha256(capture_path),
-        "seeds": seeds,
-        "outputs": sorted(str(p) for p in outputs),
-    }
-    path = out_dir / "manifest.json"
+def _write_json(path: str | Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class Run:
+    """What `signals report`, `train` and `evaluate` share: the checked config,
+    the output directory, the capture's frames and the files the command writes.
+
+    The output directory is created only once the config is valid; `finish`
+    writes the command's own manifest listing every path `output` handed out.
+    """
+
+    def __init__(self, args):
+        self.config_path = Path(args.config)
+        self.cfg = load_config(self.config_path)
+        if getattr(args, "seed", None) is not None:  # train's and evaluate's --seed
+            self.cfg.train.seed = self.cfg.evaluate.seed = args.seed
+        self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.capture_path = _require_file(self.cfg.paths.capture, "capture")
+        self.frames = resample(read_capture(self.capture_path))
+        target = self.cfg.signals.target_venue
+        if target not in self.frames.venues:
+            raise ConfigError(
+                f"signals.target_venue {target!r} is not a venue of the capture "
+                f"(venues: {', '.join(self.frames.venue_names)})",
+                field="signals.target_venue",
+            )
+        self.outputs: list[Path] = []
+
+    def output(self, path: str | Path) -> Path:
+        """`path` (relative to the output directory), recorded for the manifest."""
+        path = self.out_dir / path
+        self.outputs.append(path)
+        return path
+
+    def finish(self, name: str, **entries) -> None:
+        """Write manifest_<name>.json: the package version, config and capture
+        digests, the outputs, and the command's own `entries`."""
+        manifest = {
+            "package_version": __version__,
+            "config_sha256": file_sha256(self.config_path),
+            "capture_sha256": file_sha256(self.capture_path),
+            "outputs": sorted(str(p) for p in self.outputs),
+            **entries,
+        }
+        _write_json(self.out_dir / f"manifest_{name}.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +129,14 @@ def cmd_capture_align(args) -> int:
             ],
             "rejected_knots": cmap.rejected_knots,
         }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.output, out)
     print(f"wrote clock maps for {len(out['venues'])} venue(s) to {args.output}")
     return 0
 
 
 def cmd_capture_resample(args) -> int:
     src = _require_file(args.input, "capture")
-    frames = _load_frames(src)
+    frames = resample(read_capture(src))
     write_frames_csv(frames, args.output)
     print(f"wrote {frames.n_frames} grid points x {len(frames.venues)} venue(s) to {args.output}")
     return 0
@@ -132,18 +153,9 @@ def cmd_synth_gen(args) -> int:
     return 0
 
 
-def _resolve_out_dir(cfg: ExperimentConfig, args) -> Path:
-    out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def cmd_signals_report(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = _resolve_out_dir(cfg, args)
-    capture_path = _require_file(cfg.paths.capture, "capture")
-    frames = _load_frames(capture_path)
-    _check_target_venue(frames, cfg)
+    run = Run(args)
+    cfg, frames = run.cfg, run.frames
     target = cfg.signals.target_venue
     by_name = feature_series(frames, target, cfg.signals.window_ms)
     # With a single venue there is no peer, so no peer spread to fit.
@@ -154,7 +166,6 @@ def cmd_signals_report(args) -> int:
         if name != "peer_spread_centered" or len(frames.venue_names) > 1
     ]
 
-    outputs = []
     horizon_lines = ["feature,horizon_ms,alpha,beta,r2,n"]
     bin_lines = ["feature,bin_center,mean_return_bps,count"]
     for feat in series:
@@ -165,11 +176,7 @@ def cmd_signals_report(args) -> int:
             horizons_ms=cfg.signals.horizons_ms,
             bin_horizon_ms=cfg.signals.bin_horizon_ms,
         )
-        path = out_dir / f"report_{feat.name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(path)
+        _write_json(run.output(f"report_{feat.name}.json"), report.to_json_dict())
         for h, fit in zip(report.horizons_ms, report.fits):
             horizon_lines.append(
                 f"{feat.name},{h},{fit.alpha:.9g},{fit.beta:.9g},{fit.r2:.9g},{fit.n}"
@@ -177,27 +184,20 @@ def cmd_signals_report(args) -> int:
         for c, m, k in zip(report.bin_centers, report.bin_mean_bps, report.bin_counts):
             cell = "" if not np.isfinite(m) else format(m, ".9g")
             bin_lines.append(f"{feat.name},{c:.9g},{cell},{k}")
-    horizons_path = out_dir / "horizon_r2.csv"
-    horizons_path.write_text("\n".join(horizon_lines) + "\n", encoding="utf-8")
-    bins_path = out_dir / "bin_curves.csv"
-    bins_path.write_text("\n".join(bin_lines) + "\n", encoding="utf-8")
-    outputs += [horizons_path, bins_path]
-    _write_manifest(out_dir, "signals report", Path(args.config), capture_path, {"seed": cfg.seed}, outputs)
-    print(f"wrote {len(series)} feature reports to {out_dir}")
+    _write_lines(run.output("horizon_r2.csv"), horizon_lines)
+    _write_lines(run.output("bin_curves.csv"), bin_lines)
+    run.finish("signals_report", command="signals report", seeds={"seed": cfg.seed})
+    print(f"wrote {len(series)} feature reports to {run.out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = _resolve_out_dir(cfg, args)
-    capture_path = _require_file(cfg.paths.capture, "capture")
-    frames = _load_frames(capture_path)
-    _check_target_venue(frames, cfg)
-    scope = cfg.train.scope
-    seed = args.seed if args.seed is not None else cfg.train.seed
-    features = feature_bundle(frames, cfg.signals.target_venue, scope, cfg.signals.window_ms)
+    run = Run(args)
+    cfg = run.cfg
+    scope, seed = cfg.train.scope, cfg.train.seed
+    features = feature_bundle(run.frames, cfg.signals.target_venue, scope, cfg.signals.window_ms)
     params, log = train_policy(
-        frames,
+        run.frames,
         cfg.problem,
         features,
         cfg.signals.target_venue,
@@ -205,9 +205,8 @@ def cmd_train(args) -> int:
         n_updates=cfg.train.updates,
         seed=seed,
     )
-    ckpt_path = Path(
-        getattr(cfg.paths, f"checkpoint_{scope}") or out_dir / f"ppo_{scope}.npz"
-    )
+    # A configured checkpoint path is taken as given, not under the output directory.
+    ckpt_path = Path(getattr(cfg.paths, f"checkpoint_{scope}") or run.out_dir / f"ppo_{scope}.npz")
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         ckpt_path,
@@ -215,11 +214,9 @@ def cmd_train(args) -> int:
         cfg.ppo,
         meta={"scope": scope, "target_venue": cfg.signals.target_venue, "seed": seed},
     )
-    log_path = out_dir / f"training_log_{scope}.csv"
-    log_path.write_text("\n".join(log.csv_lines()) + "\n", encoding="utf-8")
-    _write_manifest(
-        out_dir, "train", Path(args.config), capture_path, {"train_seed": seed}, [ckpt_path, log_path]
-    )
+    run.outputs.append(ckpt_path)
+    _write_lines(run.output(f"training_log_{scope}.csv"), log.csv_lines())
+    run.finish(f"train_{scope}", command="train", seeds={"train_seed": seed})
     final = log.rows[-1] if log.rows else {}
     print(
         f"trained {scope} policy for {cfg.train.updates} updates "
@@ -229,12 +226,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_arm(path_value, frames, cfg, scope) -> Arm | None:
-    if not path_value:
-        return None
+def _load_arm(path: Path, run: Run, scope: str) -> Arm:
+    cfg = run.cfg
     field = f"paths.checkpoint_{scope}"
     try:
-        params, _, meta = load_checkpoint(_require_file(path_value, f"checkpoint_{scope}"))
+        params, _, meta = load_checkpoint(path)
     except CheckpointError as exc:
         raise ConfigError(f"{field}: {exc}", field=field) from exc
     target = cfg.signals.target_venue
@@ -245,7 +241,7 @@ def _load_arm(path_value, frames, cfg, scope) -> Arm | None:
             f"signals.target_venue is {target!r}",
             field=field,
         )
-    features = feature_bundle(frames, target, scope, cfg.signals.window_ms)
+    features = feature_bundle(run.frames, target, scope, cfg.signals.window_ms)
     want = policy_dims(cfg.problem, features)
     if (params.n_inputs, params.n_actions) != want:
         raise ConfigError(
@@ -258,23 +254,18 @@ def _load_arm(path_value, frames, cfg, scope) -> Arm | None:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.evaluate.seed = args.seed
-    out_dir = _resolve_out_dir(cfg, args)
-    capture_path = _require_file(cfg.paths.capture, "capture")
-    frames = _load_frames(capture_path)
-    _check_target_venue(frames, cfg)
-    spec: ProblemSpec = cfg.problem
+    run = Run(args)
+    cfg, frames = run.cfg, run.frames
+    spec = cfg.problem
     target = cfg.signals.target_venue
 
     arms: dict[str, Arm] = {"TWAP": Arm(policy=TwapPolicy(spec))}
-    single = _load_arm(cfg.paths.checkpoint_single, frames, cfg, "single")
-    if single:
-        arms["PPO_single"] = single
-    cross = _load_arm(cfg.paths.checkpoint_cross, frames, cfg, "cross")
-    if cross:
-        arms["PPO_cross"] = cross
+    checkpoint_sha256 = {}
+    for scope in SCOPES:
+        if path_value := getattr(cfg.paths, f"checkpoint_{scope}"):
+            path = _require_file(path_value, f"checkpoint_{scope}")
+            arms[f"PPO_{scope}"] = _load_arm(path, run, scope)
+            checkpoint_sha256[str(path)] = file_sha256(path)
 
     report = compare(
         arms,
@@ -286,12 +277,8 @@ def cmd_evaluate(args) -> int:
         keep_traces=cfg.evaluate.trace_episodes > 0,
         config_echo={"target_venue": target, "episodes": cfg.evaluate.episodes},
     )
-    outputs = []
-    report_path = out_dir / "comparison.json"
-    write_report_json(report, report_path)
-    hist_path = out_dir / "histogram.csv"
-    write_histogram_csv(report, hist_path)
-    outputs += [report_path, hist_path]
+    _write_json(run.output("comparison.json"), report.to_json_dict())
+    _write_lines(run.output("histogram.csv"), report.histogram_csv_lines())
 
     if "PPO_cross" in arms and cfg.evaluate.heatmap_episodes > 0:
         grid = action_heatmap(
@@ -304,18 +291,17 @@ def cmd_evaluate(args) -> int:
             n_episodes=cfg.evaluate.heatmap_episodes,
             seed=cfg.evaluate.seed,
         )
-        heatmap_path = out_dir / "action_heatmap.csv"
-        write_heatmap_csv(grid, heatmap_path)
-        outputs.append(heatmap_path)
+        _write_lines(run.output("action_heatmap.csv"), grid.csv_lines())
 
     for name, result in report.results.items():
-        for i in range(min(cfg.evaluate.trace_episodes, len(result.traces))):
-            trace_path = out_dir / f"trace_{name}_{i}.csv"
-            write_trace_csv(result.traces[i], frames.grid_ts, trace_path)
-            outputs.append(trace_path)
+        for i, trace in enumerate(result.traces[: cfg.evaluate.trace_episodes]):
+            _write_lines(run.output(f"trace_{name}_{i}.csv"), trace_csv_lines(trace, frames.grid_ts))
 
-    _write_manifest(
-        out_dir, "evaluate", Path(args.config), capture_path, {"eval_seed": cfg.evaluate.seed}, outputs
+    run.finish(
+        "evaluate",
+        command="evaluate",
+        seeds={"eval_seed": cfg.evaluate.seed},
+        checkpoint_sha256=checkpoint_sha256,
     )
     for row in report.table():
         print(

@@ -13,6 +13,8 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .env import ProblemSpec
 from .errors import ConfigError, InvalidConfig
@@ -68,6 +70,8 @@ class TrainSpec:
     def __post_init__(self):
         if self.scope not in SCOPES:
             raise ConfigError(f"train.scope must be one of {SCOPES}", field="train.scope")
+        if self.updates < 0:
+            raise ConfigError(f"train.updates must be >= 0, got {self.updates}", field="train.updates")
 
 
 @dataclass
@@ -79,6 +83,9 @@ class EvaluateSpec:
     trace_episodes: int = 1
 
     def __post_init__(self):
+        # the shortfall variance is taken with ddof=1
+        if self.episodes < 2:
+            raise ConfigError(f"evaluate.episodes must be >= 2, got {self.episodes}", field="evaluate.episodes")
         if self.heatmap_signal not in CROSS_FEATURES:
             raise ConfigError(
                 f"evaluate.heatmap_signal must be one of {CROSS_FEATURES}", field="evaluate.heatmap_signal"
@@ -111,25 +118,39 @@ _SECTION_TYPES = {
 
 _SCALAR_KEYS = ("version", "seed", "synth_duration_s")
 
-# JSON has no tuples: a list given for a field whose default is a tuple becomes one.
-_TUPLE_FIELDS = {
-    f.name for cls in _SECTION_TYPES.values() for f in fields(cls) if isinstance(f.default, tuple)
-}
+
+def _admits(hint, value) -> bool:
+    """Whether a value read from JSON fits a field annotation as it is: an int
+    field takes no bool, a float field also takes an int, a tuple field takes a
+    list, and `| None` also takes null."""
+    if isinstance(hint, UnionType):
+        return any(_admits(h, value) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_admits(get_args(hint)[0], v) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_type(name: str, hint, value) -> None:
+    if not _admits(hint, value):
+        shown = hint.__name__ if isinstance(hint, type) else hint
+        raise ConfigError(f"{name} must be {shown}, got {value!r}", field=name)
 
 
 def _build_section(name: str, cls, raw: dict):
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be an object", field=name)
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    hints = get_type_hints(cls)
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         bad = sorted(unknown)[0]
         raise ConfigError(f"unknown config field {name}.{bad}", field=f"{name}.{bad}")
     kwargs = {}
     for key, value in raw.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        _check_type(f"{name}.{key}", hints[key], value)
+        # JSON has no tuples: the list a tuple field was given becomes one.
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -146,6 +167,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if unknown:
         bad = sorted(unknown)[0]
         raise ConfigError(f"unknown config field {bad}", field=bad)
+    hints = get_type_hints(ExperimentConfig)
+    for key in _SCALAR_KEYS:
+        if key in raw:
+            _check_type(key, hints[key], raw[key])
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}", field="version")

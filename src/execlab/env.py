@@ -54,15 +54,19 @@ class ProblemSpec:
         if self.total_units <= 0 or self.n_decisions < 1:
             raise ValueError("total_units must be > 0 and n_decisions >= 1")
         if self.fee_rate < 0 or self.impact_coef < 0 or self.penalty_coef < 0:
-            raise ValueError("fee, impact and penalty coefficients must be >= 0")
+            raise ValueError("fee_rate, impact_coef and penalty_coef must be >= 0")
         if self.fill_model not in FILL_MODELS:
             raise ValueError(f"fill_model must be one of {FILL_MODELS}")
+        self.decision_steps()
 
     def decision_steps(self, grid_ns: int = GRID_NS) -> int:
         steps_ns = self.horizon_s / self.n_decisions * 1e9
         steps = int(round(steps_ns / grid_ns))
         if steps < 1 or abs(steps * grid_ns - steps_ns) > 0.5:
-            raise ValueError("decision interval must be a multiple of the grid")
+            raise ValueError(
+                f"decision interval horizon_s / n_decisions = {self.horizon_s / self.n_decisions:g} s "
+                f"is not a multiple of the {grid_ns / 1e6:g} ms grid"
+            )
         return steps
 
 

@@ -336,25 +336,19 @@ def action_heatmap(
 
 
 # ---------------------------------------------------------------------------
-# File emitters
+# Report files
 # ---------------------------------------------------------------------------
 
 
+# The CLI writes comparison.json itself; perfbench/worker.py calls this.
 def write_report_json(report: RunReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_histogram_csv(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text("\n".join(report.histogram_csv_lines()) + "\n", encoding="utf-8")
-
-
-def write_heatmap_csv(grid: HeatmapGrid, path: str | Path) -> None:
-    Path(path).write_text("\n".join(grid.csv_lines()) + "\n", encoding="utf-8")
-
-
-def write_trace_csv(trace: EpisodeTrace, grid_ts: np.ndarray, path: str | Path) -> None:
+def trace_csv_lines(trace: EpisodeTrace, grid_ts: np.ndarray) -> list[str]:
+    """One `t,mid,q,action,reward,cash` line per decision of an episode, after the header."""
     lines = ["t,mid,q,action,reward,cash"]
     for i in range(len(trace.actions)):
         lines.append(
@@ -369,4 +363,4 @@ def write_trace_csv(trace: EpisodeTrace, grid_ts: np.ndarray, path: str | Path) 
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines

@@ -53,6 +53,9 @@ class PpoConfig:
             raise ValueError("clip_ratio must lie in (0, 1)")
         if not (0.0 <= self.discount <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
             raise ValueError("discount and gae_lambda must lie in [0, 1]")
+        # update skips any minibatch of fewer than 2 rows
+        if self.minibatch_size < 2:
+            raise ValueError(f"minibatch_size must be >= 2, got {self.minibatch_size}")
 
 
 @dataclass
@@ -331,8 +334,10 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
     """(params, config, meta) from a file `save_checkpoint` wrote.
 
     Raises CheckpointError when the file is not an npz archive, lacks an
-    array or a header field, has another version, or holds a weight array
-    whose shape does not fit the network its header describes.
+    array or a header field, has another version, a header count that is not
+    a non-negative integer, a PPO config PpoConfig refuses or a meta that is
+    not an object, or holds a weight array whose shape does not fit the
+    network its header describes.
     """
     try:
         data = np.load(path)
@@ -357,6 +362,15 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
         needed = {"n_inputs", "n_actions", "updates_done", "actor_opt_t", "critic_opt_t", "config", "meta"}
         if missing := sorted(needed - header.keys()):
             raise CheckpointError(f"header_json has no {', '.join(map(repr, missing))}")
+        for key in ("n_inputs", "n_actions", "updates_done", "actor_opt_t", "critic_opt_t"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise CheckpointError(f"header_json {key} is not a non-negative integer: {header[key]!r}")
+        if not isinstance(header["meta"], dict):
+            raise CheckpointError(f"header_json meta is not an object: {header['meta']!r}")
+        try:
+            config = PpoConfig(**header["config"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"header_json config: {exc}") from exc
         n_inputs, n_actions = header["n_inputs"], header["n_actions"]
         nets = {"actor": MlpParams(n_inputs, n_actions), "critic": MlpParams(n_inputs, 1)}
         for net_name, net in nets.items():
@@ -381,4 +395,4 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
         n_actions=n_actions,
         updates_done=header["updates_done"],
     )
-    return params, PpoConfig(**header["config"]), header["meta"]
+    return params, config, header["meta"]

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import execlab.cli
 from execlab.capture import read_capture, resample
 from execlab.cli import main
-from execlab.config import load_config, parse_config
+from execlab.config import ExperimentConfig, load_config, parse_config
 from execlab.errors import ConfigError
 from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
 from execlab.signals import feature_bundle
@@ -73,6 +79,53 @@ def test_invalid_synth_section_rejected_at_load():
     assert "n_venues" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"train": {"updates": "x"}}, "train.updates"),
+        ({"train": {"seed": "x"}}, "train.seed"),
+        ({"evaluate": {"seed": "x"}}, "evaluate.seed"),
+        ({"evaluate": {"episodes": "x"}}, "evaluate.episodes"),
+        ({"evaluate": {"trace_episodes": "x"}}, "evaluate.trace_episodes"),
+        ({"ppo": {"update_epochs": "x"}}, "ppo.update_epochs"),
+        ({"problem": {"total_units": 2.5}}, "problem.total_units"),
+        ({"signals": {"target_venue": 5}}, "signals.target_venue"),
+        ({"train": {"updates": True}}, "train.updates"),
+        ({"problem": {"impact_enabled": 1}}, "problem.impact_enabled"),
+        ({"signals": {"horizons_ms": [100, "x"]}}, "signals.horizons_ms"),
+        ({"paths": {"capture": 3}}, "paths.capture"),
+        ({"seed": None}, "seed"),
+        ({"evaluate": {"episodes": 1}}, "evaluate.episodes"),
+        ({"evaluate": {"episodes": 0}}, "evaluate.episodes"),
+        ({"evaluate": {"episodes": -1}}, "evaluate.episodes"),
+        ({"train": {"updates": -1}}, "train.updates"),
+        ({"ppo": {"minibatch_size": 1}}, "ppo"),
+        ({"ppo": {"minibatch_size": 0}}, "ppo"),
+        ({"problem": {"horizon_s": 50.005}}, "problem"),
+    ],
+)
+def test_bad_value_rejected_at_load(raw, field):
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"version": 1, **raw})
+    assert exc.value.field == field
+
+
+def test_values_kept_as_given():
+    # no coercion: checkpoint headers embed the PPO config as loaded
+    cfg = parse_config(
+        {
+            "version": 1,
+            "synth_duration_s": 5,
+            "paths": {"capture": None},
+            "ppo": {"actor_lr": 1},
+            "synth": {"depth_profile": [4, 6, 8, 10, 12]},
+        }
+    )
+    assert type(cfg.synth_duration_s) is int and type(cfg.ppo.actor_lr) is int
+    assert cfg.paths.capture is None
+    assert cfg.synth.depth_profile == (4, 6, 8, 10, 12)
+
+
 def test_env_var_path_override(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path / "cfg.json")
     monkeypatch.setenv("EXECLAB_OUT_DIR", str(tmp_path / "elsewhere"))
@@ -123,7 +176,7 @@ def test_cli_signals_report(pipeline):
     assert {h["horizon_ms"] for h in data["horizons"]} == {100, 500}
     assert (out / "horizon_r2.csv").exists()
     assert (out / "bin_curves.csv").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest_signals_report.json").read_text())
     assert manifest["command"] == "signals report"
     assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
     assert manifest["capture_sha256"] == hashlib.sha256(capture.read_bytes()).hexdigest()
@@ -188,7 +241,7 @@ def test_cli_train_then_evaluate(pipeline):
     ckpt = out / "ppo_cross.npz"
     assert ckpt.exists()
     assert (out / "training_log_cross.csv").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest_train_cross.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["capture_sha256"] == hashlib.sha256((root / "market.ndjson").read_bytes()).hexdigest()
 
@@ -211,7 +264,7 @@ def test_cli_train_then_evaluate(pipeline):
     assert (out / "action_heatmap.csv").exists()
     assert (out / "trace_TWAP_0.csv").exists()
     capture_sha256 = hashlib.sha256((root / "market.ndjson").read_bytes()).hexdigest()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest_evaluate.json").read_text())
     assert (manifest["command"], manifest["capture_sha256"]) == ("evaluate", capture_sha256)
 
 
@@ -229,15 +282,15 @@ def test_cli_reports_are_reproducible(pipeline, tmp_path):
             "checkpoint_cross": str(out_dir / "cross.npz"),
         }
         listed = {}
-        for command, scope in (
-            (["signals", "report"], "cross"),
-            (["train"], "single"),
-            (["train"], "cross"),
-            (["evaluate"], "cross"),
+        for command, scope, manifest_name in (
+            (["signals", "report"], "cross", "manifest_signals_report.json"),
+            (["train"], "single", "manifest_train_single.json"),
+            (["train"], "cross", "manifest_train_cross.json"),
+            (["evaluate"], "cross", "manifest_evaluate.json"),
         ):
             cfg = write_config(tmp_path / f"{name}_{scope}.json", paths=paths, train={"scope": scope})
             assert main(command + ["--config", str(cfg)]) == 0
-            manifest = json.loads((out_dir / "manifest.json").read_text())
+            manifest = json.loads((out_dir / manifest_name).read_text())
             listed.update({Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]})
         outputs.append(listed)
     assert {"single.npz", "cross.npz", "training_log_single.csv", "comparison.json"} <= set(outputs[0])
@@ -245,6 +298,39 @@ def test_cli_reports_are_reproducible(pipeline, tmp_path):
     assert sorted(outputs[0]) == sorted(outputs[1])
     for file_name, data in outputs[0].items():
         assert data == outputs[1][file_name], file_name
+
+
+def test_cli_one_manifest_per_command(pipeline, tmp_path):
+    # signals report, both train scopes and evaluate share one output
+    # directory; each leaves its own manifest listing exactly what it wrote.
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    paths = {
+        "capture": str(capture),
+        "out_dir": str(out),
+        "checkpoint_single": str(out / "ppo_single.npz"),
+        "checkpoint_cross": str(out / "ppo_cross.npz"),
+    }
+    runs = [
+        ("signals report", [], "cross", "manifest_signals_report.json", {"seed": 4}),
+        ("train", ["--seed", "9"], "single", "manifest_train_single.json", {"train_seed": 9}),
+        ("train", [], "cross", "manifest_train_cross.json", {"train_seed": 5}),
+        ("evaluate", ["--seed", "8"], "cross", "manifest_evaluate.json", {"eval_seed": 8}),
+    ]
+    for command, flags, scope, manifest_name, seeds in runs:
+        before = set(out.glob("*"))
+        cfg = write_config(tmp_path / f"cfg_{scope}.json", paths=paths, train={"scope": scope})
+        assert main(command.split() + flags + ["--config", str(cfg)]) == 0
+        manifest = json.loads((out / manifest_name).read_text())
+        written = set(out.glob("*")) - before - {out / manifest_name}
+        assert manifest["outputs"] == sorted(map(str, written))
+        assert (manifest["command"], manifest["seeds"]) == (command, seeds)
+    assert sorted(p.name for p in out.glob("manifest*")) == sorted(run[3] for run in runs)
+    manifest = json.loads((out / "manifest_evaluate.json").read_text())
+    assert manifest["checkpoint_sha256"] == {
+        paths[f"checkpoint_{scope}"]: hashlib.sha256(Path(paths[f"checkpoint_{scope}"]).read_bytes()).hexdigest()
+        for scope in ("single", "cross")
+    }
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):
@@ -377,8 +463,15 @@ def edit_header(change):
         (lambda arrays: arrays.update(actor_w1=np.zeros((4, 64))), "actor_w1 has shape (4, 64)"),
         ("not a checkpoint\n", "not an npz archive"),
         (np.zeros(3), "not an npz archive"),
+        (edit_header(lambda header: header["config"].update(nope=1)), "header_json config: "),
+        (edit_header(lambda header: header["config"].update(clip_ratio=5)), "clip_ratio must lie in (0, 1)"),
+        (edit_header(lambda header: header.update(meta=[1])), "header_json meta is not an object"),
+        (edit_header(lambda header: header.update(n_inputs="7")), "header_json n_inputs is not"),
     ],
-    ids=["no-header", "no-weight", "no-adam", "version", "no-header-field", "shape", "text", "npy"],
+    ids=[
+        "no-header", "no-weight", "no-adam", "version", "no-header-field", "shape", "text", "npy",
+        "config-key", "config-value", "meta", "n-inputs-type",
+    ],
 )
 def test_cli_unreadable_checkpoint_exit_code(pipeline, tmp_path, capsys, damage, message):
     _, _, capture = pipeline
@@ -423,3 +516,84 @@ def test_cli_checkpoint_of_other_target_venue_exit_code(pipeline, tmp_path, caps
     # a checkpoint without meta names no target venue and is accepted
     save_checkpoint(ckpt, params, PpoConfig())
     assert main(["evaluate", "--config", str(cfg)]) == 0
+
+
+# -- malformed configs -----------------------------------------------------------
+
+
+def config_fields():
+    """(dotted name, annotation) of every config field; a section is an "object"."""
+    out = []
+    for f in fields(ExperimentConfig):
+        if f.default_factory is MISSING:
+            out.append((f.name, f.type))
+        else:
+            out.append((f.name, "object"))
+            out += [(f"{f.name}.{g.name}", g.type) for g in fields(f.default_factory)]
+    return out
+
+
+def wrong_values(annotation):
+    """JSON values whose kind the annotation does not admit."""
+    kinds = set(annotation.split(" | "))
+    examples = {"str": "x", "bool": True, "float": 2.5, "None": None, "object": {}}
+    return [[None]] + [value for kind, value in examples.items() if kind not in kinds]
+
+
+WRONG_TYPE = st.sampled_from(config_fields()).flatmap(
+    lambda f: st.tuples(st.just(f[0]), st.sampled_from(wrong_values(f[1])))
+)
+OUT_OF_RANGE = st.one_of(
+    st.tuples(st.just("evaluate.episodes"), st.integers(max_value=1)),
+    st.tuples(st.just("ppo.minibatch_size"), st.integers(max_value=1)),
+    st.tuples(st.just("train.updates"), st.integers(max_value=-1)),
+    st.tuples(st.just("problem.total_units"), st.integers(max_value=0)),
+    # half a grid step off with n_decisions 10
+    st.tuples(st.just("problem.horizon_s"), st.integers(0, 10**5).map(lambda k: (k + 0.5) / 10)),
+    st.sampled_from(
+        [
+            ("version", 2),
+            ("problem.n_decisions", 0),
+            ("problem.fee_rate", -1e-4),
+            ("problem.fill_model", "auction"),
+            ("ppo.clip_ratio", 1.0),
+            ("ppo.gae_lambda", 1.5),
+            ("signals.window_ms", 5),
+            ("signals.horizons_ms", [100, 15]),
+            ("signals.bin_horizon_ms", 0),
+            ("signals.features", ["nope"]),
+            ("train.scope", "dual"),
+            ("evaluate.heatmap_signal", "nope"),
+            ("synth.n_venues", 0),
+            ("synth.signal_strength", 1.5),
+        ]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["train", "evaluate"]), mutation=st.one_of(WRONG_TYPE, OUT_OF_RANGE))
+def test_malformed_config_rejected_before_any_input(command, mutation):
+    # The capture does not exist, so only a rejection at load can end in
+    # ConfigParse; nothing may be created either.
+    name, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg_path = write_config(
+            root / "cfg.json", paths={"capture": str(root / "missing.ndjson"), "out_dir": str(root / "out")}
+        )
+        cfg = json.loads(cfg_path.read_text())
+        section, _, key = name.partition(".")
+        if key:
+            cfg.setdefault(section, {})[key] = value
+        else:
+            cfg[section] = value
+        cfg_path.write_text(json.dumps(cfg))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(cfg_path)])
+        err = stderr.getvalue()
+        assert code == 2, err
+        assert err.startswith("error: ConfigParse: ") and err.count("\n") == 1, err
+        assert name.rpartition(".")[2] in err, err
+        assert os.listdir(root) == ["cfg.json"]

@@ -12,11 +12,9 @@ from execlab.evalkit import (
     compare,
     gain,
     implementation_shortfall,
+    trace_csv_lines,
     twap_schedule,
-    write_heatmap_csv,
-    write_histogram_csv,
     write_report_json,
-    write_trace_csv,
 )
 from execlab.ppo import PolicyParams
 from execlab.signals import feature_bundle
@@ -147,12 +145,10 @@ def test_report_emitters(tmp_path, noisy):
         {"TWAP": Arm(TwapPolicy(spec))}, noisy, spec, "v1", n_episodes=10, seed=1, keep_traces=True
     )
     write_report_json(report, tmp_path / "report.json")
-    write_histogram_csv(report, tmp_path / "hist.csv")
-    write_trace_csv(report.results["TWAP"].traces[0], noisy.grid_ts, tmp_path / "trace.csv")
     assert (tmp_path / "report.json").exists()
-    hist_lines = (tmp_path / "hist.csv").read_text().splitlines()
+    hist_lines = report.histogram_csv_lines()
     assert hist_lines[0] == "bin_left,bin_right,TWAP"
-    trace_lines = (tmp_path / "trace.csv").read_text().splitlines()
+    trace_lines = trace_csv_lines(report.results["TWAP"].traces[0], noisy.grid_ts)
     assert trace_lines[0] == "t,mid,q,action,reward,cash"
     assert len(trace_lines) == 1 + spec.n_decisions
 
@@ -219,14 +215,13 @@ def test_heatmap_aggressiveness_bounds(noisy):
         assert np.all(filled == 0.0)
 
 
-def test_heatmap_csv_format(tmp_path, noisy):
+def test_heatmap_csv_format(noisy):
     spec = ProblemSpec(horizon_s=20.0)
     fb = feature_bundle(noisy, "v1", "cross")
     grid = action_heatmap(
         AlwaysDump(), noisy, spec, fb, "v1", "cross_depth_imbalance", n_episodes=5, seed=3
     )
-    write_heatmap_csv(grid, tmp_path / "heatmap.csv")
-    lines = (tmp_path / "heatmap.csv").read_text().splitlines()
+    lines = grid.csv_lines()
     assert lines[0] == "time_bucket,volume_bucket,signal_bucket,aggressiveness"
     assert len(lines) == 1 + 3 * 10 * 10
     # empty cells serialize as a trailing empty field
