@@ -1,15 +1,11 @@
 """Capture format, clock alignment, local book maintenance, 10ms resampling.
 
 Live venue connectors are deliberately out of scope: anything that yields
-MarketRecord objects in local_ts order (file replay via read_capture, or a
-process-local merge of per-venue streams via merge_streams) plugs into the
-same pipeline.
+MarketRecord objects in local_ts order (file replay via read_capture) plugs
+into the same pipeline.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Iterable, Iterator
 
 from .book import LocalBook, apply_delta, apply_snapshot, merge_ticker
 from .clock import ClockMap, align_clock
@@ -61,7 +57,6 @@ __all__ = [
     "align_clock",
     "apply_delta",
     "apply_snapshot",
-    "merge_streams",
     "merge_ticker",
     "read_capture",
     "record_to_line",
@@ -70,18 +65,3 @@ __all__ = [
     "write_frames_csv",
 ]
 
-
-def merge_streams(*streams: Iterable[MarketRecord]) -> Iterator[MarketRecord]:
-    """Serialize per-venue streams into one local_ts-ordered stream.
-
-    Each input must already be sorted by local_ts (the per-venue stream
-    invariant); ties across streams break by stream index then arrival
-    order, so the merged ordering is deterministic.
-    """
-
-    def decorate(idx: int, stream: Iterable[MarketRecord]):
-        for n, rec in enumerate(stream):
-            yield (rec.local_ts, idx, n), rec
-
-    for _, rec in heapq.merge(*(decorate(i, s) for i, s in enumerate(streams))):
-        yield rec

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from ..errors import CrossedTicker
 from .records import BookPayload, TickerPayload
 
+BOOK_DEPTH = 5  # levels per side that the frames carry
+
 
 @dataclass
 class LocalBook:
     bids: dict[float, float] = field(default_factory=dict)  # price -> qty
     asks: dict[float, float] = field(default_factory=dict)
-    last_update_local_ts: int | None = None
 
     def best_bid(self) -> float | None:
         return max(self.bids) if self.bids else None
@@ -30,20 +31,16 @@ class LocalBook:
     def two_sided(self) -> bool:
         return bool(self.bids) and bool(self.asks)
 
-    def mid(self) -> float | None:
-        if not self.two_sided():
-            return None
-        return (self.best_bid() + self.best_ask()) / 2.0
-
-    def top_levels(self, side: str, depth: int = 5) -> list[tuple[float, float]]:
+    def top_levels(self, side: str) -> list[tuple[float, float]]:
+        """The best BOOK_DEPTH (price, qty) levels of one side, best first."""
         if side == "bid":
-            prices = sorted(self.bids, reverse=True)[:depth]
+            prices = sorted(self.bids, reverse=True)[:BOOK_DEPTH]
             return [(p, self.bids[p]) for p in prices]
-        prices = sorted(self.asks)[:depth]
+        prices = sorted(self.asks)[:BOOK_DEPTH]
         return [(p, self.asks[p]) for p in prices]
 
 
-def apply_snapshot(book: LocalBook, payload: BookPayload, local_ts: int) -> LocalBook:
+def apply_snapshot(book: LocalBook, payload: BookPayload) -> LocalBook:
     """Replace the book with the snapshot; zero-qty levels are skipped.
 
     A crossed snapshot is repaired by dropping the crossing ask levels, the
@@ -55,11 +52,10 @@ def apply_snapshot(book: LocalBook, payload: BookPayload, local_ts: int) -> Loca
     if bb is not None:
         for price in [p for p in book.asks if p <= bb]:
             del book.asks[price]
-    book.last_update_local_ts = local_ts
     return book
 
 
-def apply_delta(book: LocalBook, payload: BookPayload, local_ts: int) -> LocalBook:
+def apply_delta(book: LocalBook, payload: BookPayload) -> LocalBook:
     """Apply level upserts/deletes; qty 0 deletes, qty > 0 upserts.
 
     An upsert that crosses the other side removes the older crossing levels:
@@ -80,11 +76,10 @@ def apply_delta(book: LocalBook, payload: BookPayload, local_ts: int) -> LocalBo
             book.asks[price] = qty
             for bid in [p for p in book.bids if p >= price]:
                 del book.bids[bid]
-    book.last_update_local_ts = local_ts
     return book
 
 
-def merge_ticker(book: LocalBook, payload: TickerPayload, local_ts: int) -> LocalBook:
+def merge_ticker(book: LocalBook, payload: TickerPayload) -> LocalBook:
     """Splice a best bid/ask quote into the book.
 
     Postcondition: best bid == ticker bid and best ask == ticker ask.  Levels
@@ -101,5 +96,4 @@ def merge_ticker(book: LocalBook, payload: TickerPayload, local_ts: int) -> Loca
         del book.asks[price]
     book.bids[payload.bid_price] = payload.bid_qty
     book.asks[payload.ask_price] = payload.ask_qty
-    book.last_update_local_ts = local_ts
     return book

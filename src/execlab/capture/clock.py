@@ -48,7 +48,7 @@ class ClockMap:
         return e0 + int(round(frac * (e1 - e0)))
 
 
-def align_clock(records: Iterable[MarketRecord], venue: str | None = None) -> ClockMap:
+def align_clock(records: Iterable[MarketRecord]) -> ClockMap:
     """Build a ClockMap from the records of one venue stream.
 
     Knots whose exchange timestamp would move backwards are rejected and
@@ -57,12 +57,9 @@ def align_clock(records: Iterable[MarketRecord], venue: str | None = None) -> Cl
     locals_: list[int] = []
     exchs: list[int] = []
     rejected = 0
-    seen_venue = venue
+    venue = ""
     for rec in records:
-        if venue is not None and rec.venue != venue:
-            continue
-        if seen_venue is None:
-            seen_venue = rec.venue
+        venue = rec.venue
         if rec.exch_ts is None:
             continue
         if locals_ and rec.local_ts <= locals_[-1]:
@@ -74,9 +71,9 @@ def align_clock(records: Iterable[MarketRecord], venue: str | None = None) -> Cl
         locals_.append(rec.local_ts)
         exchs.append(rec.exch_ts)
     if len(locals_) < 2:
-        raise FewerThanTwoKnots(f"{seen_venue or '<empty>'}: {len(locals_)} usable knot(s)")
+        raise FewerThanTwoKnots(f"{venue or '<empty>'}: {len(locals_)} usable knot(s)")
     return ClockMap(
-        venue=seen_venue or "",
+        venue=venue,
         local_knots=np.asarray(locals_, dtype=np.int64),
         exch_knots=np.asarray(exchs, dtype=np.int64),
         rejected_knots=rejected,

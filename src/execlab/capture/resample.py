@@ -22,7 +22,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from ..errors import CrossedTicker, UnsortedInput
-from .book import LocalBook, apply_delta, apply_snapshot, merge_ticker
+from .book import BOOK_DEPTH, LocalBook, apply_delta, apply_snapshot, merge_ticker
 from .records import (
     KIND_BOOK_DELTA,
     KIND_BOOK_SNAPSHOT,
@@ -33,7 +33,6 @@ from .records import (
 )
 
 GRID_NS = 10_000_000  # 10ms
-BOOK_DEPTH = 5
 
 CSV_COLUMNS = (
     ["grid_ts", "venue", "present", "best_bid", "best_ask", "mid", "buy_volume", "sell_volume"]
@@ -64,7 +63,6 @@ class VenueFrames:
 class FrameSet:
     grid_ts: np.ndarray  # int64
     venues: dict[str, VenueFrames]
-    grid_ns: int = GRID_NS
 
     @property
     def n_frames(self) -> int:
@@ -85,8 +83,8 @@ def _book_part(book: LocalBook) -> tuple[float, ...]:
     present = book.two_sided()
     bb = book.best_bid()
     ba = book.best_ask()
-    bids = book.top_levels("bid", BOOK_DEPTH)
-    asks = book.top_levels("ask", BOOK_DEPTH)
+    bids = book.top_levels("bid")
+    asks = book.top_levels("ask")
     bid_pad = BOOK_DEPTH - len(bids)
     ask_pad = BOOK_DEPTH - len(asks)
     return (
@@ -121,12 +119,12 @@ class _VenueAccumulator:
             return
         self._book_changed = True
         if kind == KIND_BOOK_SNAPSHOT:
-            apply_snapshot(self.book, rec.payload, rec.local_ts)
+            apply_snapshot(self.book, rec.payload)
         elif kind == KIND_BOOK_DELTA:
-            apply_delta(self.book, rec.payload, rec.local_ts)
+            apply_delta(self.book, rec.payload)
         elif kind == KIND_TICKER:
             try:
-                merge_ticker(self.book, rec.payload, rec.local_ts)
+                merge_ticker(self.book, rec.payload)
             except CrossedTicker:
                 self.rejected_tickers += 1
 
@@ -156,11 +154,7 @@ def _rows_to_frames(rows: list[tuple[float, ...]]) -> VenueFrames:
     )
 
 
-def resample(
-    records: Iterable[MarketRecord],
-    grid_ns: int = GRID_NS,
-    venues: Sequence[str] | None = None,
-) -> FrameSet:
+def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = None) -> FrameSet:
     """Resample a local_ts-sorted record stream onto the fixed grid.
 
     Raises UnsortedInput with the 0-based position of the first violation.
@@ -180,12 +174,12 @@ def resample(
             raise UnsortedInput(pos)
         last_ts = rec.local_ts
         if grid is None:
-            grid = -(-rec.local_ts // grid_ns) * grid_ns  # ceil to grid
+            grid = -(-rec.local_ts // GRID_NS) * GRID_NS  # ceil to grid
         while rec.local_ts > grid:
             grid_points.append(grid)
             for acc in accs.values():
                 acc.emit()
-            grid += grid_ns
+            grid += GRID_NS
         if rec.venue in accs:
             accs[rec.venue].on_record(rec)
     if grid is not None:
@@ -196,7 +190,6 @@ def resample(
     return FrameSet(
         grid_ts=np.asarray(grid_points, dtype=np.int64),
         venues={v: _rows_to_frames(accs[v].rows) for v in venues},
-        grid_ns=grid_ns,
     )
 
 

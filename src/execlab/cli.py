@@ -18,14 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .capture import align_clock, read_capture, resample, write_frames_csv
-from .config import SCOPES, file_sha256, load_config
+from .config import SCOPES, check_seed, file_sha256, load_config
 from .env import policy_dims
 from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput
 from .evalkit import (
@@ -76,6 +76,7 @@ class Run:
         self.config_path = Path(args.config)
         self.cfg = load_config(self.config_path)
         if getattr(args, "seed", None) is not None:  # train's and evaluate's --seed
+            check_seed("--seed", args.seed)
             self.cfg.train.seed = self.cfg.evaluate.seed = args.seed
         self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,10 +145,10 @@ def cmd_capture_resample(args) -> int:
 
 def cmd_synth_gen(args) -> int:
     cfg = load_config(args.config)
+    synth_cfg = cfg.synth
     if args.seed is not None:
-        synth_cfg = type(cfg.synth)(**{**asdict(cfg.synth), "seed": args.seed})
-    else:
-        synth_cfg = cfg.synth
+        check_seed("--seed", args.seed)
+        synth_cfg = replace(synth_cfg, seed=args.seed)
     n = generate(synth_cfg, cfg.synth_duration_s, args.out)
     print(f"wrote {n} records ({cfg.synth_duration_s}s, {synth_cfg.n_venues} venues) to {args.out}")
     return 0
@@ -157,10 +158,10 @@ def cmd_signals_report(args) -> int:
     run = Run(args)
     cfg, frames = run.cfg, run.frames
     target = cfg.signals.target_venue
-    by_name = feature_series(frames, target, cfg.signals.window_ms)
+    values = feature_series(frames, target, cfg.signals.window_ms)
     # With a single venue there is no peer, so no peer spread to fit.
-    series = [
-        by_name[name]
+    names = [
+        name
         for entry in cfg.signals.features
         for name in REPORT_SERIES[entry]
         if name != "peer_spread_centered" or len(frames.venue_names) > 1
@@ -168,26 +169,22 @@ def cmd_signals_report(args) -> int:
 
     horizon_lines = ["feature,horizon_ms,alpha,beta,r2,n"]
     bin_lines = ["feature,bin_center,mean_return_bps,count"]
-    for feat in series:
+    for name in names:
         report = horizon_report(
-            feat,
-            frames,
-            target,
-            horizons_ms=cfg.signals.horizons_ms,
-            bin_horizon_ms=cfg.signals.bin_horizon_ms,
+            name, values[name], frames, target, cfg.signals.horizons_ms, cfg.signals.bin_horizon_ms
         )
-        _write_json(run.output(f"report_{feat.name}.json"), report.to_json_dict())
+        _write_json(run.output(f"report_{name}.json"), report.to_json_dict())
         for h, fit in zip(report.horizons_ms, report.fits):
             horizon_lines.append(
-                f"{feat.name},{h},{fit.alpha:.9g},{fit.beta:.9g},{fit.r2:.9g},{fit.n}"
+                f"{name},{h},{fit.alpha:.9g},{fit.beta:.9g},{fit.r2:.9g},{fit.n}"
             )
         for c, m, k in zip(report.bin_centers, report.bin_mean_bps, report.bin_counts):
             cell = "" if not np.isfinite(m) else format(m, ".9g")
-            bin_lines.append(f"{feat.name},{c:.9g},{cell},{k}")
+            bin_lines.append(f"{name},{c:.9g},{cell},{k}")
     _write_lines(run.output("horizon_r2.csv"), horizon_lines)
     _write_lines(run.output("bin_curves.csv"), bin_lines)
     run.finish("signals_report", command="signals report", seeds={"seed": cfg.seed})
-    print(f"wrote {len(series)} feature reports to {run.out_dir}")
+    print(f"wrote {len(names)} feature reports to {run.out_dir}")
     return 0
 
 

@@ -19,13 +19,19 @@ from typing import get_args, get_origin, get_type_hints
 from .env import ProblemSpec
 from .errors import ConfigError, InvalidConfig
 from .ppo.agent import PpoConfig
-from .signals import CROSS_FEATURES, DEFAULT_HORIZONS_MS, DEFAULT_WINDOW_MS, REPORT_SERIES
+from .signals import CROSS_FEATURES, DEFAULT_WINDOW_MS, REPORT_SERIES
 from .signals import horizon_steps, window_steps
 from .synth import SynthConfig
 
 CONFIG_VERSION = 1
 
 SCOPES = ("single", "cross")
+
+
+def check_seed(name: str, seed: int) -> None:
+    """numpy seeds a generator only from a non-negative integer."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}", field=name)
 
 
 @dataclass
@@ -39,7 +45,7 @@ class PathsSpec:
 @dataclass
 class SignalsSpec:
     target_venue: str = "v1"
-    horizons_ms: tuple[int, ...] = DEFAULT_HORIZONS_MS
+    horizons_ms: tuple[int, ...] = (100, 200, 500, 1000, 5000, 10000)
     window_ms: int = DEFAULT_WINDOW_MS
     bin_horizon_ms: int = 5000
     features: tuple[str, ...] = ("flow_imbalance_norm", "depth_imbalance", "peer_spread_centered")
@@ -72,6 +78,7 @@ class TrainSpec:
             raise ConfigError(f"train.scope must be one of {SCOPES}", field="train.scope")
         if self.updates < 0:
             raise ConfigError(f"train.updates must be >= 0, got {self.updates}", field="train.updates")
+        check_seed("train.seed", self.seed)
 
 
 @dataclass
@@ -86,6 +93,7 @@ class EvaluateSpec:
         # the shortfall variance is taken with ddof=1
         if self.episodes < 2:
             raise ConfigError(f"evaluate.episodes must be >= 2, got {self.episodes}", field="evaluate.episodes")
+        check_seed("evaluate.seed", self.seed)
         if self.heatmap_signal not in CROSS_FEATURES:
             raise ConfigError(
                 f"evaluate.heatmap_signal must be one of {CROSS_FEATURES}", field="evaluate.heatmap_signal"
@@ -174,6 +182,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     version = raw.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}", field="version")
+    check_seed("seed", raw.get("seed", 0))
     cfg = ExperimentConfig(
         version=version,
         seed=raw.get("seed", 0),

@@ -59,13 +59,13 @@ class ProblemSpec:
             raise ValueError(f"fill_model must be one of {FILL_MODELS}")
         self.decision_steps()
 
-    def decision_steps(self, grid_ns: int = GRID_NS) -> int:
+    def decision_steps(self) -> int:
         steps_ns = self.horizon_s / self.n_decisions * 1e9
-        steps = int(round(steps_ns / grid_ns))
-        if steps < 1 or abs(steps * grid_ns - steps_ns) > 0.5:
+        steps = int(round(steps_ns / GRID_NS))
+        if steps < 1 or abs(steps * GRID_NS - steps_ns) > 0.5:
             raise ValueError(
                 f"decision interval horizon_s / n_decisions = {self.horizon_s / self.n_decisions:g} s "
-                f"is not a multiple of the {grid_ns / 1e6:g} ms grid"
+                f"is not a multiple of the {GRID_NS / 1e6:g} ms grid"
             )
         return steps
 
@@ -93,7 +93,6 @@ class States:
     n_decisions: int
     rows: np.ndarray  # frame row of each state
     signals: np.ndarray  # (episodes, features), missing values replaced by 0
-    missing: np.ndarray  # (episodes, features), True where a feature was missing
     vectors: np.ndarray  # policy inputs: signals, inventory / V, steps_left / H
 
 
@@ -130,11 +129,10 @@ class ExecutionEnv:
             if features
             else np.zeros((frames.n_frames, 0))
         )
-        self._missing = ~np.isfinite(raw)
-        self._signals = np.where(self._missing, 0.0, raw)
+        self._signals = np.where(np.isfinite(raw), raw, 0.0)
         self._venue = frames.venues[target_venue]
         self._ref_price = self._venue.best_bid
-        self._step_rows = spec.decision_steps(frames.grid_ns)
+        self._step_rows = spec.decision_steps()
         self._span = self._step_rows * spec.n_decisions
         self.rows = self.inventory = self.steps_left = self.start_price = None
         self._starts: np.ndarray | None = None
@@ -203,7 +201,6 @@ class ExecutionEnv:
             n_decisions=spec.n_decisions,
             rows=self.rows,
             signals=signals,
-            missing=self._missing[self.rows],
             vectors=vectors,
         )
 

@@ -18,6 +18,10 @@ from .env import EpisodeTrace, ExecutionEnv, ProblemSpec, States, run_episodes
 from .env import run_episode  # noqa: F401  perfbench/tracing.py patches this name; no caller here
 from .ppo.agent import PolicyParams, action_mask, policy_forward
 
+BASELINE = "TWAP"  # the arm every gain is measured against
+HISTOGRAM_BINS = 40  # shared shortfall bins of histogram.csv
+HEATMAP_BUCKETS = 10  # remaining-time and remaining-volume buckets per heatmap axis
+
 
 def twap_schedule(spec: ProblemSpec) -> list[int]:
     """Equal slices; a non-divisible remainder is spread over the earliest steps."""
@@ -136,13 +140,12 @@ class PolicyResult:
 class RunReport:
     results: dict[str, PolicyResult]
     start_rows: np.ndarray
-    baseline: str
     histogram_edges: np.ndarray
     histogram_counts: dict[str, np.ndarray]
     config_echo: dict = field(default_factory=dict)
 
     def gain_bps(self, name: str) -> float:
-        base = self.results[self.baseline].shortfalls_bps
+        base = self.results[BASELINE].shortfalls_bps
         model = self.results[name].shortfalls_bps
         return float((model - base).mean())
 
@@ -163,7 +166,7 @@ class RunReport:
     def to_json_dict(self) -> dict:
         return {
             "episodes": int(len(self.start_rows)),
-            "baseline": self.baseline,
+            "baseline": BASELINE,
             "table": self.table(),
             "config": self.config_echo,
         }
@@ -196,8 +199,6 @@ def compare(
     target_venue: str,
     n_episodes: int = 1000,
     seed: int = 0,
-    baseline: str = "TWAP",
-    histogram_bins: int = 40,
     keep_traces: bool = False,
     config_echo: dict | None = None,
 ) -> RunReport:
@@ -206,8 +207,8 @@ def compare(
     Start rows depend only on (frames, spec, target venue), so all arms are
     paired even though each sees its own feature scope.
     """
-    if baseline not in arms:
-        raise ValueError(f"baseline {baseline!r} not among arms")
+    if BASELINE not in arms:
+        raise ValueError(f"baseline {BASELINE!r} not among arms")
     envs = {
         name: ExecutionEnv(frames, spec, arm.features, target_venue)
         for name, arm in arms.items()
@@ -227,7 +228,7 @@ def compare(
     lo, hi = float(pooled.min()), float(pooled.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, histogram_bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     counts = {
         name: np.histogram(res.shortfalls_bps, bins=edges)[0]
         for name, res in results.items()
@@ -235,7 +236,6 @@ def compare(
     return RunReport(
         results=results,
         start_rows=starts,
-        baseline=baseline,
         histogram_edges=edges,
         histogram_counts=counts,
         config_echo=config_echo or {},
@@ -289,7 +289,6 @@ def action_heatmap(
     signal_name: str,
     n_episodes: int = 200,
     seed: int = 0,
-    n_buckets: int = 10,
     min_count: int = 5,
 ) -> HeatmapGrid:
     """Aggressiveness of a policy bucketed by remaining time, remaining volume
@@ -319,9 +318,10 @@ def action_heatmap(
     # cell sums its visits in that order.
     inventory, steps_left, signal, recorded = (np.stack(c, axis=1).ravel() for c in zip(*visits))
     held = inventory > 0
-    t_b = np.minimum((steps_left / spec.n_decisions * n_buckets).astype(int), n_buckets - 1)
-    v_b = np.minimum((inventory / spec.total_units * n_buckets).astype(int), n_buckets - 1)
-    cell = t_b * n_buckets + v_b
+    nb = HEATMAP_BUCKETS
+    t_b = np.minimum((steps_left / spec.n_decisions * nb).astype(int), nb - 1)
+    v_b = np.minimum((inventory / spec.total_units * nb).astype(int), nb - 1)
+    cell = t_b * nb + v_b
     bucket = np.full(len(signal), SIGNAL_BUCKETS.index("unchanged"))
     if sigma > 0:
         bucket[signal > sigma] = SIGNAL_BUCKETS.index("increase")
@@ -330,9 +330,9 @@ def action_heatmap(
     for i, name in enumerate(SIGNAL_BUCKETS):
         visit = held & (bucket == i)
         frac = recorded[visit] / inventory[visit]
-        sums[name] = np.bincount(cell[visit], frac, n_buckets**2).reshape(n_buckets, n_buckets)
-        counts[name] = np.bincount(cell[visit], None, n_buckets**2).reshape(n_buckets, n_buckets)
-    return HeatmapGrid(n_buckets=n_buckets, sums=sums, counts=counts, min_count=min_count)
+        sums[name] = np.bincount(cell[visit], frac, nb**2).reshape(nb, nb)
+        counts[name] = np.bincount(cell[visit], None, nb**2).reshape(nb, nb)
+    return HeatmapGrid(n_buckets=nb, sums=sums, counts=counts, min_count=min_count)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,11 @@ class PpoConfig:
         # update skips any minibatch of fewer than 2 rows
         if self.minibatch_size < 2:
             raise ValueError(f"minibatch_size must be >= 2, got {self.minibatch_size}")
+        # with no epoch, update takes no step and logs the mean of nothing
+        if self.update_epochs < 1:
+            raise ValueError(f"update_epochs must be >= 1, got {self.update_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -70,8 +75,8 @@ class PolicyParams:
 
     @classmethod
     def init(cls, rng: np.random.Generator, n_inputs: int, n_actions: int) -> "PolicyParams":
-        actor = init_mlp(rng, n_inputs, n_actions, out_scale=0.01)
-        critic = init_mlp(rng, n_inputs, 1, out_scale=0.01)
+        actor = init_mlp(rng, n_inputs, n_actions)
+        critic = init_mlp(rng, n_inputs, 1)
         return cls(
             actor=actor,
             critic=critic,

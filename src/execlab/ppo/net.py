@@ -17,6 +17,8 @@ from math import prod
 import numpy as np
 
 HIDDEN = 64
+OUT_SCALE = 0.01  # output-layer init scale
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -42,13 +44,12 @@ class MlpParams:
         return MlpParams(self.n_in, self.n_out, self.flat.copy())
 
 
-def init_mlp(
-    rng: np.random.Generator, n_in: int, n_out: int, out_scale: float = 0.01
-) -> MlpParams:
-    """He-style scaled normal init; the output layer starts near zero so the
-    policy begins close to uniform and the value head close to zero."""
+def init_mlp(rng: np.random.Generator, n_in: int, n_out: int) -> MlpParams:
+    """He-style scaled normal init; the output layer starts near zero
+    (OUT_SCALE) so the policy begins close to uniform and the value head
+    close to zero."""
     params = MlpParams(n_in, n_out)
-    for w, scale in ((params.w1, 1.0), (params.w2, 1.0), (params.w3, out_scale)):
+    for w, scale in ((params.w1, 1.0), (params.w2, 1.0), (params.w3, OUT_SCALE)):
         w[...] = rng.standard_normal(w.shape) * scale / np.sqrt(w.shape[0])
     return params
 
@@ -97,20 +98,12 @@ class AdamState:
         return AdamState(self.m.copy(), self.v.copy(), self.t)
 
 
-def adam_step(
-    params: MlpParams,
-    grads: MlpParams,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
     """In-place Adam update of the parameter vector."""
     g = grads.flat
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -24,6 +24,9 @@ from .agent import (
     update,
 )
 
+# Share of each rollout's episodes that start at a random (inventory, steps_left).
+EXPLORE_STARTS = 0.2
+
 
 @dataclass
 class TrainLog:
@@ -87,11 +90,10 @@ def train_policy(
     config: PpoConfig,
     n_updates: int,
     seed: int,
-    explore_starts: float = 0.2,
 ) -> tuple[PolicyParams, TrainLog]:
     """Train a policy on episodes sampled from one capture.
 
-    A fraction `explore_starts` of each rollout's episodes begins at a random
+    A fraction EXPLORE_STARTS of each rollout's episodes begins at a random
     (inventory, steps_left) instead of the full problem, so late-horizon
     states with inventory remaining stay represented in every rollout; the
     sell-by-the-deadline behavior would otherwise decay once the policy stops
@@ -108,7 +110,7 @@ def train_policy(
         starts = env.sample_starts(episodes_per_rollout, rng)
         inventories = np.full(episodes_per_rollout, spec.total_units)
         steps = np.full(episodes_per_rollout, spec.n_decisions)
-        n_explore = int(round(explore_starts * episodes_per_rollout))
+        n_explore = int(round(EXPLORE_STARTS * episodes_per_rollout))
         if n_explore:
             # The tail indices explore; the head stays full episodes so the
             # logged mean episode reward remains comparable across updates.

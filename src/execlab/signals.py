@@ -18,29 +18,29 @@ from .capture.resample import GRID_NS, FrameSet
 from .errors import DegenerateXError, TooFewPointsError
 
 DEFAULT_WINDOW_MS = 30_000
-DEFAULT_HORIZONS_MS = (100, 200, 500, 1000, 5000, 10000)
+BIN_CURVE_BINS = 20  # bins of a horizon report's bin curve
 
 
 @dataclass(frozen=True)
 class FeatureSeries:
+    """One feature over the full grid, as the per-venue helpers return it."""
+
     name: str
-    venue: str | None  # None for cross-venue features
-    grid_ts: np.ndarray
     values: np.ndarray
 
 
-def window_steps(window_ms: int, grid_ns: int = GRID_NS) -> int:
-    steps = window_ms * 1_000_000 // grid_ns
+def window_steps(window_ms: int) -> int:
+    steps = window_ms * 1_000_000 // GRID_NS
     if steps < 1:
-        raise ValueError(f"{window_ms} ms is shorter than one {grid_ns / 1e6:g} ms grid step")
+        raise ValueError(f"{window_ms} ms is shorter than one {GRID_NS / 1e6:g} ms grid step")
     return steps
 
 
-def horizon_steps(horizon_ms: int, grid_ns: int = GRID_NS) -> int:
+def horizon_steps(horizon_ms: int) -> int:
     ns = horizon_ms * 1_000_000
-    if ns <= 0 or ns % grid_ns:
-        raise ValueError(f"{horizon_ms} ms is not a positive multiple of the {grid_ns / 1e6:g} ms grid")
-    return ns // grid_ns
+    if ns <= 0 or ns % GRID_NS:
+        raise ValueError(f"{horizon_ms} ms is not a positive multiple of the {GRID_NS / 1e6:g} ms grid")
+    return ns // GRID_NS
 
 
 def trailing_min_max(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +88,7 @@ def flow_imbalance(frames: FrameSet, venue: str) -> FeatureSeries:
     """Taker buy volume minus taker sell volume per grid window."""
     vf = frames.venues[venue]
     values = np.where(vf.present, vf.buy_volume - vf.sell_volume, np.nan)
-    return FeatureSeries("flow_imbalance", venue, frames.grid_ts, values)
+    return FeatureSeries("flow_imbalance", values)
 
 
 def flow_imbalance_norm(series: FeatureSeries, window: int) -> FeatureSeries:
@@ -107,7 +107,7 @@ def flow_imbalance_norm(series: FeatureSeries, window: int) -> FeatureSeries:
     out[ok] = np.sign(x[ok]) * (mag[ok] - lo[ok]) / scale[ok]
     degenerate = np.isfinite(x) & np.isfinite(scale) & (scale == 0)
     out[degenerate] = 0.0
-    return FeatureSeries(series.name + "_norm", series.venue, series.grid_ts, out)
+    return FeatureSeries(series.name + "_norm", out)
 
 
 def depth_imbalance(frames: FrameSet, venue: str) -> FeatureSeries:
@@ -119,7 +119,7 @@ def depth_imbalance(frames: FrameSet, venue: str) -> FeatureSeries:
     values = np.full(frames.n_frames, np.nan)
     ok = vf.present & (total > 0)
     values[ok] = (b[ok] - a[ok]) / total[ok]
-    return FeatureSeries("depth_imbalance", venue, frames.grid_ts, values)
+    return FeatureSeries("depth_imbalance", values)
 
 
 def cross_sum(series: list[FeatureSeries], name: str) -> FeatureSeries:
@@ -128,7 +128,7 @@ def cross_sum(series: list[FeatureSeries], name: str) -> FeatureSeries:
     finite = np.isfinite(stack)
     summed = np.where(finite, stack, 0.0).sum(axis=0)
     values = np.where(finite.any(axis=0), summed, np.nan)
-    return FeatureSeries(name, None, series[0].grid_ts, values)
+    return FeatureSeries(name, values)
 
 
 def peer_spread(frames: FrameSet, target: str) -> FeatureSeries:
@@ -143,13 +143,13 @@ def peer_spread(frames: FrameSet, target: str) -> FeatureSeries:
         total = np.where(ok, total + vf.mid - tgt.mid, total)
         n_peers += ok.astype(int)
     values = np.where(n_peers > 0, total, np.nan)
-    return FeatureSeries("peer_spread", target, frames.grid_ts, values)
+    return FeatureSeries("peer_spread", values)
 
 
 def peer_spread_centered(series: FeatureSeries, window: int) -> FeatureSeries:
     """Spread minus its trailing-window mean (basis removal)."""
     centered = series.values - trailing_mean(series.values, window)
-    return FeatureSeries(series.name + "_centered", series.venue, series.grid_ts, centered)
+    return FeatureSeries(series.name + "_centered", centered)
 
 
 def future_return_bps(frames: FrameSet, venue: str, h_steps: int) -> np.ndarray:
@@ -258,22 +258,23 @@ def bin_curve(
 
 
 def horizon_report(
-    feature: FeatureSeries,
+    name: str,
+    values: np.ndarray,
     frames: FrameSet,
     target_venue: str,
-    horizons_ms: tuple[int, ...] = DEFAULT_HORIZONS_MS,
-    bin_horizon_ms: int = 5000,
-    n_bins: int = 20,
+    horizons_ms: tuple[int, ...],
+    bin_horizon_ms: int,
 ) -> RegressionReport:
-    """One regression per horizon plus the bin curve at the designated horizon."""
+    """One regression of the feature `name` per horizon plus the bin curve at
+    the designated horizon."""
     fits = []
     for h_ms in horizons_ms:
-        y = future_return_bps(frames, target_venue, horizon_steps(h_ms, frames.grid_ns))
-        fits.append(fit_line(feature.values, y))
-    y_bin = future_return_bps(frames, target_venue, horizon_steps(bin_horizon_ms, frames.grid_ns))
-    centers, means, counts = bin_curve(feature.values, y_bin, n_bins)
+        y = future_return_bps(frames, target_venue, horizon_steps(h_ms))
+        fits.append(fit_line(values, y))
+    y_bin = future_return_bps(frames, target_venue, horizon_steps(bin_horizon_ms))
+    centers, means, counts = bin_curve(values, y_bin, BIN_CURVE_BINS)
     return RegressionReport(
-        feature=feature.name,
+        feature=name,
         target_venue=target_venue,
         horizons_ms=tuple(horizons_ms),
         fits=tuple(fits),
@@ -305,15 +306,14 @@ CROSS_FEATURES = (
 )
 
 
-def feature_series(
-    frames: FrameSet, target_venue: str, window_ms: int = DEFAULT_WINDOW_MS
-) -> dict[str, FeatureSeries]:
+def feature_series(frames: FrameSet, target_venue: str, window_ms: int) -> dict[str, np.ndarray]:
     """Every feature of one target venue by name: its own normalized flow and
     depth imbalances, their sums over all venues (`cross_` prefix), and the
-    centered peer spread in price units.  The report and the agent's bundle
-    both select from these, so both see the same numbers.
+    centered peer spread, in price units and in bps of the target mid.  The
+    report and the agent's bundle both select from these, so both see the
+    same numbers.
     """
-    w = window_steps(window_ms, frames.grid_ns)
+    w = window_steps(window_ms)
     oimn = [flow_imbalance_norm(flow_imbalance(frames, v), w) for v in frames.venue_names]
     imb = [depth_imbalance(frames, v) for v in frames.venue_names]
     target = frames.venue_names.index(target_venue)
@@ -324,7 +324,12 @@ def feature_series(
         cross_sum(imb, "cross_depth_imbalance"),
         peer_spread_centered(peer_spread(frames, target_venue), w),
     )
-    return {s.name: s for s in series}
+    values = {s.name: s.values for s in series}
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values["peer_spread_centered_bps"] = (
+            1e4 * values["peer_spread_centered"] / frames.venues[target_venue].mid
+        )
+    return values
 
 
 def feature_bundle(
@@ -342,8 +347,5 @@ def feature_bundle(
     """
     if scope not in ("single", "cross"):
         raise ValueError(f"scope must be 'single' or 'cross', got {scope!r}")
-    values = {name: s.values for name, s in feature_series(frames, target_venue, window_ms).items()}
-    mid = frames.venues[target_venue].mid
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values["peer_spread_centered_bps"] = 1e4 * values["peer_spread_centered"] / mid
+    values = feature_series(frames, target_venue, window_ms)
     return {name: values[name] for name in (SINGLE_FEATURES if scope == "single" else CROSS_FEATURES)}

@@ -41,6 +41,9 @@ from .capture.resample import BOOK_DEPTH, GRID_NS, FrameSet, VenueFrames
 from .capture import write_capture
 from .errors import InvalidConfig
 
+_STEPS_PER_S = 1_000_000_000 // GRID_NS
+_GRID_MS = GRID_NS // 1_000_000
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -64,6 +67,8 @@ class SynthConfig:
     book_update_ms: int = 100
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.n_venues < 1:
             raise InvalidConfig("n_venues must be >= 1")
         if not (0 <= self.leader < self.n_venues):
@@ -84,8 +89,8 @@ class SynthConfig:
             raise InvalidConfig(f"depth_profile needs {BOOK_DEPTH} positive levels")
         if self.mid0 <= 0 or self.tick <= 0 or self.half_spread_ticks < 1:
             raise InvalidConfig("mid0, tick must be > 0 and half_spread_ticks >= 1")
-        if self.book_update_ms < 10 or self.book_update_ms % 10 != 0:
-            raise InvalidConfig("book_update_ms must be a positive multiple of 10")
+        if self.book_update_ms < _GRID_MS or self.book_update_ms % _GRID_MS != 0:
+            raise InvalidConfig(f"book_update_ms must be a positive multiple of {_GRID_MS}")
         if self.drift_tau_s <= 0:
             raise InvalidConfig("drift_tau_s must be > 0")
 
@@ -136,7 +141,7 @@ def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
     rng = np.random.default_rng(config.seed)
     n = n_steps
     z = rng.standard_normal(n)
-    drift = _ou_path(rng, n, config.drift_tau_s * 100.0, config.drift_vol)
+    drift = _ou_path(rng, n, config.drift_tau_s * _STEPS_PER_S, config.drift_vol)
     increments = config.mid0 * (config.vol * z + drift)
     latent = config.mid0 + np.cumsum(increments)
 
@@ -145,7 +150,7 @@ def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
     else:
         revealed = np.zeros(n)
 
-    update_steps = config.book_update_ms // 10
+    update_steps = config.book_update_ms // _GRID_MS
     book_rows = np.arange(0, n, update_steps)
     hold = np.repeat(np.arange(len(book_rows)), update_steps)[:n]
 
@@ -206,12 +211,12 @@ def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
             ask_price=vd.ask_px,
             ask_qty=vd.ask_qty,
         )
-    return FrameSet(grid_ts=grid_ts, venues=venues, grid_ns=GRID_NS)
+    return FrameSet(grid_ts=grid_ts, venues=venues)
 
 
 def generate_frames(config: SynthConfig, duration_s: float) -> FrameSet:
     """Resampled frames of the synthetic market, bypassing serialization."""
-    n = int(round(duration_s * 100))
+    n = int(round(duration_s * _STEPS_PER_S))
     if n < 1:
         raise InvalidConfig("duration too short")
     return _frames_from_draws(config, _materialize(config, n))
@@ -229,12 +234,12 @@ def _venue_clock_offset(venue_idx: int) -> int:
 
 def generate_records(config: SynthConfig, duration_s: float) -> Iterator[MarketRecord]:
     """The same market as generate_frames, as a sorted MarketRecord stream."""
-    n = int(round(duration_s * 100))
+    n = int(round(duration_s * _STEPS_PER_S))
     if n < 1:
         raise InvalidConfig("duration too short")
     draws = _materialize(config, n)
     names = config.venue_names
-    update_steps = config.book_update_ms // 10
+    update_steps = config.book_update_ms // _GRID_MS
     for k in range(n):
         base = k * GRID_NS
         step_records: list[tuple[tuple[int, int, int], MarketRecord]] = []

@@ -102,6 +102,13 @@ def test_invalid_synth_section_rejected_at_load():
         ({"ppo": {"minibatch_size": 1}}, "ppo"),
         ({"ppo": {"minibatch_size": 0}}, "ppo"),
         ({"problem": {"horizon_s": 50.005}}, "problem"),
+        ({"seed": -1}, "seed"),
+        ({"train": {"seed": -1}}, "train.seed"),
+        ({"evaluate": {"seed": -1}}, "evaluate.seed"),
+        ({"synth": {"seed": -1}}, "synth"),
+        ({"ppo": {"seed": -1}}, "ppo"),
+        ({"ppo": {"update_epochs": 0}}, "ppo"),
+        ({"ppo": {"update_epochs": -1}}, "ppo"),
     ],
 )
 def test_bad_value_rejected_at_load(raw, field):
@@ -214,9 +221,9 @@ def test_cli_report_fits_the_agents_features(pipeline, tmp_path, monkeypatch):
     fitted = {}
     real = execlab.cli.horizon_report
 
-    def record(feature, *args, **kwargs):
-        fitted[feature.name] = feature.values
-        return real(feature, *args, **kwargs)
+    def record(name, values, *args):
+        fitted[name] = values
+        return real(name, values, *args)
 
     monkeypatch.setattr(execlab.cli, "horizon_report", record)
     cfg = write_config(
@@ -331,6 +338,39 @@ def test_cli_one_manifest_per_command(pipeline, tmp_path):
         paths[f"checkpoint_{scope}"]: hashlib.sha256(Path(paths[f"checkpoint_{scope}"]).read_bytes()).hexdigest()
         for scope in ("single", "cross")
     }
+
+
+# SHA-256 of the files `evaluate` writes with no checkpoint configured (TWAP
+# only) on the pipeline fixture.  No BLAS work is involved, so they do not
+# depend on the machine.
+TWAP_EVALUATE_DIGESTS = {
+    "comparison.json": "ba5f27057616a69c9809d47f887f31d85f939cecea8f05fa3effdc88de79565f",
+    "histogram.csv": "34573ead241d31379d8a334747387c18daff2317f455304f8c5052d1e2602f78",
+    "trace_TWAP_0.csv": "cb8e402dd22e10b1d5aca5dabb26df6266df8c5469bafdd493f2f2ee1298d41c",
+}
+
+
+def test_cli_evaluate_twap_bytes_pinned(pipeline, tmp_path):
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out)})
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    written = {p.name for p in out.iterdir()} - {"manifest_evaluate.json"}
+    assert written == set(TWAP_EVALUATE_DIGESTS)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
+    assert digests == TWAP_EVALUATE_DIGESTS
+
+
+@pytest.mark.parametrize("command", [["train"], ["evaluate"], ["synth", "gen"]])
+def test_cli_negative_seed_flag_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    paths = {"capture": str(tmp_path / "missing.ndjson"), "out_dir": str(out)}
+    cfg = write_config(tmp_path / "cfg.json", paths=paths)
+    extra = ["--out", str(tmp_path / "m.ndjson")] if command[0] == "synth" else []
+    code = main(command + ["--config", str(cfg), "--seed", "-1"] + extra)
+    assert code == 2
+    assert capsys.readouterr().err == "error: ConfigParse: --seed must be >= 0, got -1\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_cli_missing_input_exit_code(tmp_path, capsys):
@@ -547,6 +587,11 @@ OUT_OF_RANGE = st.one_of(
     st.tuples(st.just("evaluate.episodes"), st.integers(max_value=1)),
     st.tuples(st.just("ppo.minibatch_size"), st.integers(max_value=1)),
     st.tuples(st.just("train.updates"), st.integers(max_value=-1)),
+    st.tuples(
+        st.sampled_from(["seed", "train.seed", "evaluate.seed", "synth.seed", "ppo.seed"]),
+        st.integers(max_value=-1),
+    ),
+    st.tuples(st.just("ppo.update_epochs"), st.integers(max_value=0)),
     st.tuples(st.just("problem.total_units"), st.integers(max_value=0)),
     # half a grid step off with n_decisions 10
     st.tuples(st.just("problem.horizon_s"), st.integers(0, 10**5).map(lambda k: (k + 0.5) / 10)),

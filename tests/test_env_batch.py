@@ -29,7 +29,7 @@ class ScalarEnv:
             np.column_stack([features[k] for k in names]) if names else np.zeros((frames.n_frames, 0))
         )
         self.vf = frames.venues[target_venue]
-        self.step_rows = spec.decision_steps(frames.grid_ns)
+        self.step_rows = spec.decision_steps()
 
     def reset(self, row, inventory, steps_left):
         self.row, self.inventory, self.steps_left = row, inventory, steps_left

@@ -15,7 +15,6 @@ from execlab.capture import (
     TickerPayload,
     TradePayload,
     VenueFrames,
-    merge_streams,
     read_capture,
     resample,
     write_frames_csv,
@@ -110,13 +109,6 @@ def test_ticker_updates_between_snapshots():
     assert v.best_ask[1] == 100.08
 
 
-def test_merge_streams_orders_by_local_ts():
-    s1 = [snap(1 * MS), snap(21 * MS)]
-    s2 = [snap(11 * MS, venue="v1"), snap(31 * MS, venue="v1")]
-    merged = list(merge_streams(s1, s2))
-    assert [r.local_ts for r in merged] == [1 * MS, 11 * MS, 21 * MS, 31 * MS]
-
-
 def test_grid_points_are_multiples_of_grid():
     frames = resample([snap(3 * MS), trade(47 * MS, 1.0, "sell")])
     assert all(ts % GRID_NS == 0 for ts in frames.grid_ts)
@@ -196,7 +188,7 @@ def test_frames_csv_digest_of_short_synthetic_market(tmp_path):
 # -- the resampler against one that rebuilds top-of-book at every grid point ---
 
 
-def _reference_resample(records, venues=None, grid_ns=GRID_NS):
+def _reference_resample(records, venues=None):
     """Resample by re-reading every book from LocalBook at every grid point."""
     records = list(records)
     if venues is None:
@@ -214,30 +206,30 @@ def _reference_resample(records, venues=None, grid_ns=GRID_NS):
             rows[v].append(
                 (present, math.nan if bb is None else bb, math.nan if ba is None else ba,
                  (bb + ba) / 2.0 if present else math.nan, *volumes[v],
-                 book.top_levels("bid", BOOK_DEPTH), book.top_levels("ask", BOOK_DEPTH))
+                 book.top_levels("bid"), book.top_levels("ask"))
             )
             volumes[v] = [0.0, 0.0]
 
     grid = None
     for rec in records:
         if grid is None:
-            grid = -(-rec.local_ts // grid_ns) * grid_ns
+            grid = -(-rec.local_ts // GRID_NS) * GRID_NS
         while rec.local_ts > grid:
             grid_points.append(grid)
             emit()
-            grid += grid_ns
+            grid += GRID_NS
         if rec.venue not in books:
             continue
         book = books[rec.venue]
         if rec.kind == "trade":
             volumes[rec.venue][0 if rec.payload.side == "buy" else 1] += rec.payload.qty
         elif rec.kind == "book_snapshot":
-            apply_snapshot(book, rec.payload, rec.local_ts)
+            apply_snapshot(book, rec.payload)
         elif rec.kind == "book_delta":
-            apply_delta(book, rec.payload, rec.local_ts)
+            apply_delta(book, rec.payload)
         else:
             try:
-                merge_ticker(book, rec.payload, rec.local_ts)
+                merge_ticker(book, rec.payload)
             except CrossedTicker:
                 pass
     if grid is not None:
@@ -266,7 +258,7 @@ def _reference_resample(records, venues=None, grid_ns=GRID_NS):
             for j, (px, q) in enumerate(asks):
                 cols["ask_price"][i, j], cols["ask_qty"][i, j] = px, q
         out[v] = VenueFrames(**cols)
-    return FrameSet(grid_ts=np.asarray(grid_points, dtype=np.int64), venues=out, grid_ns=grid_ns)
+    return FrameSet(grid_ts=np.asarray(grid_points, dtype=np.int64), venues=out)
 
 
 _PRICE = st.integers(990, 1010).map(lambda k: k / 10)  # few prices, so levels collide and cross
@@ -297,7 +289,6 @@ def _streams(draw):
 
 
 def _assert_frames_equal(got, want):
-    assert got.grid_ns == want.grid_ns
     assert got.grid_ts.dtype == want.grid_ts.dtype and np.array_equal(got.grid_ts, want.grid_ts)
     assert list(got.venues) == list(want.venues)
     for v, vf in want.venues.items():

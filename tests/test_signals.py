@@ -125,7 +125,7 @@ def test_flow_imbalance_missing_when_absent():
 
 def test_flow_imbalance_norm_hand_example():
     # trailing window {2, 6, 4} with current value -4 -> -(4-2)/(6-2) = -0.5
-    series = FeatureSeries("flow_imbalance", "v0", np.arange(3), np.array([2.0, -6.0, -4.0]))
+    series = FeatureSeries("flow_imbalance", np.array([2.0, -6.0, -4.0]))
     out = flow_imbalance_norm(series, window=3)
     assert out.values[2] == pytest.approx(-0.5)
     # boundaries: window max -> sign, first point degenerate -> 0
@@ -135,10 +135,10 @@ def test_flow_imbalance_norm_hand_example():
 
 def test_flow_imbalance_norm_range_and_degenerate():
     rng = np.random.default_rng(0)
-    series = FeatureSeries("f", "v0", np.arange(500), rng.normal(size=500))
+    series = FeatureSeries("f", rng.normal(size=500))
     out = flow_imbalance_norm(series, window=30).values
     assert np.nanmax(np.abs(out)) <= 1.0 + 1e-12
-    const = FeatureSeries("f", "v0", np.arange(5), np.full(5, 3.0))
+    const = FeatureSeries("f", np.full(5, 3.0))
     assert flow_imbalance_norm(const, window=4).values.tolist() == [0.0] * 5
 
 
@@ -152,8 +152,7 @@ def test_depth_imbalance_examples():
 
 
 def test_cross_sum_examples():
-    ts = np.arange(1)
-    mk = lambda v: FeatureSeries("f", "x", ts, np.array([v]))
+    mk = lambda v: FeatureSeries("f", np.array([v]))
     assert cross_sum([mk(0.5), mk(-0.2), mk(0.1)], "c").values[0] == pytest.approx(0.4)
     assert cross_sum([mk(0.5)], "c").values[0] == pytest.approx(0.5)
     assert cross_sum([mk(0.5), mk(0.5), mk(-1.0)], "c").values[0] == pytest.approx(0.0)
@@ -185,11 +184,10 @@ def test_peer_spread_examples():
 
 
 def test_peer_spread_centered_examples():
-    ts = np.arange(3)
-    series = FeatureSeries("peer_spread", "v0", ts, np.array([1.0, 1.0, 4.0]))
+    series = FeatureSeries("peer_spread", np.array([1.0, 1.0, 4.0]))
     out = peer_spread_centered(series, window=3)
     assert out.values[2] == pytest.approx(2.0)
-    const = FeatureSeries("peer_spread", "v0", ts, np.full(3, 2.5))
+    const = FeatureSeries("peer_spread", np.full(3, 2.5))
     assert np.allclose(peer_spread_centered(const, window=3).values, 0.0)
     w1 = peer_spread_centered(series, window=1)
     assert np.allclose(w1.values, 0.0)
@@ -259,7 +257,7 @@ def test_horizon_report_shapes_and_bins():
     cfg = SynthConfig(seed=8)
     frames = generate_frames(cfg, 120.0)
     feat = depth_imbalance(frames, "v0")
-    report = horizon_report(feat, frames, "v0", horizons_ms=(100, 500, 1000), bin_horizon_ms=500)
+    report = horizon_report(feat.name, feat.values, frames, "v0", (100, 500, 1000), 500)
     assert len(report.fits) == 3
     assert len(report.bin_centers) == 20
     assert report.bin_counts.sum() > 0

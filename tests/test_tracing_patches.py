@@ -3,11 +3,14 @@
 `perfbench/tracing.py` replaces each `(module, attribute)` of its `PATCHES`
 table by a span wrapper; a name that no longer resolves makes every
 `--trace 1` run fail with AttributeError.  The file is loaded by path and
-not modified.
+not modified; the traced CLI runs go through the benchmark's own worker.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -32,3 +35,40 @@ def test_every_patched_name_resolves():
         else:
             assert callable(owner), f"{module_name}.{attr}"
     assert missing == []
+
+
+def test_traced_cli_runs_open_their_spans(tmp_path):
+    # A traced benchmark run calls the patched names with the arguments the
+    # CLI passes today; a signature change that breaks one shows up here as a
+    # failing command or a span that never opens.
+    from execlab.synth import SynthConfig, generate
+
+    capture = tmp_path / "market.ndjson"
+    generate(SynthConfig(seed=3), 20.0, capture)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "paths": {"capture": str(capture), "out_dir": str(tmp_path / "out")},
+                "signals": {"target_venue": "v1", "horizons_ms": [100, 500], "window_ms": 5000},
+            }
+        )
+    )
+    commands = {
+        "align": ["capture", "align", str(capture), str(tmp_path / "clock.json")],
+        "resample": ["capture", "resample", str(capture), str(tmp_path / "frames.csv")],
+        "report": ["signals", "report", "--config", str(cfg)],
+    }
+    names = set()
+    for run_id, args in commands.items():
+        stats = tmp_path / f"{run_id}.json"
+        proc = subprocess.run(
+            [sys.executable, str(TRACING.parent / "worker.py"), "cli", str(stats), run_id, *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(stats.with_suffix(".spans.jsonl"), encoding="utf-8") as fh:
+            next(fh)  # counters
+            names |= {json.loads(line)["name"] for line in fh}
+    assert {"capture.clock", "capture.book.apply_snapshot", "signals.horizon_report"} <= names
