@@ -271,8 +271,6 @@ def cmd_evaluate(args) -> int:
         target,
         n_episodes=cfg.evaluate.episodes,
         seed=cfg.evaluate.seed,
-        keep_traces=cfg.evaluate.trace_episodes > 0,
-        config_echo={"target_venue": target, "episodes": cfg.evaluate.episodes},
     )
     _write_json(run.output("comparison.json"), report.to_json_dict())
     _write_lines(run.output("histogram.csv"), report.histogram_csv_lines())

@@ -1,9 +1,12 @@
 """Experiment configuration: a single versioned JSON file, strictly validated.
 
-Unknown fields are rejected by name so typos cannot silently change a run.
-Seeds are explicit everywhere; nothing defaults to the wall clock.  Only
-paths may be overridden from the environment (EXECLAB_CAPTURE,
-EXECLAB_OUT_DIR).
+`parse_config` checks the version first, then walks `ExperimentConfig`'s
+fields: a field whose type is a dataclass is a section, built the same way,
+and every other value must fit its annotation as given.  Unknown fields are
+rejected by name so typos cannot silently change a run.  Each spec type
+checks its own values when it is made, so no invalid spec exists.  Seeds are
+explicit everywhere; nothing defaults to the wall clock.  Only paths may be
+overridden from the environment (EXECLAB_CAPTURE, EXECLAB_OUT_DIR).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -21,7 +24,7 @@ from .errors import ConfigError, InvalidConfig
 from .ppo.agent import PpoConfig
 from .signals import CROSS_FEATURES, DEFAULT_WINDOW_MS, REPORT_SERIES
 from .signals import horizon_steps, window_steps
-from .synth import SynthConfig
+from .synth import SynthConfig, duration_steps
 
 CONFIG_VERSION = 1
 
@@ -94,6 +97,10 @@ class EvaluateSpec:
         if self.episodes < 2:
             raise ConfigError(f"evaluate.episodes must be >= 2, got {self.episodes}", field="evaluate.episodes")
         check_seed("evaluate.seed", self.seed)
+        for name in ("heatmap_episodes", "trace_episodes"):
+            count = getattr(self, name)
+            if count < 0:
+                raise ConfigError(f"evaluate.{name} must be >= 0, got {count}", field=f"evaluate.{name}")
         if self.heatmap_signal not in CROSS_FEATURES:
             raise ConfigError(
                 f"evaluate.heatmap_signal must be one of {CROSS_FEATURES}", field="evaluate.heatmap_signal"
@@ -113,18 +120,12 @@ class ExperimentConfig:
     train: TrainSpec = field(default_factory=TrainSpec)
     evaluate: EvaluateSpec = field(default_factory=EvaluateSpec)
 
-
-_SECTION_TYPES = {
-    "paths": PathsSpec,
-    "synth": SynthConfig,
-    "problem": ProblemSpec,
-    "ppo": PpoConfig,
-    "signals": SignalsSpec,
-    "train": TrainSpec,
-    "evaluate": EvaluateSpec,
-}
-
-_SCALAR_KEYS = ("version", "seed", "synth_duration_s")
+    def __post_init__(self):
+        check_seed("seed", self.seed)
+        try:
+            duration_steps(self.synth_duration_s)
+        except InvalidConfig as exc:
+            raise ConfigError(f"synth_duration_s: {exc}", field="synth_duration_s") from exc
 
 
 def _admits(hint, value) -> bool:
@@ -146,55 +147,44 @@ def _check_type(name: str, hint, value) -> None:
         raise ConfigError(f"{name} must be {shown}, got {value!r}", field=name)
 
 
-def _build_section(name: str, cls, raw: dict):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be an object", field=name)
+def _build(cls, raw: dict, section: str = ""):
+    """`cls` from the JSON object `raw`, checked field by field in field order."""
+    prefix = f"{section}." if section else ""
     hints = get_type_hints(cls)
-    unknown = set(raw) - {f.name for f in fields(cls)}
+    unknown = set(raw) - set(hints)
     if unknown:
-        bad = sorted(unknown)[0]
-        raise ConfigError(f"unknown config field {name}.{bad}", field=f"{name}.{bad}")
+        bad = prefix + sorted(unknown)[0]
+        raise ConfigError(f"unknown config field {bad}", field=bad)
     kwargs = {}
-    for key, value in raw.items():
-        _check_type(f"{name}.{key}", hints[key], value)
-        # JSON has no tuples: the list a tuple field was given becomes one.
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    for name, hint in hints.items():
+        if name not in raw:
+            continue
+        value, path = raw[name], prefix + name
+        if is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {path!r} must be an object", field=path)
+            kwargs[name] = _build(hint, value, path)
+        else:
+            _check_type(path, hint, value)
+            # JSON has no tuples: the list a tuple field was given becomes one.
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section {name!r}: {exc}", field=name) from exc
+    except (TypeError, ValueError, OverflowError, InvalidConfig) as exc:
+        raise ConfigError(f"section {section!r}: {exc}", field=section) from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    allowed = set(_SECTION_TYPES) | set(_SCALAR_KEYS)
-    unknown = set(raw) - allowed
-    if unknown:
-        bad = sorted(unknown)[0]
-        raise ConfigError(f"unknown config field {bad}", field=bad)
-    hints = get_type_hints(ExperimentConfig)
-    for key in _SCALAR_KEYS:
-        if key in raw:
-            _check_type(key, hints[key], raw[key])
+    # Checked before anything else: another version may define other fields.
     version = raw.get("version", CONFIG_VERSION)
+    _check_type("version", int, version)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}", field="version")
-    check_seed("seed", raw.get("seed", 0))
-    cfg = ExperimentConfig(
-        version=version,
-        seed=raw.get("seed", 0),
-        synth_duration_s=raw.get("synth_duration_s", 120.0),
-    )
-    for name, cls in _SECTION_TYPES.items():
-        if name in raw:
-            setattr(cfg, name, _build_section(name, cls, raw[name]))
-    try:
-        cfg.synth.validate()
-    except InvalidConfig as exc:
-        raise ConfigError(f"section 'synth': {exc}", field="synth") from exc
+    cfg = _build(ExperimentConfig, raw)
     _apply_env_overrides(cfg)
     return cfg
 

@@ -121,7 +121,7 @@ class RandomPolicy:
 class PolicyResult:
     name: str
     shortfalls_bps: np.ndarray
-    traces: list[EpisodeTrace] = field(default_factory=list)
+    traces: list[EpisodeTrace]
 
     @property
     def mean_bps(self) -> float:
@@ -142,7 +142,7 @@ class RunReport:
     start_rows: np.ndarray
     histogram_edges: np.ndarray
     histogram_counts: dict[str, np.ndarray]
-    config_echo: dict = field(default_factory=dict)
+    target_venue: str
 
     def gain_bps(self, name: str) -> float:
         base = self.results[BASELINE].shortfalls_bps
@@ -164,11 +164,12 @@ class RunReport:
         return rows
 
     def to_json_dict(self) -> dict:
+        episodes = int(len(self.start_rows))
         return {
-            "episodes": int(len(self.start_rows)),
+            "episodes": episodes,
             "baseline": BASELINE,
             "table": self.table(),
-            "config": self.config_echo,
+            "config": {"target_venue": self.target_venue, "episodes": episodes},
         }
 
     def histogram_csv_lines(self) -> list[str]:
@@ -199,8 +200,6 @@ def compare(
     target_venue: str,
     n_episodes: int = 1000,
     seed: int = 0,
-    keep_traces: bool = False,
-    config_echo: dict | None = None,
 ) -> RunReport:
     """Run every arm over the same episode starts and report IS statistics.
 
@@ -222,7 +221,7 @@ def compare(
         traces = run_episodes(envs[name], arm.policy, starts)
         cash = np.array([trace.total_cash for trace in traces])
         shortfalls = implementation_shortfall(cash, spec.total_units, p0) * 1e4
-        results[name] = PolicyResult(name, shortfalls, traces if keep_traces else [])
+        results[name] = PolicyResult(name, shortfalls, traces)
 
     pooled = np.concatenate([r.shortfalls_bps for r in results.values()])
     lo, hi = float(pooled.min()), float(pooled.max())
@@ -238,7 +237,7 @@ def compare(
         start_rows=starts,
         histogram_edges=edges,
         histogram_counts=counts,
-        config_echo=config_echo or {},
+        target_venue=target_venue,
     )
 
 

@@ -22,6 +22,7 @@ Generative model, per 10ms grid step:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -66,7 +67,7 @@ class SynthConfig:
     half_spread_ticks: int = 1
     book_update_ms: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.n_venues < 1:
@@ -116,8 +117,6 @@ class _VenueDraws:
 @dataclass
 class _Draws:
     n_steps: int
-    latent_leader: np.ndarray
-    drift: np.ndarray
     venues: dict[str, _VenueDraws] = field(default_factory=dict)
 
 
@@ -137,7 +136,6 @@ def _ou_path(rng: np.random.Generator, n: int, tau_steps: float, stat_std: float
 
 
 def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
-    config.validate()
     rng = np.random.default_rng(config.seed)
     n = n_steps
     z = rng.standard_normal(n)
@@ -158,7 +156,7 @@ def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
     depth = np.asarray(config.depth_profile)
     level_off = np.arange(BOOK_DEPTH) * config.tick
 
-    draws = _Draws(n_steps=n, latent_leader=latent, drift=drift)
+    draws = _Draws(n_steps=n)
     for idx, name in enumerate(config.venue_names):
         lag = config.lag_steps(idx)
         lagged = latent[np.maximum(np.arange(n) - lag, 0)]
@@ -214,12 +212,17 @@ def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
     return FrameSet(grid_ts=grid_ts, venues=venues)
 
 
+def duration_steps(duration_s: float) -> int:
+    """Grid steps in a synthetic market of duration_s seconds; at least one."""
+    steps = duration_s * _STEPS_PER_S
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise InvalidConfig(f"duration must cover at least one {_GRID_MS} ms grid step, got {duration_s} s")
+    return int(round(steps))
+
+
 def generate_frames(config: SynthConfig, duration_s: float) -> FrameSet:
     """Resampled frames of the synthetic market, bypassing serialization."""
-    n = int(round(duration_s * _STEPS_PER_S))
-    if n < 1:
-        raise InvalidConfig("duration too short")
-    return _frames_from_draws(config, _materialize(config, n))
+    return _frames_from_draws(config, _materialize(config, duration_steps(duration_s)))
 
 
 _SNAP_OFF = 1_000_000  # snapshot offset into the window, ns
@@ -234,9 +237,7 @@ def _venue_clock_offset(venue_idx: int) -> int:
 
 def generate_records(config: SynthConfig, duration_s: float) -> Iterator[MarketRecord]:
     """The same market as generate_frames, as a sorted MarketRecord stream."""
-    n = int(round(duration_s * _STEPS_PER_S))
-    if n < 1:
-        raise InvalidConfig("duration too short")
+    n = duration_steps(duration_s)
     draws = _materialize(config, n)
     names = config.venue_names
     update_steps = config.book_update_ms // _GRID_MS

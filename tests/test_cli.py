@@ -109,6 +109,12 @@ def test_invalid_synth_section_rejected_at_load():
         ({"ppo": {"seed": -1}}, "ppo"),
         ({"ppo": {"update_epochs": 0}}, "ppo"),
         ({"ppo": {"update_epochs": -1}}, "ppo"),
+        ({"synth_duration_s": 0.001}, "synth_duration_s"),
+        ({"synth_duration_s": 0}, "synth_duration_s"),
+        ({"synth_duration_s": -5}, "synth_duration_s"),
+        ({"evaluate": {"heatmap_episodes": -5}}, "evaluate.heatmap_episodes"),
+        ({"evaluate": {"trace_episodes": -1}}, "evaluate.trace_episodes"),
+        ({"problem": {"horizon_s": float("inf")}}, "problem"),
     ],
 )
 def test_bad_value_rejected_at_load(raw, field):
@@ -406,6 +412,24 @@ def test_cli_invalid_synth_exit_code(tmp_path, capsys):
     assert not (tmp_path / "m.ndjson").exists()
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"synth_duration_s": 0.001}, "synth_duration_s"),
+        ({"synth_duration_s": 0}, "synth_duration_s"),
+        ({"synth_duration_s": -5}, "synth_duration_s"),
+        ({"evaluate": {"heatmap_episodes": -5}}, "evaluate.heatmap_episodes"),
+        ({"evaluate": {"trace_episodes": -1}}, "evaluate.trace_episodes"),
+    ],
+)
+def test_cli_synth_gen_rejects_out_of_range_values(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path / "cfg.json", **override)
+    code = main(["synth", "gen", "--config", str(cfg), "--out", str(tmp_path / "m.ndjson")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: ConfigParse: {field}")
+    assert not (tmp_path / "m.ndjson").exists()
+
+
 @pytest.mark.parametrize("command", [["signals", "report"], ["train"], ["evaluate"]])
 def test_cli_unknown_target_venue_exit_code(pipeline, tmp_path, capsys, command):
     _, _, capture = pipeline
@@ -592,6 +616,11 @@ OUT_OF_RANGE = st.one_of(
         st.integers(max_value=-1),
     ),
     st.tuples(st.just("ppo.update_epochs"), st.integers(max_value=0)),
+    st.tuples(
+        st.sampled_from(["evaluate.heatmap_episodes", "evaluate.trace_episodes"]), st.integers(max_value=-1)
+    ),
+    # less than one 10 ms grid step
+    st.tuples(st.just("synth_duration_s"), st.one_of(st.integers(max_value=0), st.floats(max_value=0.004))),
     st.tuples(st.just("problem.total_units"), st.integers(max_value=0)),
     # half a grid step off with n_decisions 10
     st.tuples(st.just("problem.horizon_s"), st.integers(0, 10**5).map(lambda k: (k + 0.5) / 10)),
@@ -642,3 +671,13 @@ def test_malformed_config_rejected_before_any_input(command, mutation):
         assert err.startswith("error: ConfigParse: ") and err.count("\n") == 1, err
         assert name.rpartition(".")[2] in err, err
         assert os.listdir(root) == ["cfg.json"]
+
+
+def test_readme_config_example_names_every_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(example)
+    parse_config(raw)
+    sections = {name: value for name, value in raw.items() if isinstance(value, dict)}
+    named = set(raw) | {f"{name}.{key}" for name, section in sections.items() for key in section}
+    assert named == {name for name, _ in config_fields()}

@@ -119,7 +119,7 @@ def test_compare_pairing_same_starts(noisy):
         "TWAP": Arm(TwapPolicy(spec)),
         "PPO_single": Arm(GreedyPolicy(params), fb),
     }
-    report = compare(arms, noisy, spec, "v1", n_episodes=30, seed=7, keep_traces=True)
+    report = compare(arms, noisy, spec, "v1", n_episodes=30, seed=7)
     starts_twap = [t.start_row for t in report.results["TWAP"].traces]
     starts_ppo = [t.start_row for t in report.results["PPO_single"].traces]
     assert starts_twap == starts_ppo == report.start_rows.tolist()
@@ -142,7 +142,7 @@ def test_histogram_mass_sums_to_episodes(noisy):
 def test_report_emitters(tmp_path, noisy):
     spec = ProblemSpec(horizon_s=20.0)
     report = compare(
-        {"TWAP": Arm(TwapPolicy(spec))}, noisy, spec, "v1", n_episodes=10, seed=1, keep_traces=True
+        {"TWAP": Arm(TwapPolicy(spec))}, noisy, spec, "v1", n_episodes=10, seed=1
     )
     write_report_json(report, tmp_path / "report.json")
     assert (tmp_path / "report.json").exists()

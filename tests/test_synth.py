@@ -134,13 +134,13 @@ def test_zero_signal_strength_plants_nothing():
 
 def test_invalid_configs_rejected():
     with pytest.raises(InvalidConfig):
-        SynthConfig(lag_ms=(0, 200)).validate()  # wrong arity
+        SynthConfig(lag_ms=(0, 200))  # wrong arity
     with pytest.raises(InvalidConfig):
-        SynthConfig(signal_strength=1.5).validate()
+        SynthConfig(signal_strength=1.5)
     with pytest.raises(InvalidConfig):
-        SynthConfig(lag_ms=(100, 200, 300)).validate()  # leader must have lag 0
+        SynthConfig(lag_ms=(100, 200, 300))  # leader must have lag 0
     with pytest.raises(InvalidConfig):
-        SynthConfig(book_update_ms=15).validate()
+        SynthConfig(book_update_ms=15)
     with pytest.raises(InvalidConfig):
         generate_frames(SynthConfig(), 0.0)
 
