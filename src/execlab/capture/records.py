@@ -20,11 +20,12 @@ Writing the records read from a valid file reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
-from ..errors import MalformedLine, UnknownKind
+from ..errors import MalformedLine, UnknownKind, open_output
 
 KIND_TRADE = "trade"
 KIND_BOOK_SNAPSHOT = "book_snapshot"
@@ -167,14 +168,24 @@ def record_to_line(record: MarketRecord) -> str:
     return json.dumps(record.to_wire(), separators=(",", ":"), ensure_ascii=False)
 
 
+_UNDECODED = re.compile("[\udc80-\udcff]")  # the surrogates errors="surrogateescape" maps bad bytes to
+
+
 def read_capture(path: str | Path) -> Iterator[MarketRecord]:
     """Stream records from an NDJSON capture file.
 
-    Raises MalformedLine with the 1-based offending line number; an empty file
-    yields an empty stream.
+    Raises MalformedLine with the 1-based offending line number, also for a
+    line that is not valid UTF-8; an empty file yields an empty stream.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        yield from read_capture_lines(fh)
+        try:
+            yield from read_capture_lines(fh)
+        except UnicodeDecodeError:
+            # The reader decodes a block ahead of the lines it yields, so its error
+            # names no line: read again, keeping each bad byte as a lone surrogate.
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
+                line_no = next((n for n, line in enumerate(again, start=1) if _UNDECODED.search(line)), 0)
+            raise MalformedLine(line_no, "not valid UTF-8") from None
 
 
 def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
@@ -193,10 +204,8 @@ def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
 
 def write_capture(records: Iterable[MarketRecord], path: str | Path) -> int:
     """Write records as NDJSON; returns the number of records written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        count = write_capture_lines(records, fh)
-    return count
+    with open_output(path) as fh:
+        return write_capture_lines(records, fh)
 
 
 def write_capture_lines(records: Iterable[MarketRecord], fh: IO[str]) -> int:

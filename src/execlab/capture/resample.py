@@ -1,15 +1,16 @@
 """Fixed 10ms-grid resampling of a merged multi-venue record stream.
 
-Each grid point g owns the half-open window (g - 10ms, g].  A frame carries
-the last book state with local_ts <= g and the taker volumes aggregated over
-the window, so no record after g can influence it.  Venues with no two-sided
-book yet are marked absent; downstream features treat absent as missing.
+Each grid point g owns the half-open window (g - 10ms, g], so a record
+belongs to the frame of grid point ceil(local_ts / 10ms), and the grid runs
+from the first record's grid point to the last one's.  A frame carries the
+last book state with local_ts <= g and the taker volumes summed over the
+window, so no record after g can influence it.  Venues with no two-sided book
+yet are marked absent; downstream features treat absent as missing.
 
-The book changes far less often than the grid ticks, so each venue keeps the
-book-derived part of its last row (present, best bid/ask, mid, top levels) and
-rebuilds it only when a book record has arrived since the last emit.  This
-relies on one invariant: every book mutation passes through
-``_VenueAccumulator.on_record``.
+Each venue's records are read once, in order.  The book is read after the
+last record of each frame that a book record touched; the frames no book
+record touched carry the previous read forward (the empty book before the
+first).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import CrossedTicker, UnsortedInput
+from ..errors import CrossedTicker, UnsortedInput, open_output
 from .book import BOOK_DEPTH, LocalBook, apply_delta, apply_snapshot, merge_ticker
 from .records import (
     KIND_BOOK_DELTA,
@@ -99,54 +100,52 @@ def _book_part(book: LocalBook) -> tuple[float, ...]:
     )
 
 
-class _VenueAccumulator:
-    def __init__(self):
-        self.book = LocalBook()
-        self.buy = 0.0
-        self.sell = 0.0
-        self.rejected_tickers = 0
-        self.rows: list[tuple[float, ...]] = []  # buy, sell, then _book_part
-        self._book_cells: tuple[float, ...] = ()
-        self._book_changed = True
-
-    def on_record(self, rec: MarketRecord) -> None:
+def _venue_frames(records: list[MarketRecord], grid: range) -> VenueFrames:
+    """One venue's frames, one per grid index in `grid`, from its records.
+    Trade qtys are summed into their frame in record order, starting from 0.0.
+    """
+    first, n = grid.start, len(grid)
+    buy = [0.0] * n
+    sell = [0.0] * n
+    book = LocalBook()
+    parts = [_book_part(book)]  # row 0: the empty book
+    read_at = np.zeros(n, dtype=np.intp)  # row of `parts` each frame a book record touched ends with
+    pending = None  # the frame of the last book record, whose read is still due
+    for rec in records:
+        frame = -(-rec.local_ts // GRID_NS) - first  # ceil: the grid point whose window holds it
         kind = rec.kind
         if kind == KIND_TRADE:
             if rec.payload.side == SIDE_BUY:
-                self.buy += rec.payload.qty
+                buy[frame] += rec.payload.qty
             else:
-                self.sell += rec.payload.qty
-            return
-        self._book_changed = True
+                sell[frame] += rec.payload.qty
+            continue
+        if pending is not None and frame != pending:
+            parts.append(_book_part(book))
+            read_at[pending] = len(parts) - 1
+        pending = frame
         if kind == KIND_BOOK_SNAPSHOT:
-            apply_snapshot(self.book, rec.payload)
+            apply_snapshot(book, rec.payload)
         elif kind == KIND_BOOK_DELTA:
-            apply_delta(self.book, rec.payload)
+            apply_delta(book, rec.payload)
         elif kind == KIND_TICKER:
             try:
-                merge_ticker(self.book, rec.payload)
+                merge_ticker(book, rec.payload)
             except CrossedTicker:
-                self.rejected_tickers += 1
-
-    def emit(self) -> None:
-        if self._book_changed:
-            self._book_cells = _book_part(self.book)
-            self._book_changed = False
-        self.rows.append((self.buy, self.sell, *self._book_cells))
-        self.buy = 0.0
-        self.sell = 0.0
-
-
-def _rows_to_frames(rows: list[tuple[float, ...]]) -> VenueFrames:
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), 6 + 4 * BOOK_DEPTH)
-    levels = table[:, 6:].reshape(len(rows), 4, BOOK_DEPTH)
+                pass  # the book is unchanged
+    if pending is not None:
+        parts.append(_book_part(book))
+        read_at[pending] = len(parts) - 1
+    # Reads are taken in frame order, so a running max carries each one forward.
+    table = np.array(parts, dtype=np.float64)[np.maximum.accumulate(read_at)]
+    levels = table[:, 4:].reshape(n, 4, BOOK_DEPTH)
     return VenueFrames(
-        present=table[:, 2] != 0.0,
-        best_bid=table[:, 3].copy(),
-        best_ask=table[:, 4].copy(),
-        mid=table[:, 5].copy(),
-        buy_volume=table[:, 0].copy(),
-        sell_volume=table[:, 1].copy(),
+        present=table[:, 0] != 0.0,
+        best_bid=table[:, 1].copy(),
+        best_ask=table[:, 2].copy(),
+        mid=table[:, 3].copy(),
+        buy_volume=np.array(buy, dtype=np.float64),
+        sell_volume=np.array(sell, dtype=np.float64),
         bid_price=levels[:, 0].copy(),
         bid_qty=levels[:, 1].copy(),
         ask_price=levels[:, 2].copy(),
@@ -159,37 +158,30 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
 
     Raises UnsortedInput with the 0-based position of the first violation.
     The venue universe is taken from `venues` or discovered from the stream
-    (which forces materializing it first).
+    (which forces materializing it first).  Records of other venues still
+    extend the grid.
     """
     if venues is None:
         records = list(records)
         venues = sorted({r.venue for r in records})
-    accs = {v: _VenueAccumulator() for v in venues}
-
-    grid: int | None = None
-    grid_points: list[int] = []
-    last_ts: int | None = None
+    by_venue: dict[str, list[MarketRecord]] = {v: [] for v in venues}
+    first_ts = last_ts = None
     for pos, rec in enumerate(records):
-        if last_ts is not None and rec.local_ts < last_ts:
+        ts = rec.local_ts
+        if last_ts is not None and ts < last_ts:
             raise UnsortedInput(pos)
-        last_ts = rec.local_ts
-        if grid is None:
-            grid = -(-rec.local_ts // GRID_NS) * GRID_NS  # ceil to grid
-        while rec.local_ts > grid:
-            grid_points.append(grid)
-            for acc in accs.values():
-                acc.emit()
-            grid += GRID_NS
-        if rec.venue in accs:
-            accs[rec.venue].on_record(rec)
-    if grid is not None:
-        grid_points.append(grid)
-        for acc in accs.values():
-            acc.emit()
-
+        last_ts = ts
+        if first_ts is None:
+            first_ts = ts
+        group = by_venue.get(rec.venue)
+        if group is not None:
+            group.append(rec)
+    grid = range(0)  # grid indices, from the ceil of the first record's local_ts to the last's
+    if last_ts is not None:
+        grid = range(-(-first_ts // GRID_NS), -(-last_ts // GRID_NS) + 1)
     return FrameSet(
-        grid_ts=np.asarray(grid_points, dtype=np.int64),
-        venues={v: _rows_to_frames(accs[v].rows) for v in venues},
+        grid_ts=np.arange(grid.start, grid.stop, dtype=np.int64) * GRID_NS,
+        venues={v: _venue_frames(by_venue[v], grid) for v in venues},
     )
 
 
@@ -208,7 +200,7 @@ def _format_column(col: np.ndarray) -> list[str]:
 
 
 def write_frames_csv(frames: FrameSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         _write_frames(frames, fh)
 
 

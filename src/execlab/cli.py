@@ -27,7 +27,7 @@ from . import __version__
 from .capture import align_clock, read_capture, resample, write_frames_csv
 from .config import SCOPES, check_seed, file_sha256, load_config
 from .env import policy_dims
-from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput
+from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput, UnwritableOutput, open_output
 from .evalkit import (
     Arm,
     SampledPolicy,
@@ -49,19 +49,27 @@ def _require_file(path: str | None, what: str) -> Path:
     if not path:
         raise MissingInput(f"{what} path not configured")
     p = Path(path)
-    if not p.exists():
-        raise MissingInput(f"{what} not found: {p}")
+    if not p.is_file():
+        raise MissingInput(f"{what} {'is not a regular file' if p.exists() else 'not found'}: {p}")
     return p
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot create directory {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: str | Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 class Run:
@@ -79,7 +87,7 @@ class Run:
             check_seed("--seed", args.seed)
             self.cfg.train.seed = self.cfg.evaluate.seed = args.seed
         self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(self.out_dir)
         self.capture_path = _require_file(self.cfg.paths.capture, "capture")
         self.frames = resample(read_capture(self.capture_path))
         target = self.cfg.signals.target_venue
@@ -204,7 +212,7 @@ def cmd_train(args) -> int:
     )
     # A configured checkpoint path is taken as given, not under the output directory.
     ckpt_path = Path(getattr(cfg.paths, f"checkpoint_{scope}") or run.out_dir / f"ppo_{scope}.npz")
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(ckpt_path.parent)
     save_checkpoint(
         ckpt_path,
         params,

@@ -201,7 +201,7 @@ def _apply_env_overrides(cfg: ExperimentConfig) -> None:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)

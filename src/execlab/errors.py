@@ -1,6 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `open_output`, the one place
+an output file is opened."""
 
 from __future__ import annotations
+
+import contextlib
+import os
+import stat
+from pathlib import Path
+from typing import IO, Iterator
 
 
 class ExecLabError(Exception):
@@ -49,7 +56,37 @@ class ConfigError(ExecLabError):
 
 
 class MissingInput(ExecLabError):
-    """A path referenced by the config does not exist."""
+    """An input path is not configured, does not exist or is not a regular file."""
+
+
+class UnwritableOutput(ExecLabError):
+    """An output file or directory cannot be created or written."""
+
+
+@contextlib.contextmanager
+def open_output(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open `path` for writing: text as UTF-8, line ends written as given, or bytes with "wb".
+
+    A failure to create the file, or to write to it, is UnwritableOutput.  A
+    regular file that an exception cut short is removed, so no partial output
+    is left behind; a device such as /dev/stdout is never removed.
+    """
+    try:
+        fh = open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot create {path}: {exc.strerror or exc}") from exc
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        # An error writing to this file names no file; one naming a file came from elsewhere.
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise UnwritableOutput(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 class CheckpointError(ExecLabError):

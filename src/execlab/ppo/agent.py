@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import AllMaskedError, CheckpointError, NonFiniteLossError
+from ..errors import AllMaskedError, CheckpointError, NonFiniteLossError, open_output
 from .net import (
     FIELDS, AdamState, MlpParams, ForwardCache, adam_step, init_mlp, mlp_backward, mlp_forward,
 )
@@ -313,6 +313,7 @@ def update(
 
 
 def save_checkpoint(path: str | Path, params: PolicyParams, config: PpoConfig, meta: dict | None = None) -> None:
+    """Write the checkpoint to `path` as given; no ".npz" suffix is added."""
     arrays = {}
     for net_name, net in (("actor", params.actor), ("critic", params.critic)):
         for field_name, arr in zip(FIELDS, net.arrays):
@@ -332,7 +333,8 @@ def save_checkpoint(path: str | Path, params: PolicyParams, config: PpoConfig, m
         "meta": meta or {},
     }
     arrays["header_json"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    with open_output(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:

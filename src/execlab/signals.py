@@ -21,14 +21,6 @@ DEFAULT_WINDOW_MS = 30_000
 BIN_CURVE_BINS = 20  # bins of a horizon report's bin curve
 
 
-@dataclass(frozen=True)
-class FeatureSeries:
-    """One feature over the full grid, as the per-venue helpers return it."""
-
-    name: str
-    values: np.ndarray
-
-
 def window_steps(window_ms: int) -> int:
     steps = window_ms * 1_000_000 // GRID_NS
     if steps < 1:
@@ -84,21 +76,19 @@ def trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flow_imbalance(frames: FrameSet, venue: str) -> FeatureSeries:
+def flow_imbalance(frames: FrameSet, venue: str) -> np.ndarray:
     """Taker buy volume minus taker sell volume per grid window."""
     vf = frames.venues[venue]
-    values = np.where(vf.present, vf.buy_volume - vf.sell_volume, np.nan)
-    return FeatureSeries("flow_imbalance", values)
+    return np.where(vf.present, vf.buy_volume - vf.sell_volume, np.nan)
 
 
-def flow_imbalance_norm(series: FeatureSeries, window: int) -> FeatureSeries:
+def flow_imbalance_norm(x: np.ndarray, window: int) -> np.ndarray:
     """Sign-preserving min/max normalization over a trailing window.
 
     sign(x) * (|x| - min|x|) / (max|x| - min|x|), extrema over the trailing
     `window` points including the current one; a degenerate window
     (max == min) yields 0.  Result lies in [-1, 1].
     """
-    x = series.values
     mag = np.abs(x)
     lo, hi = trailing_min_max(mag, window)
     scale = hi - lo
@@ -107,10 +97,10 @@ def flow_imbalance_norm(series: FeatureSeries, window: int) -> FeatureSeries:
     out[ok] = np.sign(x[ok]) * (mag[ok] - lo[ok]) / scale[ok]
     degenerate = np.isfinite(x) & np.isfinite(scale) & (scale == 0)
     out[degenerate] = 0.0
-    return FeatureSeries(series.name + "_norm", out)
+    return out
 
 
-def depth_imbalance(frames: FrameSet, venue: str) -> FeatureSeries:
+def depth_imbalance(frames: FrameSet, venue: str) -> np.ndarray:
     """(B - A) / (B + A) over the cumulative top-5 depth of each side."""
     vf = frames.venues[venue]
     b = vf.bid_qty.sum(axis=1)
@@ -119,19 +109,18 @@ def depth_imbalance(frames: FrameSet, venue: str) -> FeatureSeries:
     values = np.full(frames.n_frames, np.nan)
     ok = vf.present & (total > 0)
     values[ok] = (b[ok] - a[ok]) / total[ok]
-    return FeatureSeries("depth_imbalance", values)
+    return values
 
 
-def cross_sum(series: list[FeatureSeries], name: str) -> FeatureSeries:
+def cross_sum(series: list[np.ndarray]) -> np.ndarray:
     """Sum across venues, skipping missing; NaN only when all are missing."""
-    stack = np.vstack([s.values for s in series])
+    stack = np.vstack(series)
     finite = np.isfinite(stack)
     summed = np.where(finite, stack, 0.0).sum(axis=0)
-    values = np.where(finite.any(axis=0), summed, np.nan)
-    return FeatureSeries(name, values)
+    return np.where(finite.any(axis=0), summed, np.nan)
 
 
-def peer_spread(frames: FrameSet, target: str) -> FeatureSeries:
+def peer_spread(frames: FrameSet, target: str) -> np.ndarray:
     """Sum over peer venues of (peer mid - target mid), in price units."""
     tgt = frames.venues[target]
     total = np.zeros(frames.n_frames)
@@ -142,14 +131,12 @@ def peer_spread(frames: FrameSet, target: str) -> FeatureSeries:
         ok = vf.present & tgt.present
         total = np.where(ok, total + vf.mid - tgt.mid, total)
         n_peers += ok.astype(int)
-    values = np.where(n_peers > 0, total, np.nan)
-    return FeatureSeries("peer_spread", values)
+    return np.where(n_peers > 0, total, np.nan)
 
 
-def peer_spread_centered(series: FeatureSeries, window: int) -> FeatureSeries:
+def peer_spread_centered(spread: np.ndarray, window: int) -> np.ndarray:
     """Spread minus its trailing-window mean (basis removal)."""
-    centered = series.values - trailing_mean(series.values, window)
-    return FeatureSeries(series.name + "_centered", centered)
+    return spread - trailing_mean(spread, window)
 
 
 def future_return_bps(frames: FrameSet, venue: str, h_steps: int) -> np.ndarray:
@@ -317,14 +304,13 @@ def feature_series(frames: FrameSet, target_venue: str, window_ms: int) -> dict[
     oimn = [flow_imbalance_norm(flow_imbalance(frames, v), w) for v in frames.venue_names]
     imb = [depth_imbalance(frames, v) for v in frames.venue_names]
     target = frames.venue_names.index(target_venue)
-    series = (
-        oimn[target],
-        imb[target],
-        cross_sum(oimn, "cross_flow_imbalance_norm"),
-        cross_sum(imb, "cross_depth_imbalance"),
-        peer_spread_centered(peer_spread(frames, target_venue), w),
-    )
-    values = {s.name: s.values for s in series}
+    values = {
+        "flow_imbalance_norm": oimn[target],
+        "depth_imbalance": imb[target],
+        "cross_flow_imbalance_norm": cross_sum(oimn),
+        "cross_depth_imbalance": cross_sum(imb),
+        "peer_spread_centered": peer_spread_centered(peer_spread(frames, target_venue), w),
+    }
     with np.errstate(invalid="ignore", divide="ignore"):
         values["peer_spread_centered_bps"] = (
             1e4 * values["peer_spread_centered"] / frames.venues[target_venue].mid

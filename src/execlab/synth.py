@@ -285,6 +285,7 @@ def generate_records(config: SynthConfig, duration_s: float) -> Iterator[MarketR
 
 def generate(config: SynthConfig, duration_s: float, path: str | Path) -> int:
     """Write the synthetic market as a capture file; returns records written."""
+    duration_steps(duration_s)  # generate_records is lazy: check before the file is created
     return write_capture(generate_records(config, duration_s), path)
 
 

@@ -185,8 +185,8 @@ def test_criterion_3_cross_signal_orders_and_decays(market):
     oimn = {v: flow_imbalance_norm(flow_imbalance(market, v), WINDOW) for v in market.venue_names}
     imb = {v: depth_imbalance(market, v) for v in market.venue_names}
     families = {
-        "OIMN": (oimn[TARGET].values, cross_sum(list(oimn.values()), "c").values),
-        "IMB": (imb[TARGET].values, cross_sum(list(imb.values()), "c").values),
+        "OIMN": (oimn[TARGET], cross_sum(list(oimn.values()))),
+        "IMB": (imb[TARGET], cross_sum(list(imb.values()))),
     }
     rng = np.random.default_rng(2718)
     ordering_ok = True
@@ -238,7 +238,7 @@ def test_criterion_3_cross_signal_orders_and_decays(market):
 
 def test_criterion_4_spread_predictiveness(market):
     t0 = time.time()
-    spread = peer_spread_centered(peer_spread(market, TARGET), WINDOW).values
+    spread = peer_spread_centered(peer_spread(market, TARGET), WINDOW)
     y500 = future_return_bps(market, TARGET, horizon_steps(500))
     point = fit_line(spread, y500).r2
     rng = np.random.default_rng(3141)

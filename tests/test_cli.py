@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import execlab.cli
 from execlab.capture import read_capture, resample
 from execlab.cli import main
 from execlab.config import ExperimentConfig, load_config, parse_config
-from execlab.errors import ConfigError
+from execlab.errors import ConfigError, UnwritableOutput, open_output
 from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
 from execlab.signals import feature_bundle
 
@@ -580,6 +581,111 @@ def test_cli_checkpoint_of_other_target_venue_exit_code(pipeline, tmp_path, caps
     # a checkpoint without meta names no target venue and is accepted
     save_checkpoint(ckpt, params, PpoConfig())
     assert main(["evaluate", "--config", str(cfg)]) == 0
+
+
+# -- the file boundary ------------------------------------------------------------
+
+
+def run_cli(argv, capsys):
+    """(exit code, stderr) of one in-process CLI run; stderr must be one error line."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err, err
+    return code, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["capture", "resample"], ["capture", "align"], ["signals", "report"], ["train"], ["evaluate"]],
+)
+def test_cli_capture_not_utf8(pipeline, tmp_path, capsys, command):
+    _, _, capture = pipeline
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(capture.read_bytes() + b"\xff\xff\n")
+    line = capture.read_bytes().count(b"\n") + 1
+    if command[0] == "capture":
+        argv = command + [str(bad), str(tmp_path / "out.csv")]
+    else:
+        paths = {"capture": str(bad), "out_dir": str(tmp_path / "out")}
+        argv = command + ["--config", str(write_config(tmp_path / "cfg.json", paths=paths))]
+    code, err = run_cli(argv, capsys)
+    assert (code, err) == (1, f"error: MalformedLine: line {line}: not valid UTF-8\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"version": 1, "seed": "\xff"}')
+    code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith(f"error: ConfigParse: cannot read config {cfg}: ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", [["capture", "resample"], ["capture", "align"], ["train"], ["evaluate"]])
+def test_cli_input_that_names_a_directory(pipeline, tmp_path, capsys, command):
+    _, _, capture = pipeline
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if command[0] == "capture":
+        argv, what = command + [str(folder), str(tmp_path / "out.csv")], "capture"
+    elif command == ["train"]:
+        paths = {"capture": str(folder), "out_dir": str(tmp_path / "out")}
+        argv, what = command + ["--config", str(write_config(tmp_path / "cfg.json", paths=paths))], "capture"
+    else:
+        paths = {"capture": str(capture), "out_dir": str(tmp_path / "out"), "checkpoint_cross": str(folder)}
+        argv, what = command + ["--config", str(write_config(tmp_path / "cfg.json", paths=paths))], "checkpoint_cross"
+    code, err = run_cli(argv, capsys)
+    assert (code, err) == (3, f"error: MissingInput: {what} is not a regular file: {folder}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["capture resample", "capture align", "synth gen", "train --out-dir", "train checkpoint"]
+)
+def test_cli_output_that_cannot_be_created(pipeline, tmp_path, capsys, case):
+    _, _, capture = pipeline
+    blocker = tmp_path / "file"  # a regular file where a directory is needed
+    blocker.write_text("a regular file\n")
+    missing = tmp_path / "no_such_dir" / "out"
+    paths = {"capture": str(capture), "out_dir": str(tmp_path / "out")}
+    cfg = str(write_config(tmp_path / "cfg.json", paths=paths))
+    ckpt_cfg = str(write_config(tmp_path / "ckpt.json", paths={**paths, "checkpoint_cross": str(blocker / "c.npz")}))
+    argv, named = {
+        "capture resample": (["capture", "resample", str(capture), str(missing)], missing),
+        "capture align": (["capture", "align", str(capture), str(missing)], missing),
+        "synth gen": (["synth", "gen", "--config", cfg, "--out", str(missing)], missing),
+        "train --out-dir": (["train", "--config", cfg, "--out-dir", str(blocker / "out")], blocker / "out"),
+        "train checkpoint": (["train", "--config", ckpt_cfg], blocker),
+    }[case]
+    code, err = run_cli(argv, capsys)
+    assert code == 1 and err.startswith("error: UnwritableOutput: cannot create ") and f" {named}: " in err
+    assert not missing.parent.exists() and blocker.read_text() == "a regular file\n"
+
+
+def test_open_output_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(UnwritableOutput) as exc:
+        with open_output(path) as fh:
+            fh.write("partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+    assert str(exc.value) == f"cannot write {path}: No space left on device"
+    assert not path.exists()
+    with pytest.raises(FileNotFoundError):  # an error about another file is not this output's
+        with open_output(path) as fh:
+            fh.write("partial")
+            open(tmp_path / "missing.ndjson")
+    assert not path.exists()
+    # Only a regular file is removed: a FIFO (like /dev/stdout) stays.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(KeyError):
+            with open_output(fifo) as fh:
+                raise KeyError("x")
+    finally:
+        os.close(reader)
+    assert fifo.exists()
 
 
 # -- malformed configs -----------------------------------------------------------

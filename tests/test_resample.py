@@ -314,11 +314,17 @@ def test_resample_matches_reference_on_every_kind_of_update():
         MarketRecord("v0", "ticker", 45 * MS, TickerPayload(100.0, 1.0, 100.4, 1.0)),
         trade(51 * MS, 1.0, "buy"),
         MarketRecord("v0", "book_delta", 62 * MS, BookPayload(asks=((100.4, 0.0),))),  # one-sided again
+        snap(72 * MS),
+        trade(76 * MS, 1.5, "buy"),  # the last record of the 80 ms frame follows a book change
+        MarketRecord("v0", "book_delta", 83 * MS, BookPayload(asks=((100.1, 0.0),))),  # two book records
+        MarketRecord("v0", "book_delta", 87 * MS, BookPayload(asks=((100.3, 1.0),))),  # in the 90 ms frame
         trade(95 * MS, 2.0, "sell", venue="v1"),
     ]
     got = resample(records, venues=["v0", "v1"])
     _assert_frames_equal(got, _reference_resample(records, ["v0", "v1"]))
     v = got.venues["v0"]
-    assert v.present.tolist() == [True, True, False, False, True, True, False, False, False, False]
+    assert v.present.tolist() == [True, True, False, False, True, True, False, True, True, True]
     assert v.best_bid[4] == 100.0 and np.isnan(v.best_ask[6])
+    assert v.buy_volume[7] == 1.5 and v.best_ask[7] == 100.1
+    assert v.best_ask[8] == 100.3 and v.best_ask[9] == 100.3
     assert not got.venues["v1"].present.any()

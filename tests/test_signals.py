@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from execlab.capture.resample import GRID_NS, FrameSet, VenueFrames
 from execlab.errors import DegenerateXError, TooFewPointsError
 from execlab.signals import (
-    FeatureSeries,
     bin_curve,
     cross_sum,
     depth_imbalance,
@@ -113,62 +112,55 @@ def test_flow_imbalance_examples():
     vf = frames_from(mid=[100, 100, 100], buy=[10, 10, 0], sell=[10, 4, 0])
     frames = build_frameset(v0=vf)
     oim = flow_imbalance(frames, "v0")
-    assert oim.values.tolist() == [0.0, 6.0, 0.0]
+    assert oim.tolist() == [0.0, 6.0, 0.0]
 
 
 def test_flow_imbalance_missing_when_absent():
     vf = frames_from(mid=[100, 100], buy=[1, 1], sell=[0, 0], present=[False, True])
     frames = build_frameset(v0=vf)
     oim = flow_imbalance(frames, "v0")
-    assert np.isnan(oim.values[0]) and oim.values[1] == 1.0
+    assert np.isnan(oim[0]) and oim[1] == 1.0
 
 
 def test_flow_imbalance_norm_hand_example():
     # trailing window {2, 6, 4} with current value -4 -> -(4-2)/(6-2) = -0.5
-    series = FeatureSeries("flow_imbalance", np.array([2.0, -6.0, -4.0]))
-    out = flow_imbalance_norm(series, window=3)
-    assert out.values[2] == pytest.approx(-0.5)
+    out = flow_imbalance_norm(np.array([2.0, -6.0, -4.0]), window=3)
+    assert out[2] == pytest.approx(-0.5)
     # boundaries: window max -> sign, first point degenerate -> 0
-    assert out.values[0] == 0.0
-    assert out.values[1] == pytest.approx(-1.0)
+    assert out[0] == 0.0
+    assert out[1] == pytest.approx(-1.0)
 
 
 def test_flow_imbalance_norm_range_and_degenerate():
     rng = np.random.default_rng(0)
-    series = FeatureSeries("f", rng.normal(size=500))
-    out = flow_imbalance_norm(series, window=30).values
+    out = flow_imbalance_norm(rng.normal(size=500), window=30)
     assert np.nanmax(np.abs(out)) <= 1.0 + 1e-12
-    const = FeatureSeries("f", np.full(5, 3.0))
-    assert flow_imbalance_norm(const, window=4).values.tolist() == [0.0] * 5
+    assert flow_imbalance_norm(np.full(5, 3.0), window=4).tolist() == [0.0] * 5
 
 
 def test_depth_imbalance_examples():
     even = frames_from(mid=[100.0], bid_qty=np.full((1, 5), 2.0), ask_qty=np.full((1, 5), 2.0))
-    assert depth_imbalance(build_frameset(v0=even), "v0").values[0] == 0.0
+    assert depth_imbalance(build_frameset(v0=even), "v0")[0] == 0.0
     one_sided = frames_from(mid=[100.0], bid_qty=np.full((1, 5), 2.0), ask_qty=np.zeros((1, 5)))
-    assert depth_imbalance(build_frameset(v0=one_sided), "v0").values[0] == 1.0
+    assert depth_imbalance(build_frameset(v0=one_sided), "v0")[0] == 1.0
     skew = frames_from(mid=[100.0], bid_qty=np.full((1, 5), 6.0), ask_qty=np.full((1, 5), 2.0))
-    assert depth_imbalance(build_frameset(v0=skew), "v0").values[0] == pytest.approx(0.5)
+    assert depth_imbalance(build_frameset(v0=skew), "v0")[0] == pytest.approx(0.5)
 
 
 def test_cross_sum_examples():
-    mk = lambda v: FeatureSeries("f", np.array([v]))
-    assert cross_sum([mk(0.5), mk(-0.2), mk(0.1)], "c").values[0] == pytest.approx(0.4)
-    assert cross_sum([mk(0.5)], "c").values[0] == pytest.approx(0.5)
-    assert cross_sum([mk(0.5), mk(0.5), mk(-1.0)], "c").values[0] == pytest.approx(0.0)
-    allnan = cross_sum([mk(float("nan")), mk(float("nan"))], "c")
-    assert np.isnan(allnan.values[0])
-    skipped = cross_sum([mk(0.3), mk(float("nan"))], "c")
-    assert skipped.values[0] == pytest.approx(0.3)
+    mk = lambda v: np.array([v])
+    assert cross_sum([mk(0.5), mk(-0.2), mk(0.1)])[0] == pytest.approx(0.4)
+    assert cross_sum([mk(0.5)])[0] == pytest.approx(0.5)
+    assert cross_sum([mk(0.5), mk(0.5), mk(-1.0)])[0] == pytest.approx(0.0)
+    assert np.isnan(cross_sum([mk(float("nan")), mk(float("nan"))])[0])
+    assert cross_sum([mk(0.3), mk(float("nan"))])[0] == pytest.approx(0.3)
 
 
 def test_cross_decomposition_exact():
     cfg = SynthConfig(seed=3)
     frames = generate_frames(cfg, 30.0)
     per_venue = [flow_imbalance(frames, v) for v in frames.venue_names]
-    total = cross_sum(per_venue, "cross")
-    manual = sum(s.values for s in per_venue)
-    assert np.array_equal(total.values, manual)
+    assert np.array_equal(cross_sum(per_venue), sum(per_venue))
 
 
 def test_peer_spread_examples():
@@ -177,20 +169,18 @@ def test_peer_spread_examples():
     v2 = frames_from(mid=[100.3, 100.0])
     frames = build_frameset(v0=v0, v1=v1, v2=v2)
     spread = peer_spread(frames, "v0")
-    assert spread.values[0] == pytest.approx(0.5)
-    assert spread.values[1] == pytest.approx(0.0)
+    assert spread[0] == pytest.approx(0.5)
+    assert spread[1] == pytest.approx(0.0)
     solo = build_frameset(v0=frames_from(mid=[100.0]))
-    assert np.isnan(peer_spread(solo, "v0").values[0])
+    assert np.isnan(peer_spread(solo, "v0")[0])
 
 
 def test_peer_spread_centered_examples():
-    series = FeatureSeries("peer_spread", np.array([1.0, 1.0, 4.0]))
+    series = np.array([1.0, 1.0, 4.0])
     out = peer_spread_centered(series, window=3)
-    assert out.values[2] == pytest.approx(2.0)
-    const = FeatureSeries("peer_spread", np.full(3, 2.5))
-    assert np.allclose(peer_spread_centered(const, window=3).values, 0.0)
-    w1 = peer_spread_centered(series, window=1)
-    assert np.allclose(w1.values, 0.0)
+    assert out[2] == pytest.approx(2.0)
+    assert np.allclose(peer_spread_centered(np.full(3, 2.5), window=3), 0.0)
+    assert np.allclose(peer_spread_centered(series, window=1), 0.0)
 
 
 def test_future_return_examples():
@@ -257,7 +247,7 @@ def test_horizon_report_shapes_and_bins():
     cfg = SynthConfig(seed=8)
     frames = generate_frames(cfg, 120.0)
     feat = depth_imbalance(frames, "v0")
-    report = horizon_report(feat.name, feat.values, frames, "v0", (100, 500, 1000), 500)
+    report = horizon_report("depth_imbalance", feat, frames, "v0", (100, 500, 1000), 500)
     assert len(report.fits) == 3
     assert len(report.bin_centers) == 20
     assert report.bin_counts.sum() > 0

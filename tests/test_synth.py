@@ -132,6 +132,13 @@ def test_zero_signal_strength_plants_nothing():
     assert abs(rho) < 0.02
 
 
+def test_generate_checks_duration_before_creating_the_file(tmp_path):
+    path = tmp_path / "market.ndjson"
+    with pytest.raises(InvalidConfig):
+        generate(SynthConfig(), 0.0, path)
+    assert not path.exists()
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(InvalidConfig):
         SynthConfig(lag_ms=(0, 200))  # wrong arity
