@@ -14,16 +14,18 @@ by kind:
     ticker         {"bid_price": float, "bid_qty": float,
                     "ask_price": float, "ask_qty": float}
 
-Writing the records read from a valid file reproduces it byte for byte.
+Records are immutable named tuples, and a payload's fields are its wire keys,
+in wire order.  Writing the records read from a valid file reproduces it
+byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+import sys
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 from ..errors import MalformedLine, UnknownKind, open_output
 
@@ -38,51 +40,30 @@ SIDE_BUY = "buy"
 SIDE_SELL = "sell"
 
 
-@dataclass(frozen=True)
-class TradePayload:
+class TradePayload(NamedTuple):
     price: float
     qty: float
     side: str  # taker side
 
-    def to_wire(self) -> dict:
-        return {"price": self.price, "qty": self.qty, "side": self.side}
 
-
-@dataclass(frozen=True)
-class BookPayload:
+class BookPayload(NamedTuple):
     """Price levels for a snapshot or delta; qty 0 only meaningful in deltas."""
 
-    bids: tuple[tuple[float, float], ...] = field(default=())
-    asks: tuple[tuple[float, float], ...] = field(default=())
-
-    def to_wire(self) -> dict:
-        return {
-            "bids": [[p, q] for p, q in self.bids],
-            "asks": [[p, q] for p, q in self.asks],
-        }
+    bids: tuple[tuple[float, float], ...] = ()
+    asks: tuple[tuple[float, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class TickerPayload:
+class TickerPayload(NamedTuple):
     bid_price: float
     bid_qty: float
     ask_price: float
     ask_qty: float
 
-    def to_wire(self) -> dict:
-        return {
-            "bid_price": self.bid_price,
-            "bid_qty": self.bid_qty,
-            "ask_price": self.ask_price,
-            "ask_qty": self.ask_qty,
-        }
-
 
 Payload = Union[TradePayload, BookPayload, TickerPayload]
 
 
-@dataclass(frozen=True)
-class MarketRecord:
+class MarketRecord(NamedTuple):
     venue: str
     kind: str
     local_ts: int
@@ -90,14 +71,22 @@ class MarketRecord:
     exch_ts: int | None = None
 
     def to_wire(self) -> dict:
+        """The wire object: a payload's fields are its keys, in field order."""
         line: dict = {"venue": self.venue, "kind": self.kind, "local_ts": self.local_ts}
         if self.exch_ts is not None:
             line["exch_ts"] = self.exch_ts
-        line["payload"] = self.payload.to_wire()
+        line["payload"] = self.payload._asdict()
         return line
 
 
 _NUMBER = (int, float)  # bool is an int, so it passes as a number
+_FLOAT_MAX = sys.float_info.max  # a larger int has no float; inf and NaN are no finite number
+
+
+def _out_of_range(line_no: int, what: str, rule: str, value) -> MalformedLine:
+    """The rejection of a value that failed `rule` or is not a finite number."""
+    finite = not isinstance(value, _NUMBER) or -_FLOAT_MAX <= value <= _FLOAT_MAX
+    return MalformedLine(line_no, f"{what} must be {rule if finite else 'finite'}")
 
 
 def _parse_levels(raw, line_no: int, what: str) -> tuple[tuple[float, float], ...]:
@@ -108,10 +97,10 @@ def _parse_levels(raw, line_no: int, what: str) -> tuple[tuple[float, float], ..
         if not (isinstance(lvl, list) and len(lvl) == 2):
             raise MalformedLine(line_no, f"{what} level must be [price, qty]")
         price, qty = lvl
-        if not (isinstance(price, _NUMBER) and price > 0):
-            raise MalformedLine(line_no, f"{what} price must be > 0")
-        if not (isinstance(qty, _NUMBER) and qty >= 0):
-            raise MalformedLine(line_no, f"{what} qty must be >= 0")
+        if not (isinstance(price, _NUMBER) and 0 < price <= _FLOAT_MAX):
+            raise _out_of_range(line_no, f"{what} price", "> 0", price)
+        if not (isinstance(qty, _NUMBER) and 0 <= qty <= _FLOAT_MAX):
+            raise _out_of_range(line_no, f"{what} qty", ">= 0", qty)
         out.append((float(price), float(qty)))
     return tuple(out)
 
@@ -139,10 +128,10 @@ def parse_record(obj: dict, line_no: int = 0) -> MarketRecord:
 
     if kind == KIND_TRADE:
         price, qty, side = body.get("price"), body.get("qty"), body.get("side")
-        if not (isinstance(price, _NUMBER) and price > 0):
-            raise MalformedLine(line_no, "trade price must be > 0")
-        if not (isinstance(qty, _NUMBER) and qty > 0):
-            raise MalformedLine(line_no, "trade qty must be > 0")
+        if not (isinstance(price, _NUMBER) and 0 < price <= _FLOAT_MAX):
+            raise _out_of_range(line_no, "trade price", "> 0", price)
+        if not (isinstance(qty, _NUMBER) and 0 < qty <= _FLOAT_MAX):
+            raise _out_of_range(line_no, "trade qty", "> 0", qty)
         if side not in (SIDE_BUY, SIDE_SELL):
             raise MalformedLine(line_no, "trade side must be 'buy' or 'sell'")
         payload: Payload = TradePayload(float(price), float(qty), side)
@@ -153,10 +142,10 @@ def parse_record(obj: dict, line_no: int = 0) -> MarketRecord:
         )
     elif kind == KIND_TICKER:
         vals = []
-        for key in ("bid_price", "bid_qty", "ask_price", "ask_qty"):
+        for key in TickerPayload._fields:
             v = body.get(key)
-            if not (isinstance(v, _NUMBER) and v > 0):
-                raise MalformedLine(line_no, f"ticker {key} must be > 0")
+            if not (isinstance(v, _NUMBER) and 0 < v <= _FLOAT_MAX):
+                raise _out_of_range(line_no, f"ticker {key}", "> 0", v)
             vals.append(float(v))
         payload = TickerPayload(*vals)
     else:
@@ -177,19 +166,15 @@ def read_capture(path: str | Path) -> Iterator[MarketRecord]:
     Raises MalformedLine with the 1-based offending line number, also for a
     line that is not valid UTF-8; an empty file yields an empty stream.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from read_capture_lines(fh)
-        except UnicodeDecodeError:
-            # The reader decodes a block ahead of the lines it yields, so its error
-            # names no line: read again, keeping each bad byte as a lone surrogate.
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as again:
-                line_no = next((n for n, line in enumerate(again, start=1) if _UNDECODED.search(line)), 0)
-            raise MalformedLine(line_no, "not valid UTF-8") from None
+    # A byte that is not UTF-8 is kept as a lone surrogate, for its line to reject.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        yield from read_capture_lines(fh)
 
 
 def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
     for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() and _UNDECODED.search(line):
+            raise MalformedLine(line_no, "not valid UTF-8")
         stripped = line.strip()
         if not stripped:
             # A blank trailing line is tolerated; a blank interior line is not
@@ -199,6 +184,8 @@ def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal longer than int() converts
+            raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
         yield parse_record(obj, line_no)
 
 

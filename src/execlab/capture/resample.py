@@ -16,6 +16,7 @@ first).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -156,15 +157,12 @@ def _venue_frames(records: list[MarketRecord], grid: range) -> VenueFrames:
 def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = None) -> FrameSet:
     """Resample a local_ts-sorted record stream onto the fixed grid.
 
-    Raises UnsortedInput with the 0-based position of the first violation.
-    The venue universe is taken from `venues` or discovered from the stream
-    (which forces materializing it first).  Records of other venues still
-    extend the grid.
+    The order is checked as records arrive: UnsortedInput, with the 0-based
+    position of the first violation, is raised before any later record is
+    read.  The venues framed are `venues`, or every venue of the stream;
+    records of other venues still extend the grid.
     """
-    if venues is None:
-        records = list(records)
-        venues = sorted({r.venue for r in records})
-    by_venue: dict[str, list[MarketRecord]] = {v: [] for v in venues}
+    by_venue: defaultdict[str, list[MarketRecord]] = defaultdict(list)
     first_ts = last_ts = None
     for pos, rec in enumerate(records):
         ts = rec.local_ts
@@ -173,9 +171,9 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
         last_ts = ts
         if first_ts is None:
             first_ts = ts
-        group = by_venue.get(rec.venue)
-        if group is not None:
-            group.append(rec)
+        by_venue[rec.venue].append(rec)
+    if venues is None:
+        venues = sorted(by_venue)
     grid = range(0)  # grid indices, from the ceil of the first record's local_ts to the last's
     if last_ts is not None:
         grid = range(-(-first_ts // GRID_NS), -(-last_ts // GRID_NS) + 1)

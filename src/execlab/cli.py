@@ -76,8 +76,9 @@ class Run:
     """What `signals report`, `train` and `evaluate` share: the checked config,
     the output directory, the capture's frames and the files the command writes.
 
-    The output directory is created only once the config is valid; `finish`
-    writes the command's own manifest listing every path `output` handed out.
+    The output directory is created only once the config is valid and the
+    capture is read and holds the target venue; `finish` writes the command's
+    own manifest listing every path `output` handed out.
     """
 
     def __init__(self, args):
@@ -86,8 +87,6 @@ class Run:
         if getattr(args, "seed", None) is not None:  # train's and evaluate's --seed
             check_seed("--seed", args.seed)
             self.cfg.train.seed = self.cfg.evaluate.seed = args.seed
-        self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
-        _make_dir(self.out_dir)
         self.capture_path = _require_file(self.cfg.paths.capture, "capture")
         self.frames = resample(read_capture(self.capture_path))
         target = self.cfg.signals.target_venue
@@ -97,6 +96,8 @@ class Run:
                 f"(venues: {', '.join(self.frames.venue_names)})",
                 field="signals.target_venue",
             )
+        self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
+        _make_dir(self.out_dir)
         self.outputs: list[Path] = []
 
     def output(self, path: str | Path) -> Path:

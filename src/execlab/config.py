@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
@@ -130,15 +131,17 @@ class ExperimentConfig:
 
 def _admits(hint, value) -> bool:
     """Whether a value read from JSON fits a field annotation as it is: an int
-    field takes no bool, a float field also takes an int, a tuple field takes a
-    list, and `| None` also takes null."""
+    field takes no bool, a float field takes a finite float or an int, a tuple
+    field takes a list, and `| None` also takes null."""
     if isinstance(hint, UnionType):
         return any(_admits(h, value) for h in get_args(hint))
     if get_origin(hint) is tuple:
         return isinstance(value, list) and all(_admits(get_args(hint)[0], v) for v in value)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # NaN would pass every range check, as its comparisons are all false
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, hint)
 
 
 def _check_type(name: str, hint, value) -> None:
@@ -205,7 +208,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal longer than int() converts
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

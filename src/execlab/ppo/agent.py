@@ -18,6 +18,7 @@ finite differences (gradcheck.py).
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -337,18 +338,25 @@ def save_checkpoint(path: str | Path, params: PolicyParams, config: PpoConfig, m
         np.savez(fh, **arrays)
 
 
+# What reading a damaged archive or member raises: zipfile's errors (a bad
+# CRC, an encrypted member or an unsupported compression is a RuntimeError),
+# numpy's for a .npy header it cannot parse, and I/O errors.
+_UNREADABLE = (OSError, ValueError, EOFError, RuntimeError, SyntaxError, zipfile.BadZipFile, tokenize.TokenError)
+
+
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
     """(params, config, meta) from a file `save_checkpoint` wrote.
 
     Raises CheckpointError when the file is not an npz archive, lacks an
-    array or a header field, has another version, a header count that is not
-    a non-negative integer, a PPO config PpoConfig refuses or a meta that is
-    not an object, or holds a weight array whose shape does not fit the
-    network its header describes.
+    array or a header field, holds a member that cannot be read back, has
+    another version, a header count that is not a non-negative integer, a PPO
+    config PpoConfig refuses or a meta that is not an object, or holds a
+    weight array whose dtype or shape does not fit the network its header
+    describes.
     """
     try:
         data = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except _UNREADABLE as exc:
         raise CheckpointError(f"not an npz archive: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise CheckpointError("a single .npy array, not an npz archive")
@@ -357,7 +365,10 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
         def array(key: str) -> np.ndarray:
             if key not in data.files:
                 raise CheckpointError(f"no {key!r} array")
-            return data[key]
+            try:
+                return data[key]
+            except _UNREADABLE as exc:
+                raise CheckpointError(f"{key} cannot be read: {exc}") from exc
 
         try:
             header = json.loads(bytes(array("header_json")).decode("utf-8"))
@@ -383,6 +394,8 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
         for net_name, net in nets.items():
             for field_name, view in zip(FIELDS, net.arrays):
                 stored = array(f"{net_name}_{field_name}")
+                if stored.dtype != view.dtype:
+                    raise CheckpointError(f"{net_name}_{field_name} has dtype {stored.dtype}, not {view.dtype}")
                 if stored.shape != view.shape:
                     raise CheckpointError(
                         f"{net_name}_{field_name} has shape {stored.shape}, the header's "

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -208,6 +209,21 @@ for _key in ("bid_price", "bid_qty", "ask_price", "ask_qty"):
         (_line("ticker", {**GOOD_TICKER, _key: "1"}), f"ticker {_key} must be > 0"),
         (_line("ticker", {**GOOD_TICKER, _key: False}), f"ticker {_key} must be > 0"),
     ]
+# Numbers must be finite: NaN, the infinities, a literal such as 1e999 that
+# reads as one, and an integer past the largest float are rejected.
+INFINITE_LITERAL = _line(payload={**GOOD_TRADE, "qty": 7.5}).replace("7.5", "1e999")
+REJECTIONS += [
+    (_line(payload={**GOOD_TRADE, "price": math.inf}), "trade price must be finite"),
+    (_line(payload={**GOOD_TRADE, "price": math.nan}), "trade price must be finite"),
+    (_line(payload={**GOOD_TRADE, "price": 10**400}), "trade price must be finite"),
+    (_line(payload={**GOOD_TRADE, "qty": -math.inf}), "trade qty must be finite"),
+    (INFINITE_LITERAL, "trade qty must be finite"),
+    (_line("book_snapshot", {"bids": [[math.inf, 1.0]]}), "bids price must be finite"),
+    (_line("book_delta", {"asks": [[1.0, math.inf]]}), "asks qty must be finite"),
+    (_line("book_delta", {"asks": [[1.0, math.nan]]}), "asks qty must be finite"),
+    (_line("ticker", {**GOOD_TICKER, "bid_qty": math.inf}), "ticker bid_qty must be finite"),
+    (_line("ticker", {**GOOD_TICKER, "ask_price": math.nan}), "ticker ask_price must be finite"),
+]
 # Ticker fields are checked in wire order.
 REJECTIONS.append((_line("ticker", {"bid_price": 1.0, "bid_qty": 0, "ask_price": 0}), "ticker bid_qty must be > 0"))
 
@@ -253,8 +269,5 @@ def test_accepted_edge_values():
     assert rec.payload == BookPayload()
     (rec,) = read_capture_lines([_line("book_snapshot", {"bids": [], "asks": [[1e300, 0]]})])
     assert rec.payload == BookPayload(bids=(), asks=((1e300, 0.0),))
-    (rec,) = read_capture_lines(['{"venue":"v","kind":"trade","local_ts":1,"payload":{"price":Infinity,"qty":1,"side":"buy"}}'])
-    assert rec.payload.price == float("inf")
-    with pytest.raises(MalformedLine) as exc:
-        list(read_capture_lines(['{"venue":"v","kind":"trade","local_ts":1,"payload":{"price":NaN,"qty":1,"side":"buy"}}']))
-    assert exc.value.reason == "trade price must be > 0"
+    (rec,) = read_capture_lines([_line("ticker", {**GOOD_TICKER, "ask_price": 10**300})])
+    assert rec.payload.ask_price == 1e300

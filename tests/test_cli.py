@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -115,7 +116,8 @@ def test_invalid_synth_section_rejected_at_load():
         ({"synth_duration_s": -5}, "synth_duration_s"),
         ({"evaluate": {"heatmap_episodes": -5}}, "evaluate.heatmap_episodes"),
         ({"evaluate": {"trace_episodes": -1}}, "evaluate.trace_episodes"),
-        ({"problem": {"horizon_s": float("inf")}}, "problem"),
+        # rejected by its type, as a number field takes only a finite value
+        ({"problem": {"horizon_s": float("inf")}}, "problem.horizon_s"),
     ],
 )
 def test_bad_value_rejected_at_load(raw, field):
@@ -421,6 +423,10 @@ def test_cli_invalid_synth_exit_code(tmp_path, capsys):
         ({"synth_duration_s": -5}, "synth_duration_s"),
         ({"evaluate": {"heatmap_episodes": -5}}, "evaluate.heatmap_episodes"),
         ({"evaluate": {"trace_episodes": -1}}, "evaluate.trace_episodes"),
+        # NaN passes every range check, so a number field takes only a finite value.
+        ({"synth": {"vol": float("nan")}}, "synth.vol"),
+        ({"problem": {"fee_rate": float("inf")}}, "problem.fee_rate"),
+        ({"synth": {"basis": [0.0, float("-inf"), 0.0]}}, "synth.basis"),
     ],
 )
 def test_cli_synth_gen_rejects_out_of_range_values(tmp_path, capsys, override, field):
@@ -526,6 +532,8 @@ def edit_header(change):
         (edit_header(lambda header: header.update(version=99)), "unsupported checkpoint version 99"),
         (edit_header(lambda header: header.pop("n_inputs")), "header_json has no 'n_inputs'"),
         (lambda arrays: arrays.update(actor_w1=np.zeros((4, 64))), "actor_w1 has shape (4, 64)"),
+        # another dtype: a flipped byte in a .npy header ("<f2") gives one without a CRC check
+        (lambda arrays: arrays.update(actor_w1=arrays["actor_w1"].view(">f8")), "actor_w1 has dtype >f8, not float64"),
         ("not a checkpoint\n", "not an npz archive"),
         (np.zeros(3), "not an npz archive"),
         (edit_header(lambda header: header["config"].update(nope=1)), "header_json config: "),
@@ -534,7 +542,7 @@ def edit_header(change):
         (edit_header(lambda header: header.update(n_inputs="7")), "header_json n_inputs is not"),
     ],
     ids=[
-        "no-header", "no-weight", "no-adam", "version", "no-header-field", "shape", "text", "npy",
+        "no-header", "no-weight", "no-adam", "version", "no-header-field", "shape", "dtype", "text", "npy",
         "config-key", "config-value", "meta", "n-inputs-type",
     ],
 )
@@ -561,6 +569,30 @@ def test_cli_unreadable_checkpoint_exit_code(pipeline, tmp_path, capsys, damage,
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigParse: paths.checkpoint_cross: ") and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+
+@pytest.mark.parametrize(
+    "offset, message",
+    [(200, "Bad CRC-32 for file 'actor_w2.npy'"), (11, "Cannot parse header")],
+    ids=["weight-byte", "npy-header"],
+)
+def test_cli_corrupt_checkpoint_member_exit_code(pipeline, tmp_path, capsys, offset, message):
+    _, _, capture = pipeline
+    ckpt = tmp_path / "cross.npz"
+    save_checkpoint(ckpt, PolicyParams.init(np.random.default_rng(0), 7, 51), PpoConfig())
+    raw = bytearray(ckpt.read_bytes())
+    # A member larger than zipfile's 4 KiB read-ahead has its .npy header parsed before its CRC is checked.
+    npy = raw.index(b"\x93NUMPY", raw.index(b"actor_w2.npy"))  # the member's .npy magic, after its zip header
+    raw[npy + offset] ^= 0xFF  # a weight byte, or the quote that opens the header dict's first key
+    ckpt.write_bytes(bytes(raw))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(tmp_path / "out"), "checkpoint_cross": str(ckpt)},
+    )
+    code, err = run_cli(["evaluate", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith("error: ConfigParse: paths.checkpoint_cross: actor_w2 cannot be read: ")
+    assert message in err
     assert not (tmp_path / "out" / "comparison.json").exists()
 
 
@@ -611,6 +643,52 @@ def test_cli_capture_not_utf8(pipeline, tmp_path, capsys, command):
     code, err = run_cli(argv, capsys)
     assert (code, err) == (1, f"error: MalformedLine: line {line}: not valid UTF-8\n")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        # a bad byte after a bad line: the bad line is the one reported
+        ([b"{bad json", b"\xff"], "MalformedLine: line 2: invalid JSON: "),
+        # a record out of order, then a line that does not parse: the order is checked first
+        ([b"EARLIER", b"not json"], "UnsortedInput: records not sorted by local_ts at position 1\n"),
+        # an integer literal too long for int() is no JSON number
+        ([b'{"local_ts": 1' + b"0" * 5000 + b"}"], "MalformedLine: line 2: invalid JSON: "),
+    ],
+    ids=["bad-line-then-bad-byte", "unsorted-then-bad-line", "overlong-integer"],
+)
+def test_cli_first_fault_in_the_capture_is_reported(pipeline, tmp_path, capsys, lines, expected):
+    _, _, capture = pipeline
+    good = capture.read_bytes().splitlines()[0]
+    earlier = good.replace(b'"local_ts":', b'"local_ts":-1', 1)
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(b"\n".join([good, *lines]).replace(b"EARLIER", earlier) + b"\n")
+    code, err = run_cli(["capture", "resample", str(bad), str(tmp_path / "out.csv")], capsys)
+    assert code == 1 and err.startswith("error: " + expected)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "capture, expected",
+    [("missing", (3, "error: MissingInput: ")), ("malformed", (1, "error: MalformedLine: "))],
+    ids=["missing", "malformed"],
+)
+def test_cli_input_error_leaves_no_output_dir(pipeline, tmp_path, capsys, capture, expected):
+    bad = tmp_path / "market.ndjson"
+    if capture == "malformed":
+        bad.write_bytes(pipeline[2].read_bytes()[:-20])  # chop into the last record
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(bad), "out_dir": str(out)})
+    code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert code == expected[0] and err.startswith(expected[1])
+    assert not out.exists()
+
+
+def test_cli_config_with_overlong_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"version": 1, "seed": 1' + "0" * 5000 + "}")
+    code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert code == 2 and err.startswith("error: ConfigParse: config is not valid JSON: ")
 
 
 def test_cli_config_not_utf8(tmp_path, capsys):
@@ -787,3 +865,109 @@ def test_readme_config_example_names_every_field():
     sections = {name: value for name, value in raw.items() if isinstance(value, dict)}
     named = set(raw) | {f"{name}.{key}" for name, section in sections.items() for key in section}
     assert named == {name for name, _ in config_fields()}
+
+
+# -- fuzzing the bytes -----------------------------------------------------------
+
+EXIT_CODES = {"ConfigParse": 2, "MissingInput": 3}  # every other kind exits 1
+
+
+def assert_clean_exit(argv):
+    """Run the CLI in-process: it exits 0, or prints one `error: <Kind>: ` line
+    and exits with that kind's code; it never raises."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    err = stderr.getvalue()
+    if code != 0:
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert code == EXIT_CODES.get(err.split(":")[1].strip(), 1), err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 6 s synth capture, a config that trains on it with no update, and the
+    checkpoint that config's `train` writes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    capture, ckpt = root / "market.ndjson", root / "ppo_cross.npz"
+    cfg = write_config(
+        root / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(root / "out"), "checkpoint_cross": str(ckpt)},
+        synth_duration_s=6.0,
+        problem={"horizon_s": 2.0, "n_decisions": 10},
+        train={"updates": 0},
+        evaluate={"episodes": 2, "heatmap_episodes": 2},
+    )
+    assert main(["synth", "gen", "--config", str(cfg), "--out", str(capture)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    return capture.read_bytes(), json.loads(cfg.read_text()), ckpt.read_bytes()
+
+
+def blank_field(line: bytes, key: str) -> bytes:
+    """The record with `key`, at the top level or in the payload, set to ""."""
+    obj = json.loads(line)
+    owner = obj if key in obj else obj["payload"]
+    owner[key] = ""
+    return json.dumps(obj, separators=(",", ":")).encode()
+
+
+def mutate_capture(data: bytes, draw) -> bytes:
+    lines = data.split(b"\n")[:-1]
+    what = draw(st.sampled_from(["truncate", "flip", "bad utf-8", "swap", "repeat", "blank"]))
+    if what == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if what == "flip":
+        out = bytearray(data)
+        for pos in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=4)):
+            out[pos] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if what == "bad utf-8":
+        pos = draw(st.integers(0, len(data)))
+        return data[:pos] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80"])) + data[pos:]
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    if what == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif what == "repeat":
+        lines.insert(j, lines[i])
+    else:
+        keys = ["venue", "kind", "local_ts", "exch_ts", "payload"] + list(json.loads(lines[i])["payload"])
+        lines[i] = blank_field(lines[i], draw(st.sampled_from(keys)))
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_capture_never_raises(small_run, data):
+    capture_bytes, cfg, _ = small_run
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        capture = root / "market.ndjson"
+        capture.write_bytes(mutate_capture(capture_bytes, data.draw))
+        paths = {"capture": str(capture), "out_dir": str(root / "out")}
+        (root / "cfg.json").write_text(json.dumps({**cfg, "paths": paths}))
+        assert_clean_exit(["capture", "resample", str(capture), str(root / "frames.csv")])
+        assert_clean_exit(["capture", "align", str(capture), str(root / "clock.json")])
+        assert_clean_exit(["train", "--config", str(root / "cfg.json")])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_never_raises(small_run, data):
+    _, cfg, ckpt_bytes = small_run
+    if data.draw(st.booleans()):
+        damaged = ckpt_bytes[: data.draw(st.integers(0, len(ckpt_bytes) - 1))]
+    else:
+        with zipfile.ZipFile(io.BytesIO(ckpt_bytes)) as archive:
+            member = data.draw(st.sampled_from(archive.infolist()))
+        npy = ckpt_bytes.index(b"\x93NUMPY", member.header_offset)  # where the member's data starts
+        out = bytearray(ckpt_bytes)
+        for pos in data.draw(st.lists(st.integers(npy, npy + member.compress_size - 1), min_size=1, max_size=3)):
+            out[pos] ^= data.draw(st.integers(1, 255))
+        damaged = bytes(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ckpt = root / "ppo_cross.npz"
+        ckpt.write_bytes(damaged)
+        paths = {**cfg["paths"], "checkpoint_cross": str(ckpt), "out_dir": str(root / "out")}
+        (root / "cfg.json").write_text(json.dumps({**cfg, "paths": paths}))
+        assert_clean_exit(["evaluate", "--config", str(root / "cfg.json")])

@@ -41,24 +41,31 @@ def test_traced_cli_runs_open_their_spans(tmp_path):
     # A traced benchmark run calls the patched names with the arguments the
     # CLI passes today; a signature change that breaks one shows up here as a
     # failing command or a span that never opens.
-    from execlab.synth import SynthConfig, generate
-
     capture = tmp_path / "market.ndjson"
-    generate(SynthConfig(seed=3), 20.0, capture)
+    out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(
             {
                 "version": 1,
-                "paths": {"capture": str(capture), "out_dir": str(tmp_path / "out")},
+                "paths": {"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(out / "ppo.npz")},
+                "synth": {"seed": 3},
+                "synth_duration_s": 20.0,
+                "problem": {"horizon_s": 2.0, "n_decisions": 10},
+                "ppo": {"rollout_steps": 64, "minibatch_size": 32, "update_epochs": 1},
                 "signals": {"target_venue": "v1", "horizons_ms": [100, 500], "window_ms": 5000},
+                "train": {"updates": 1},
+                "evaluate": {"episodes": 2, "heatmap_episodes": 2, "trace_episodes": 0},
             }
         )
     )
-    commands = {
+    commands = {  # in order: each command reads what the ones before it wrote
+        "synth": ["synth", "gen", "--config", str(cfg), "--out", str(capture)],
         "align": ["capture", "align", str(capture), str(tmp_path / "clock.json")],
         "resample": ["capture", "resample", str(capture), str(tmp_path / "frames.csv")],
         "report": ["signals", "report", "--config", str(cfg)],
+        "train": ["train", "--config", str(cfg)],
+        "evaluate": ["evaluate", "--config", str(cfg)],
     }
     names = set()
     for run_id, args in commands.items():
@@ -71,4 +78,13 @@ def test_traced_cli_runs_open_their_spans(tmp_path):
         with open(stats.with_suffix(".spans.jsonl"), encoding="utf-8") as fh:
             next(fh)  # counters
             names |= {json.loads(line)["name"] for line in fh}
-    assert {"capture.clock", "capture.book.apply_snapshot", "signals.horizon_report"} <= names
+    assert {
+        "synth.generate",
+        "capture.clock",
+        "capture.book.apply_snapshot",
+        "signals.horizon_report",
+        "ppo.trainer.train_policy",
+        "ppo.trainer.update",
+        "evalkit.compare",
+        "evalkit.heatmap",
+    } <= names
