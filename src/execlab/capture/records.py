@@ -5,8 +5,9 @@ Wire format (one record per line, keys in this order):
     {"venue": str, "kind": str, "local_ts": int, "exch_ts": int?, "payload": {...}}
 
 Timestamps are integer nanoseconds on the collector clock (``local_ts``) and,
-when the venue reported one, on the venue clock (``exch_ts``).  Payload bodies
-by kind:
+when the venue reported one, on the venue clock (``exch_ts``), within
+[TS_MIN, TS_MAX], so that a timestamp and its 10 ms grid time both fit int64.
+Payload bodies by kind:
 
     trade          {"price": float, "qty": float, "side": "buy"|"sell"}
     book_snapshot  {"bids": [[price, qty], ...], "asks": [[price, qty], ...]}
@@ -38,6 +39,12 @@ KINDS = (KIND_TRADE, KIND_BOOK_SNAPSHOT, KIND_BOOK_DELTA, KIND_TICKER)
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
+
+GRID_NS = 10_000_000  # 10ms, the resampling grid step
+# A timestamp's grid time, ceil(ts / GRID_NS) * GRID_NS, lies in [ts, TS_MAX]
+# for every ts in this range, the int64 range cut at its last grid point.
+TS_MIN = -(2**63)
+TS_MAX = (2**63 - 1) // GRID_NS * GRID_NS
 
 
 class TradePayload(NamedTuple):
@@ -89,6 +96,13 @@ def _out_of_range(line_no: int, what: str, rule: str, value) -> MalformedLine:
     return MalformedLine(line_no, f"{what} must be {rule if finite else 'finite'}")
 
 
+def _bad_ts(line_no: int, what: str, value) -> MalformedLine:
+    """The rejection of a timestamp that is no integer or out of range."""
+    if not isinstance(value, int):
+        return MalformedLine(line_no, f"{what} must be an integer")
+    return MalformedLine(line_no, f"{what} must lie in [{TS_MIN}, {TS_MAX}]")
+
+
 def _parse_levels(raw, line_no: int, what: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list):
         raise MalformedLine(line_no, f"{what} must be a list")
@@ -118,11 +132,11 @@ def parse_record(obj: dict, line_no: int = 0) -> MarketRecord:
         raise MalformedLine(line_no, f"missing field {missing!r}") from None
     if not (isinstance(venue, str) and venue != ""):
         raise MalformedLine(line_no, "venue must be a nonempty string")
-    if not isinstance(local_ts, int):
-        raise MalformedLine(line_no, "local_ts must be an integer")
+    if not (isinstance(local_ts, int) and TS_MIN <= local_ts <= TS_MAX):
+        raise _bad_ts(line_no, "local_ts", local_ts)
     exch_ts = obj.get("exch_ts")
-    if not (exch_ts is None or isinstance(exch_ts, int)):
-        raise MalformedLine(line_no, "exch_ts must be an integer")
+    if not (exch_ts is None or (isinstance(exch_ts, int) and TS_MIN <= exch_ts <= TS_MAX)):
+        raise _bad_ts(line_no, "exch_ts", exch_ts)
     if not isinstance(body, dict):
         raise MalformedLine(line_no, "payload must be an object")
 

@@ -26,6 +26,7 @@ import numpy as np
 from ..errors import CrossedTicker, UnsortedInput, open_output
 from .book import BOOK_DEPTH, LocalBook, apply_delta, apply_snapshot, merge_ticker
 from .records import (
+    GRID_NS,
     KIND_BOOK_DELTA,
     KIND_BOOK_SNAPSHOT,
     KIND_TICKER,
@@ -33,8 +34,6 @@ from .records import (
     SIDE_BUY,
     MarketRecord,
 )
-
-GRID_NS = 10_000_000  # 10ms
 
 CSV_COLUMNS = (
     ["grid_ts", "venue", "present", "best_bid", "best_ask", "mid", "buy_volume", "sell_volume"]

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .capture.resample import FrameSet
 from .env import EpisodeTrace, ExecutionEnv, ProblemSpec, States, run_episodes
@@ -90,7 +91,7 @@ class SampledPolicy(GreedyPolicy):
 
     def __init__(self, params: PolicyParams, seed: int = 0):
         super().__init__(params)
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self._draws = np.empty((0, 0))
 
     def __call__(self, states: States) -> np.ndarray:
@@ -106,7 +107,7 @@ class RandomPolicy:
     """Uniform over legal actions; useful as an arbitrary-policy oracle."""
 
     def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
 
     def __call__(self, states: States) -> np.ndarray:
         return self.rng.integers(0, states.inventory + 1)
@@ -212,7 +213,7 @@ def compare(
         name: ExecutionEnv(frames, spec, arm.features, target_venue)
         for name, arm in arms.items()
     }
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     starts = next(iter(envs.values())).sample_starts(n_episodes, rng)
     p0 = frames.venues[target_venue].best_bid[starts]
 
@@ -300,7 +301,7 @@ def action_heatmap(
     are reported as missing.
     """
     env = ExecutionEnv(frames, spec, features, target_venue)
-    starts = env.sample_starts(n_episodes, np.random.default_rng(seed))
+    starts = env.sample_starts(n_episodes, default_rng(seed))
     sig_idx = env.feature_names.index(signal_name)
     sigma = float(np.nanstd(features[signal_name]))
     expected = getattr(policy, "expected_action", None)

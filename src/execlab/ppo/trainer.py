@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..capture.resample import FrameSet
 from ..env import ExecutionEnv, ProblemSpec, policy_dims
@@ -99,7 +100,7 @@ def train_policy(
     sell-by-the-deadline behavior would otherwise decay once the policy stops
     visiting them.  Evaluation always runs full episodes.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     params = PolicyParams.init(rng, *policy_dims(spec, features))
 
     episodes_per_rollout = max(1, config.rollout_steps // spec.n_decisions)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .capture.resample import GRID_NS, FrameSet
 from .errors import DegenerateXError, TooFewPointsError
@@ -35,22 +34,41 @@ def horizon_steps(horizon_ms: int) -> int:
     return ns // GRID_NS
 
 
+def _trailing_min(x: np.ndarray, window: int) -> np.ndarray:
+    """Minimum over the trailing `window` points including t, expanding
+    during warmup, in two cumulative passes (van Herk 1992; Gil and Werman
+    1993).
+
+    The series is front-padded with `window - 1` cells of +inf and cut into
+    blocks of `window`; any window of that length spans at most two blocks,
+    so its minimum is the smaller of the suffix minimum from its first cell
+    within that cell's block and the prefix minimum up to its last.  +0.0
+    and -0.0 compare equal, so when a window holds both, which of them is
+    returned is unspecified.
+    """
+    n = len(x)
+    pad = window - 1
+    n_blocks = -(-(n + pad) // window)
+    buf = np.full(n_blocks * window, np.inf)
+    buf[pad : pad + n] = x
+    blocks = buf.reshape(n_blocks, window)
+    prefix = np.minimum.accumulate(blocks, axis=1).ravel()
+    suffix = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.minimum(suffix[:n], prefix[pad : pad + n])
+
+
 def trailing_min_max(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-window (inclusive of t, expanding during warmup) min and max.
 
-    NaNs are skipped inside the window; output is NaN where x itself is NaN.
+    Non-finite values are skipped inside the window; output is NaN where x
+    itself is not finite.  The sign of a zero extremum is unspecified when
+    the window holds both +0.0 and -0.0 (see `_trailing_min`).
     """
     bad = ~np.isfinite(x)
-    lo_in = np.where(bad, np.inf, x)
-    hi_in = np.where(bad, -np.inf, x)
-    # Positive origin shifts the filter window left, making it trailing:
-    # [t - window + 1, t]; 'nearest' edge padding turns the warmup into an
-    # expanding window because padded entries replicate x[0].
-    origin = (window - 1) // 2
-    lo = minimum_filter1d(lo_in, size=window, mode="nearest", origin=origin)
-    hi = maximum_filter1d(hi_in, size=window, mode="nearest", origin=origin)
-    lo = np.where(bad, np.nan, lo)
-    hi = np.where(bad, np.nan, hi)
+    lo = _trailing_min(np.where(bad, np.inf, x), window)
+    hi = -_trailing_min(np.where(bad, np.inf, -x), window)
+    lo[bad] = np.nan
+    hi[bad] = np.nan
     return lo, hi
 
 

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.random import default_rng
 
 from .capture.records import (
     KIND_BOOK_SNAPSHOT,
@@ -136,7 +137,7 @@ def _ou_path(rng: np.random.Generator, n: int, tau_steps: float, stat_std: float
 
 
 def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     n = n_steps
     z = rng.standard_normal(n)
     drift = _ou_path(rng, n, config.drift_tau_s * _STEPS_PER_S, config.drift_vol)

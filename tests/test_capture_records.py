@@ -12,12 +12,15 @@ from execlab.capture import (
     write_capture,
 )
 from execlab.capture.records import (
+    TS_MAX,
+    TS_MIN,
     BookPayload,
     parse_record,
     read_capture_lines,
     record_to_line,
     write_capture_lines,
 )
+from execlab.capture.resample import GRID_NS, resample
 from execlab.errors import MalformedLine, UnknownKind
 
 
@@ -159,6 +162,12 @@ REJECTIONS = [
     (_line(local_ts=None), "local_ts must be an integer"),
     (_line(exch_ts=1.5), "exch_ts must be an integer"),
     (_line(exch_ts="4"), "exch_ts must be an integer"),
+    # a timestamp and its 10 ms grid time must both fit int64
+    (_line(local_ts=TS_MAX + 1), f"local_ts must lie in [{TS_MIN}, {TS_MAX}]"),
+    (_line(local_ts=TS_MIN - 1), f"local_ts must lie in [{TS_MIN}, {TS_MAX}]"),
+    (_line(local_ts=10**20), f"local_ts must lie in [{TS_MIN}, {TS_MAX}]"),
+    (_line(exch_ts=TS_MAX + 1), f"exch_ts must lie in [{TS_MIN}, {TS_MAX}]"),
+    (_line(exch_ts=-(10**20)), f"exch_ts must lie in [{TS_MIN}, {TS_MAX}]"),
     (_line(payload=[1.0]), "payload must be an object"),
     (_line(payload="x"), "payload must be an object"),
     # Checks run in order: venue, local_ts, exch_ts, payload, then the body.
@@ -231,6 +240,13 @@ REJECTIONS.append((_line("ticker", {"bid_price": 1.0, "bid_qty": 0, "ask_price":
 @pytest.mark.parametrize("line, reason", REJECTIONS)
 def test_every_rejection_reason_and_line(line, reason):
     assert _rejection(line) == (3, reason)
+
+
+@pytest.mark.parametrize("ts", [TS_MIN, TS_MAX])
+def test_extreme_timestamps_resample_to_their_grid_time(ts):
+    (rec,) = read_capture_lines([_line(local_ts=ts, exch_ts=ts)])
+    assert (rec.local_ts, rec.exch_ts) == (ts, ts)
+    assert resample([rec]).grid_ts.tolist() == [-(-ts // GRID_NS) * GRID_NS]
 
 
 def test_parse_record_rejects_non_object_directly():

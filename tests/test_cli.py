@@ -669,6 +669,27 @@ def test_cli_first_fault_in_the_capture_is_reported(pipeline, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "command, field",
+    [(["capture", "resample"], "local_ts"), (["capture", "align"], "exch_ts")],
+    ids=["resample-local_ts", "align-exch_ts"],
+)
+def test_cli_timestamp_past_int64_grid_rejected(pipeline, tmp_path, capsys, command, field):
+    # 1e20 ns used to wrap grid_ts silently (resample) or overflow a clock knot (align)
+    good = pipeline[2].read_bytes().splitlines()[0]
+    record = json.loads(good)
+    record[field] = 10**20
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(good + b"\n" + json.dumps(record).encode() + b"\n")
+    code, err = run_cli(command + [str(bad), str(tmp_path / "out")], capsys)
+    assert (code, err) == (
+        1,
+        f"error: MalformedLine: line 2: {field} must lie in "
+        "[-9223372036854775808, 9223372036850000000]\n",
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "capture, expected",
     [("missing", (3, "error: MissingInput: ")), ("malformed", (1, "error: MalformedLine: "))],
     ids=["missing", "malformed"],

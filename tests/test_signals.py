@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from execlab.capture.resample import GRID_NS, FrameSet, VenueFrames
 from execlab.errors import DegenerateXError, TooFewPointsError
@@ -91,6 +92,73 @@ def test_trailing_extrema_match_bruteforce(vals, window):
     blo, bhi = brute_trailing_min_max(x, window)
     assert np.allclose(lo, blo, equal_nan=True)
     assert np.allclose(hi, bhi, equal_nan=True)
+
+
+def ndimage_trailing_min_max(x, window):
+    """The scipy.ndimage version that `trailing_min_max` replaced, kept as
+    its reference."""
+    bad = ~np.isfinite(x)
+    lo_in = np.where(bad, np.inf, x)
+    hi_in = np.where(bad, -np.inf, x)
+    # Positive origin shifts the filter window left, making it trailing:
+    # [t - window + 1, t]; 'nearest' edge padding turns the warmup into an
+    # expanding window because padded entries replicate x[0].
+    origin = (window - 1) // 2
+    lo = minimum_filter1d(lo_in, size=window, mode="nearest", origin=origin)
+    hi = maximum_filter1d(hi_in, size=window, mode="nearest", origin=origin)
+    lo = np.where(bad, np.nan, lo)
+    hi = np.where(bad, np.nan, hi)
+    return lo, hi
+
+
+FLOAT_MAX = np.finfo(np.float64).max
+SPECIAL_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, FLOAT_MAX, -FLOAT_MAX])
+
+
+@st.composite
+def extrema_series(draw):
+    """Runs of one value (NaN, +-inf, signed zeros, +-float max, ties)
+    between seeded random stretches at several scales, some rounded to make
+    ties and -0.0."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 400))
+        if draw(st.booleans()):
+            pieces.append(np.full(n, draw(SPECIAL_VALUES | st.floats(-1e3, 1e3))))
+            continue
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        piece = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e6, 1e300])), size=n)
+        pieces.append(np.round(piece) if draw(st.booleans()) else piece)
+    return np.concatenate(pieces)
+
+
+def mixed_zeros(x):
+    zeros = x[x == 0]
+    return bool(np.signbit(zeros).any() and not np.signbit(zeros).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(extrema_series(), st.data())
+def test_trailing_extrema_match_ndimage_bit_for_bit(x, data):
+    window = data.draw(st.one_of(st.just(1), st.integers(2, 50), st.integers(1, 2 * len(x))))
+    got = trailing_min_max(x, window)
+    ref = ndimage_trailing_min_max(x, window)
+    for g, r in zip(got, ref):
+        if mixed_zeros(x):
+            # +0.0 == -0.0: which one a window holding both yields is unspecified
+            assert np.array_equal(g, r, equal_nan=True)
+        else:
+            assert np.array_equal(g.view(np.int64), r.view(np.int64))
+
+
+def test_trailing_extrema_of_mixed_zeros_compare_equal():
+    x = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0])
+    lo, hi = trailing_min_max(x, 3)
+    assert lo.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, -1.0]
+    assert hi.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+    # the only caller passes |x|, which holds no -0.0, so its bits are fixed
+    lo_abs, hi_abs = trailing_min_max(np.abs(x), 3)
+    assert not np.signbit(lo_abs).any() and not np.signbit(hi_abs).any()
 
 
 @settings(max_examples=80, deadline=None)
