@@ -101,10 +101,12 @@ def masked_probs(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Softmax over legal actions; masked entries get probability exactly 0."""
     if not masks.any(axis=-1).all():
         raise AllMaskedError("a state admits no legal action")
-    shifted = np.where(masks, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    expd = np.where(masks, np.exp(shifted), 0.0)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    probs = np.where(masks, logits, -np.inf)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs, where=masks)  # exp(-inf) is slow, and zeroed next
+    np.copyto(probs, 0.0, where=~masks)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def policy_forward(
@@ -145,16 +147,20 @@ def gae(
     are the (discount * lam)-weighted suffix sums of the deltas, and targets
     are advantages + values.  The value after a terminal step is 0.
     """
-    n = len(rewards)
-    advantages = np.zeros(n)
+    # Python floats are IEEE doubles: the loop rounds as numpy scalars would.
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
+    n = len(r)
+    decay = discount * lam
+    advantages = [0.0] * n
     running = 0.0
     for t in range(n - 1, -1, -1):
-        nonterminal = 0.0 if dones[t] else 1.0
-        next_value = values[t + 1] if t + 1 < n else 0.0
-        delta = rewards[t] + discount * next_value * nonterminal - values[t]
-        running = delta + discount * lam * nonterminal * running
+        nonterminal = 0.0 if d[t] else 1.0
+        next_value = v[t + 1] if t + 1 < n else 0.0
+        delta = r[t] + discount * next_value * nonterminal - v[t]
+        running = delta + decay * nonterminal * running
         advantages[t] = running
-    return advantages, advantages + values
+    adv = np.array(advantages, dtype=np.float64)
+    return adv, adv + values
 
 
 @dataclass
@@ -192,10 +198,13 @@ def ppo_loss(
     params: PolicyParams,
     batch: dict[str, np.ndarray],
     config: PpoConfig,
+    *,
+    out: tuple[MlpParams, MlpParams] | None = None,
 ) -> tuple[LossStats, MlpParams, MlpParams]:
     """Loss statistics and analytic gradients for one minibatch.
 
-    Returns (stats, actor gradients, critic gradients).  Raises
+    Returns (stats, actor gradients, critic gradients); the gradients are
+    written into `out`'s (actor, critic) pair when given.  Raises
     NonFiniteLossError when the loss stops being finite.
     """
     states = batch["states"]
@@ -220,8 +229,10 @@ def ppo_loss(
     clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
     objective = np.minimum(unclipped, clipped)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+    # log(probs) once, 0 where a probability is not positive; numpy's log(0)
+    # is slow, so it is not evaluated at all
+    logp_full = np.log(probs, out=np.zeros_like(probs), where=probs > 0)
+    plogp = probs * logp_full
     entropy = -plogp.sum(axis=-1)
 
     value_err = values - targets
@@ -236,18 +247,24 @@ def ppo_loss(
     # where the unclipped branch attains the minimum.
     active = (unclipped <= clipped).astype(float)
     coef = active * ratio * adv  # d objective / d logp(a)
-    one_hot = np.zeros_like(probs)
-    one_hot[rows, actions] = 1.0
-    grad_logits = -(coef[:, None] * (one_hot - probs)) / n
+    # one_hot - probs: 0.0 - p rounds (and signs zeros) as the one-hot would
+    grad_logits = np.subtract(0.0, probs)
+    grad_logits[rows, actions] += 1.0
+    grad_logits *= coef[:, None]
+    np.negative(grad_logits, out=grad_logits)
+    grad_logits /= n
     # Entropy term: dH/dz_k = -p_k (log p_k + H); loss carries -entropy_coef * H.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp_full = np.where(probs > 0, np.log(probs), 0.0)
-    grad_logits += config.entropy_coef * probs * (logp_full + entropy[:, None]) / n
-    grad_logits = np.where(masks, grad_logits, 0.0)
-    actor_grads = mlp_backward(params.actor, actor_cache, grad_logits)
+    logp_full += entropy[:, None]
+    ent_term = np.multiply(probs, config.entropy_coef, out=plogp)
+    ent_term *= logp_full
+    ent_term /= n
+    grad_logits += ent_term
+    np.copyto(grad_logits, 0.0, where=~masks)
+    actor_out, critic_out = out if out is not None else (None, None)
+    actor_grads = mlp_backward(params.actor, actor_cache, grad_logits, out=actor_out)
 
     grad_value = (config.value_coef * 2.0 * value_err / n)[:, None]
-    critic_grads = mlp_backward(params.critic, critic_cache, grad_value)
+    critic_grads = mlp_backward(params.critic, critic_cache, grad_value, out=critic_out)
 
     if not (np.isfinite(actor_grads.flat).all() and np.isfinite(critic_grads.flat).all()):
         raise NonFiniteLossError("non-finite gradient")
@@ -282,21 +299,21 @@ def update(
         buffer.finalize(config)
     n = len(buffer)
     stats_acc: dict[str, list[float]] = {f.name: [] for f in fields(LossStats)}
+    # ppo_loss writes every minibatch's gradients into these two
+    grads = (MlpParams(params.n_inputs, params.n_actions), MlpParams(params.n_inputs, 1))
     for _ in range(config.update_epochs):
         order = rng.permutation(n)
+        # one gather per epoch; minibatches are slices of the shuffled arrays
+        shuffled = {
+            key: getattr(buffer, key)[order]
+            for key in ("states", "actions", "masks", "log_probs", "advantages", "value_targets")
+        }
         for lo in range(0, n, config.minibatch_size):
-            idx = order[lo : lo + config.minibatch_size]
-            if len(idx) < 2:
+            hi = min(lo + config.minibatch_size, n)
+            if hi - lo < 2:
                 continue
-            batch = {
-                "states": buffer.states[idx],
-                "actions": buffer.actions[idx],
-                "masks": buffer.masks[idx],
-                "log_probs": buffer.log_probs[idx],
-                "advantages": buffer.advantages[idx],
-                "value_targets": buffer.value_targets[idx],
-            }
-            stats, actor_grads, critic_grads = ppo_loss(params, batch, config)
+            batch = {key: column[lo:hi] for key, column in shuffled.items()}
+            stats, actor_grads, critic_grads = ppo_loss(params, batch, config, out=grads)
             if config.max_grad_norm > 0:
                 _clip_grad_norm(actor_grads, config.max_grad_norm)
                 _clip_grad_norm(critic_grads, config.max_grad_norm)

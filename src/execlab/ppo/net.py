@@ -63,22 +63,37 @@ class ForwardCache:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> ForwardCache:
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    out = h2 @ params.w3 + params.b3
+    # bias and tanh in place: the same bits as tanh(x @ w + b)
+    h1 = x @ params.w1
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ params.w2
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    out = h2 @ params.w3
+    out += params.b3
     return ForwardCache(x=x, h1=h1, h2=h2, out=out)
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache, grad_out: np.ndarray) -> MlpParams:
-    """Gradients of a scalar loss given dL/d(out); returns an MlpParams of grads."""
-    grads = MlpParams(params.n_in, params.n_out, np.empty(params.size))
+def mlp_backward(
+    params: MlpParams, cache: ForwardCache, grad_out: np.ndarray, *, out: MlpParams | None = None
+) -> MlpParams:
+    """Gradients of a scalar loss given dL/d(out), written into `out` (a fresh
+    MlpParams when None) and returned."""
+    grads = MlpParams(params.n_in, params.n_out, np.empty(params.size)) if out is None else out
     g3 = grad_out
     np.matmul(cache.h2.T, g3, out=grads.w3)
     g3.sum(axis=0, out=grads.b3)
-    g2 = (g3 @ params.w3.T) * (1.0 - cache.h2 * cache.h2)
+    dtanh = np.multiply(cache.h2, cache.h2)  # 1 - h², in one scratch array
+    np.subtract(1.0, dtanh, out=dtanh)
+    g2 = g3 @ params.w3.T
+    g2 *= dtanh
     np.matmul(cache.h1.T, g2, out=grads.w2)
     g2.sum(axis=0, out=grads.b2)
-    g1 = (g2 @ params.w2.T) * (1.0 - cache.h1 * cache.h1)
+    np.multiply(cache.h1, cache.h1, out=dtanh)
+    np.subtract(1.0, dtanh, out=dtanh)
+    g1 = g2 @ params.w2.T
+    g1 *= dtanh
     np.matmul(cache.x.T, g1, out=grads.w1)
     g1.sum(axis=0, out=grads.b1)
     return grads
@@ -99,11 +114,24 @@ class AdamState:
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, lr: float) -> None:
-    """In-place Adam update of the parameter vector."""
+    """In-place Adam update of the parameter vector and of `state.m`, `state.v`.
+
+    Every product and sum is rounded as in the textbook form
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*m_hat/(sqrt(v_hat)+eps).
+    """
     g = grads.flat
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
-    params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    state.m *= ADAM_BETA1
+    state.m += scratch
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= g
+    state.v *= ADAM_BETA2
+    state.v += scratch
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step = np.divide(state.m, 1.0 - ADAM_BETA1**state.t)  # m_hat
+    step *= lr
+    step /= scratch
+    params.flat -= step

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from execlab.errors import AllMaskedError, NonFiniteLossError
 from execlab.ppo import (
+    LossStats,
+    MlpParams,
     PolicyParams,
     PpoConfig,
     RolloutBuffer,
     action_mask,
+    adam_step,
     gae,
     gradient_check,
     gradient_check_ppo,
@@ -24,7 +27,7 @@ from execlab.ppo import (
     update,
 )
 from execlab.ppo import agent
-from execlab.ppo.net import FIELDS, init_mlp
+from execlab.ppo.net import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIELDS, ForwardCache, init_mlp
 
 
 def make_params(n_inputs=7, n_actions=51, seed=0):
@@ -148,6 +151,40 @@ def test_gae_resets_across_episode_boundaries():
     dones = np.array([False, True, False, True])
     adv, _ = gae(rewards, values, dones, 1.0, 1.0)
     assert np.allclose(adv, [2.0, 1.0, 2.0, 1.0])
+
+
+def reference_gae(rewards, values, dones, discount, lam):
+    # The loop over numpy scalars that the loop over Python floats replaced.
+    n = len(rewards)
+    advantages = np.zeros(n)
+    running = 0.0
+    for t in range(n - 1, -1, -1):
+        nonterminal = 0.0 if dones[t] else 1.0
+        next_value = values[t + 1] if t + 1 < n else 0.0
+        delta = rewards[t] + discount * next_value * nonterminal - values[t]
+        running = delta + discount * lam * nonterminal * running
+        advantages[t] = running
+    return advantages, advantages + values
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.booleans(), min_size=0, max_size=60),
+    st.sampled_from([0.0, 1.0, None]),
+    st.sampled_from([0.0, 1.0, None]),
+)
+def test_gae_matches_numpy_scalar_loop(seed, dones, discount, lam):
+    rng = np.random.default_rng(seed)
+    discount = rng.random() if discount is None else discount
+    lam = rng.random() if lam is None else lam
+    dones = np.array(dones, dtype=bool)
+    rewards = rng.standard_normal(len(dones)) * rng.choice([1e-6, 1.0, 1e3])
+    values = rng.standard_normal(len(dones))
+    got = gae(rewards, values, dones, discount, lam)
+    want = reference_gae(rewards, values, dones, discount, lam)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 # -- clipped objective -----------------------------------------------------------
@@ -329,7 +366,7 @@ class SixArrays:
             i += a.size
 
 
-def reference_mlp_backward(params, cache, grad_out):
+def reference_mlp_backward(params, cache, grad_out, out=None):
     g3 = grad_out
     dw3 = cache.h2.T @ g3
     db3 = g3.sum(axis=0)
@@ -417,6 +454,296 @@ def test_update_is_deterministic_under_seed():
         return params.actor.flat
 
     assert np.array_equal(run(), run())
+
+
+# The minibatch as it was before it was made lean (temporaries, a log per use,
+# a fresh gradient vector per call, per-minibatch gathers), kept as the
+# reference that the lean path must match bit for bit.
+
+
+def previous_masked_probs(logits, masks):
+    if not masks.any(axis=-1).all():
+        raise AllMaskedError("a state admits no legal action")
+    shifted = np.where(masks, logits, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    expd = np.where(masks, np.exp(shifted), 0.0)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def previous_mlp_forward(params, x):
+    h1 = np.tanh(x @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    out = h2 @ params.w3 + params.b3
+    return ForwardCache(x=x, h1=h1, h2=h2, out=out)
+
+
+def previous_mlp_backward(params, cache, grad_out):
+    grads = MlpParams(params.n_in, params.n_out, np.empty(params.size))
+    g3 = grad_out
+    np.matmul(cache.h2.T, g3, out=grads.w3)
+    g3.sum(axis=0, out=grads.b3)
+    g2 = (g3 @ params.w3.T) * (1.0 - cache.h2 * cache.h2)
+    np.matmul(cache.h1.T, g2, out=grads.w2)
+    g2.sum(axis=0, out=grads.b2)
+    g1 = (g2 @ params.w2.T) * (1.0 - cache.h1 * cache.h1)
+    np.matmul(cache.x.T, g1, out=grads.w1)
+    g1.sum(axis=0, out=grads.b1)
+    return grads
+
+
+def previous_adam_step(params, grads, state, lr):
+    g = grads.flat
+    state.t += 1
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def previous_ppo_loss(params, batch, config):
+    states = batch["states"]
+    actions = batch["actions"]
+    masks = batch["masks"]
+    old_logp = batch["log_probs"]
+    adv = batch["advantages"]
+    targets = batch["value_targets"]
+    n = len(actions)
+    eps = config.clip_ratio
+
+    if config.normalize_advantages:
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+
+    actor_cache = previous_mlp_forward(params.actor, states)
+    critic_cache = previous_mlp_forward(params.critic, states)
+    probs = previous_masked_probs(actor_cache.out, masks)
+    values = critic_cache.out[:, 0]
+    rows = np.arange(n)
+    p_taken = probs[rows, actions]
+    logp = np.log(p_taken)
+    ratio = np.exp(logp - old_logp)
+
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+    objective = np.minimum(unclipped, clipped)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
+    entropy = -plogp.sum(axis=-1)
+
+    value_err = values - targets
+    value_loss = float(np.mean(value_err**2))
+    clip_obj = float(objective.mean())
+    entropy_mean = float(entropy.mean())
+    total = -clip_obj + config.value_coef * value_loss - config.entropy_coef * entropy_mean
+    if not np.isfinite(total):
+        raise NonFiniteLossError(f"loss={total}")
+
+    active = (unclipped <= clipped).astype(float)
+    coef = active * ratio * adv
+    one_hot = np.zeros_like(probs)
+    one_hot[rows, actions] = 1.0
+    grad_logits = -(coef[:, None] * (one_hot - probs)) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp_full = np.where(probs > 0, np.log(probs), 0.0)
+    grad_logits += config.entropy_coef * probs * (logp_full + entropy[:, None]) / n
+    grad_logits = np.where(masks, grad_logits, 0.0)
+    actor_grads = previous_mlp_backward(params.actor, actor_cache, grad_logits)
+
+    grad_value = (config.value_coef * 2.0 * value_err / n)[:, None]
+    critic_grads = previous_mlp_backward(params.critic, critic_cache, grad_value)
+
+    if not (np.isfinite(actor_grads.flat).all() and np.isfinite(critic_grads.flat).all()):
+        raise NonFiniteLossError("non-finite gradient")
+
+    stats = LossStats(
+        total=total,
+        clip_objective=clip_obj,
+        value_loss=value_loss,
+        entropy=entropy_mean,
+        approx_kl=float(np.mean(old_logp - logp)),
+        clip_fraction=float(np.mean(np.abs(ratio - 1.0) > eps)),
+    )
+    return stats, actor_grads, critic_grads
+
+
+def previous_update(params, buffer, config, rng, minibatches=None):
+    n = len(buffer)
+    stats_acc = {f.name: [] for f in fields(LossStats)}
+    for _ in range(config.update_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, config.minibatch_size):
+            idx = order[lo : lo + config.minibatch_size]
+            if len(idx) < 2:
+                continue
+            batch = {
+                "states": buffer.states[idx],
+                "actions": buffer.actions[idx],
+                "masks": buffer.masks[idx],
+                "log_probs": buffer.log_probs[idx],
+                "advantages": buffer.advantages[idx],
+                "value_targets": buffer.value_targets[idx],
+            }
+            if minibatches is not None:
+                minibatches.append(len(idx))
+            stats, actor_grads, critic_grads = previous_ppo_loss(params, batch, config)
+            if config.max_grad_norm > 0:
+                agent._clip_grad_norm(actor_grads, config.max_grad_norm)
+                agent._clip_grad_norm(critic_grads, config.max_grad_norm)
+            previous_adam_step(params.actor, actor_grads, params.actor_opt, config.actor_lr)
+            previous_adam_step(params.critic, critic_grads, params.critic_opt, config.critic_lr)
+            for key in stats_acc:
+                stats_acc[key].append(getattr(stats, key))
+    params.updates_done += 1
+    return {k: float(np.mean(v)) for k, v in stats_acc.items()}
+
+
+def off_policy_batch(rng, params, n):
+    """A minibatch with partial masks, and behaviour log-probs far enough from
+    the current policy that ratios fall outside the clip range on both sides."""
+    states = rng.standard_normal((n, params.n_inputs))
+    masks = action_mask(rng.integers(0, params.n_actions, n), params.n_actions)
+    probs, _, _, _ = policy_forward(params, states, masks)
+    actions = sample_actions(probs, rng)
+    return {
+        "states": states,
+        "actions": actions,
+        "masks": masks,
+        "log_probs": np.log(probs[np.arange(n), actions]) + rng.normal(0.0, 0.5, n),
+        "advantages": rng.standard_normal(n) * rng.choice([0.01, 1.0, 100.0]),
+        "value_targets": rng.standard_normal(n),
+    }
+
+
+def trained_params(rng, n_inputs, n_actions, steps=3):
+    """Params a few Adam steps away from init, so the Adam moments are nonzero."""
+    params = PolicyParams.init(rng, n_inputs, n_actions)
+    config = PpoConfig()
+    for _ in range(steps):
+        _, actor_grads, critic_grads = previous_ppo_loss(params, off_policy_batch(rng, params, 32), config)
+        previous_adam_step(params.actor, actor_grads, params.actor_opt, config.actor_lr)
+        previous_adam_step(params.critic, critic_grads, params.critic_opt, config.critic_lr)
+    return params
+
+
+def stats_bytes(stats):
+    return np.array([getattr(stats, f.name) for f in fields(LossStats)]).tobytes()
+
+
+def assert_same_policy(new, ref):
+    for name in ("actor", "critic"):
+        assert getattr(new, name).flat.tobytes() == getattr(ref, name).flat.tobytes()
+        new_opt, ref_opt = getattr(new, f"{name}_opt"), getattr(ref, f"{name}_opt")
+        assert (new_opt.t, new_opt.m.tobytes(), new_opt.v.tobytes()) == (
+            ref_opt.t, ref_opt.m.tobytes(), ref_opt.v.tobytes()
+        )
+    assert new.updates_done == ref.updates_done
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 200),
+    st.booleans(),
+    st.sampled_from([0.0, 0.01, 0.5, 1e3]),
+    st.sampled_from([0.0, 0.01, 1.0]),
+)
+def test_lean_minibatch_matches_previous(seed, n, normalize, max_grad_norm, entropy_coef):
+    rng = np.random.default_rng(seed)
+    params = trained_params(rng, int(rng.integers(1, 12)), int(rng.integers(2, 52)))
+    config = PpoConfig(
+        normalize_advantages=normalize, max_grad_norm=max_grad_norm, entropy_coef=entropy_coef
+    )
+    batch = off_policy_batch(rng, params, n)
+
+    probs, _, actor_cache, _ = policy_forward(params, batch["states"], batch["masks"])
+    ref_cache = previous_mlp_forward(params.actor, batch["states"])
+    for name in ("h1", "h2", "out"):
+        assert getattr(actor_cache, name).tobytes() == getattr(ref_cache, name).tobytes()
+    assert probs.tobytes() == previous_masked_probs(ref_cache.out, batch["masks"]).tobytes()
+
+    # the gradients land in `out`, which may hold the last minibatch's
+    out = (MlpParams(params.n_inputs, params.n_actions), MlpParams(params.n_inputs, 1))
+    out[0].flat[:] = rng.standard_normal(out[0].size)
+    stats, actor_grads, critic_grads = ppo_loss(params, batch, config, out=out)
+    assert actor_grads is out[0] and critic_grads is out[1]
+    ref_stats, ref_actor, ref_critic = previous_ppo_loss(params, batch, config)
+    assert stats_bytes(stats) == stats_bytes(ref_stats)
+    assert actor_grads.flat.tobytes() == ref_actor.flat.tobytes()
+    assert critic_grads.flat.tobytes() == ref_critic.flat.tobytes()
+
+    new, ref = params.copy(), params.copy()
+    if max_grad_norm > 0:
+        agent._clip_grad_norm(actor_grads, max_grad_norm)
+        agent._clip_grad_norm(ref_actor, max_grad_norm)
+    adam_step(new.actor, actor_grads, new.actor_opt, config.actor_lr)
+    previous_adam_step(ref.actor, ref_actor, ref.actor_opt, config.actor_lr)
+    assert_same_policy(new, ref)
+
+
+def test_lean_minibatch_covers_clipping_and_masks():
+    # The examples above are drawn so that every minibatch exercises both
+    # sides of the clip range and masks of every width.
+    rng = np.random.default_rng(0)
+    params = trained_params(rng, 7, 51)
+    batch = off_policy_batch(rng, params, 256)
+    probs, _, _, _ = policy_forward(params, batch["states"], batch["masks"])
+    ratio = np.exp(np.log(probs[np.arange(256), batch["actions"]]) - batch["log_probs"])
+    assert (ratio < 0.8).any() and (ratio > 1.2).any()
+    widths = batch["masks"].sum(axis=1)
+    assert widths.min() == 1 and widths.max() == 51
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 3),
+    st.sampled_from([1, 2, 0, 17]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.01, 0.5]),
+)
+def test_lean_update_matches_per_minibatch_gathers(seed, full, tail, normalize, max_grad_norm):
+    minibatch_size = 32
+    n = full * minibatch_size + tail
+    if n < 2:
+        n = minibatch_size + 1  # one minibatch and a skipped tail of 1
+    rng = np.random.default_rng(seed)
+    params = trained_params(rng, 5, 11)
+    batch = off_policy_batch(rng, params, n)
+    buffer = RolloutBuffer(
+        **batch, rewards=np.zeros(n), values=np.zeros(n), dones=np.zeros(n, dtype=bool)
+    )
+    config = PpoConfig(
+        minibatch_size=minibatch_size, update_epochs=2, normalize_advantages=normalize,
+        max_grad_norm=max_grad_norm,
+    )
+    new, ref = params.copy(), params.copy()
+    sizes = []
+    got = update(new, buffer, config, np.random.default_rng(seed))
+    want = previous_update(ref, buffer, config, np.random.default_rng(seed), sizes)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert_same_policy(new, ref)
+    # a tail of 1 row is skipped, a tail of 2 or more is a minibatch of its own
+    assert sizes.count(n % minibatch_size) == (2 if n % minibatch_size >= 2 else 0)
+
+
+def test_training_a_copy_leaves_the_original_untouched():
+    # Adam writes its moments in place; a copy must own its own.
+    rng = np.random.default_rng(4)
+    original = trained_params(rng, 3, 5)
+    before = [a.tobytes() for a in (
+        original.actor.flat, original.critic.flat, original.actor_opt.m, original.actor_opt.v,
+        original.critic_opt.m, original.critic_opt.v,
+    )]
+    copy = original.copy()
+    config = PpoConfig(minibatch_size=64)
+    update(copy, _bandit_rollout(copy, config, rng), config, rng)
+    after = [a.tobytes() for a in (
+        original.actor.flat, original.critic.flat, original.actor_opt.m, original.actor_opt.v,
+        original.critic_opt.m, original.critic_opt.v,
+    )]
+    assert after == before
+    assert copy.actor_opt.m.tobytes() != original.actor_opt.m.tobytes()
 
 
 # -- checkpoints ------------------------------------------------------------------

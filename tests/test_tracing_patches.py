@@ -84,7 +84,14 @@ def test_traced_cli_runs_open_their_spans(tmp_path):
         "capture.book.apply_snapshot",
         "signals.horizon_report",
         "ppo.trainer.train_policy",
+        "ppo.trainer.rollout",
         "ppo.trainer.update",
+        # the minibatch's own layers: an inlined call would empty their metrics
+        "ppo.agent.policy_forward",
+        "ppo.agent.ppo_loss",
+        "ppo.net.mlp_forward",
+        "ppo.net.mlp_backward",
+        "ppo.net.adam_step",
         "evalkit.compare",
         "evalkit.heatmap",
     } <= names
