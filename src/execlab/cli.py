@@ -10,22 +10,29 @@
 `signals report`, `train` and `evaluate` each write their own manifest (config and
 capture digests, seeds, outputs) into the output directory: manifest_signals_report.json,
 manifest_train_<scope>.json, manifest_evaluate.json.  Identical configs reproduce
-outputs byte for byte.
+outputs byte for byte.  The first of them to read a capture into a directory also
+writes the capture's frames there as frames.npz, which the later ones load instead of
+parsing again as long as the capture bytes and the ingest code are unchanged; deleting
+it is always safe.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import gc
+import hashlib
 import json
+import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .capture import align_clock, read_capture, resample, write_frames_csv
+from .capture import BOOK_DEPTH, FrameSet, VenueFrames, align_clock, read_capture, resample, write_frames_csv
 from .config import SCOPES, check_seed, file_sha256, load_config
 from .env import policy_dims
 from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput, UnwritableOutput, open_output
@@ -73,12 +80,103 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# -- frames.npz: the capture's frames, kept for the commands after the first
+
+FRAMES_NPZ = "frames.npz"
+# The columns of VenueFrames that hold BOOK_DEPTH levels per frame; the others hold one value.
+_LEVEL_COLUMNS = ("bid_price", "bid_qty", "ask_price", "ask_qty")
+
+
+@functools.cache
+def ingest_sha256() -> str:
+    """SHA-256 over the source of the modules that turn capture bytes into
+    frames, so that frames another version of them made are never reused."""
+    digest = hashlib.sha256()
+    for module in ("records", "book", "resample"):
+        source = Path(sys.modules[f"{__package__}.capture.{module}"].__file__).read_bytes()
+        digest.update(hashlib.sha256(source).digest())
+    return digest.hexdigest()
+
+
+def write_frames_npz(frames: FrameSet, path: Path, capture_sha256: str) -> bool:
+    """Store `frames` at `path` as an uncompressed .npz with no pickled member,
+    keyed by `capture_sha256` and `ingest_sha256()`.
+
+    Members: grid_ts, venues (in FrameSet order), v<i>_<field> per venue (by
+    position, as a name may hold any character) and VenueFrames field, and
+    the two digests.  The file is written under a per-process name and renamed
+    onto `path`, so no reader sees a partial file; a failure is
+    UnwritableOutput and leaves nothing behind.  Returns False, with nothing
+    written, when a venue name does not survive a numpy str array (which drops
+    trailing NULs).
+    """
+    names = list(frames.venues)
+    venues = np.array(names, dtype=np.str_)
+    if venues.tolist() != names:
+        return False
+    arrays = {"grid_ts": frames.grid_ts, "venues": venues}
+    for i, vf in enumerate(frames.venues.values()):
+        arrays.update({f"v{i}_{f.name}": getattr(vf, f.name) for f in fields(VenueFrames)})
+    arrays.update(capture_sha256=np.array(capture_sha256), ingest_sha256=np.array(ingest_sha256()))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open_output(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise UnwritableOutput(f"cannot create {path}: {exc.strerror or exc}") from exc
+    return True
+
+
+def _is_text(arr: np.ndarray, value: str) -> bool:
+    return arr.dtype.kind == "U" and arr.shape == () and arr.item() == value
+
+
+def read_frames_npz(path: Path, capture_sha256: str) -> FrameSet | None:
+    """The frames `write_frames_npz` stored at `path` for these capture bytes
+    and this ingest code, or None: for a missing, damaged or stale file, a
+    directory, or any member with an unexpected name, dtype or shape."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if not (
+                _is_text(npz["capture_sha256"], capture_sha256)
+                and _is_text(npz["ingest_sha256"], ingest_sha256())
+            ):
+                return None
+            venues, grid_ts = npz["venues"], npz["grid_ts"]
+            if venues.dtype.kind != "U" or venues.ndim != 1 or grid_ts.dtype != np.int64 or grid_ts.ndim != 1:
+                return None
+            columns = [f.name for f in fields(VenueFrames)]
+            members = [f"v{i}_{name}" for i in range(len(venues)) for name in columns]
+            if set(npz.files) != {"grid_ts", "venues", "capture_sha256", "ingest_sha256", *members}:
+                return None
+            n = len(grid_ts)
+            by_venue = {}
+            for i, venue in enumerate(venues.tolist()):
+                cols = {}
+                for name in columns:
+                    arr = npz[f"v{i}_{name}"]
+                    dtype = np.bool_ if name == "present" else np.float64
+                    shape = (n, BOOK_DEPTH) if name in _LEVEL_COLUMNS else (n,)
+                    if arr.dtype != dtype or arr.shape != shape:
+                        return None
+                    cols[name] = arr
+                by_venue[venue] = VenueFrames(**cols)
+    except Exception:  # a damaged file fails in any of zipfile's and numpy's ways; each is a miss
+        return None
+    return FrameSet(grid_ts=grid_ts, venues=by_venue)
+
+
 class Run:
     """What `signals report`, `train` and `evaluate` share: the checked config,
     the output directory, the capture's frames and the files the command writes.
 
-    The output directory is created only once the config is valid and the
-    capture is read and holds the target venue; `finish` writes the command's
+    The frames come from the output directory's frames.npz when it holds this
+    capture's frames, and from parsing the capture otherwise.  The output
+    directory is created only once the config is valid and the frames hold the
+    target venue; `finish` writes the frames a parse made, then the command's
     own manifest listing every path `output` handed out.
     """
 
@@ -89,11 +187,16 @@ class Run:
             check_seed("--seed", args.seed)
             self.cfg.train.seed = self.cfg.evaluate.seed = args.seed
         self.capture_path = _require_file(self.cfg.paths.capture, "capture")
-        self.frames = resample(read_capture(self.capture_path))
-        # The parse's last freed tuples stay in the interpreter's free lists
-        # and keep about 18 MB of its memory arenas resident for the rest of
-        # the command; only a full collection empties those lists.
-        gc.collect()
+        self.capture_sha256 = file_sha256(self.capture_path)
+        self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
+        self.frames = read_frames_npz(self.out_dir / FRAMES_NPZ, self.capture_sha256)
+        self.parsed = self.frames is None
+        if self.parsed:
+            self.frames = resample(read_capture(self.capture_path))
+            # The parse's last freed tuples stay in the interpreter's free lists
+            # and keep about 18 MB of its memory arenas resident for the rest of
+            # the command; only a full collection empties those lists.
+            gc.collect()
         target = self.cfg.signals.target_venue
         if target not in self.frames.venues:
             raise ConfigError(
@@ -101,7 +204,6 @@ class Run:
                 f"(venues: {', '.join(self.frames.venue_names)})",
                 field="signals.target_venue",
             )
-        self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
         _make_dir(self.out_dir)
         self.outputs: list[Path] = []
 
@@ -112,12 +214,16 @@ class Run:
         return path
 
     def finish(self, name: str, **entries) -> None:
-        """Write manifest_<name>.json: the package version, config and capture
-        digests, the outputs, and the command's own `entries`."""
+        """Write frames.npz if this command parsed the capture, then
+        manifest_<name>.json: the package version, config and capture digests,
+        the outputs, and the command's own `entries`."""
+        frames_path = self.out_dir / FRAMES_NPZ
+        if self.parsed and write_frames_npz(self.frames, frames_path, self.capture_sha256):
+            self.outputs.append(frames_path)
         manifest = {
             "package_version": __version__,
             "config_sha256": file_sha256(self.config_path),
-            "capture_sha256": file_sha256(self.capture_path),
+            "capture_sha256": self.capture_sha256,
             "outputs": sorted(str(p) for p in self.outputs),
             **entries,
         }

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tempfile
 import zipfile
 from dataclasses import MISSING, fields
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import execlab.cli
-from execlab.capture import read_capture, resample
-from execlab.cli import main
+from execlab.capture import VenueFrames, read_capture, resample
+from execlab.cli import main, read_frames_npz, write_frames_npz
 from execlab.config import ExperimentConfig, load_config, parse_config
 from execlab.errors import ConfigError, UnwritableOutput, open_output
 from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
 from execlab.signals import feature_bundle
+from execlab.synth import SynthConfig, flat_market, generate
 
 
 def write_config(path, **overrides):
@@ -284,36 +286,83 @@ def test_cli_train_then_evaluate(pipeline):
     assert (manifest["command"], manifest["capture_sha256"]) == ("evaluate", capture_sha256)
 
 
+def run_every_command(capture, out_dir, cfg_dir, parse_each=False) -> dict[str, bytes]:
+    """signals report, train for both scopes and evaluate into `out_dir`: every
+    file a manifest lists, by name.  Each manifest holds the capture's digest.
+    With `parse_each`, frames.npz is deleted before each command, so every
+    command parses the capture."""
+    paths = {
+        "capture": str(capture),
+        "out_dir": str(out_dir),
+        "checkpoint_single": str(out_dir / "single.npz"),
+        "checkpoint_cross": str(out_dir / "cross.npz"),
+    }
+    capture_sha256 = hashlib.sha256(Path(capture).read_bytes()).hexdigest()
+    listed = {}
+    for command, scope, manifest_name in (
+        (["signals", "report"], "cross", "manifest_signals_report.json"),
+        (["train"], "single", "manifest_train_single.json"),
+        (["train"], "cross", "manifest_train_cross.json"),
+        (["evaluate"], "cross", "manifest_evaluate.json"),
+    ):
+        if parse_each:
+            with contextlib.suppress(FileNotFoundError):
+                (out_dir / "frames.npz").unlink()
+        cfg = write_config(cfg_dir / f"{out_dir.name}_{scope}.json", paths=paths, train={"scope": scope})
+        assert main(command + ["--config", str(cfg)]) == 0
+        manifest = json.loads((out_dir / manifest_name).read_text())
+        assert manifest["capture_sha256"] == capture_sha256
+        listed.update({Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]})
+    return listed
+
+
 def test_cli_reports_are_reproducible(pipeline, tmp_path):
     # Two runs of every command into two directories: each file a manifest
     # lists matches its counterpart byte for byte.
     _, _, capture = pipeline
-    outputs = []
-    for name in ("r1", "r2"):
-        out_dir = tmp_path / name
-        paths = {
-            "capture": str(capture),
-            "out_dir": str(out_dir),
-            "checkpoint_single": str(out_dir / "single.npz"),
-            "checkpoint_cross": str(out_dir / "cross.npz"),
-        }
-        listed = {}
-        for command, scope, manifest_name in (
-            (["signals", "report"], "cross", "manifest_signals_report.json"),
-            (["train"], "single", "manifest_train_single.json"),
-            (["train"], "cross", "manifest_train_cross.json"),
-            (["evaluate"], "cross", "manifest_evaluate.json"),
-        ):
-            cfg = write_config(tmp_path / f"{name}_{scope}.json", paths=paths, train={"scope": scope})
-            assert main(command + ["--config", str(cfg)]) == 0
-            manifest = json.loads((out_dir / manifest_name).read_text())
-            listed.update({Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]})
-        outputs.append(listed)
+    outputs = [run_every_command(capture, tmp_path / name, tmp_path) for name in ("r1", "r2")]
     assert {"single.npz", "cross.npz", "training_log_single.csv", "comparison.json"} <= set(outputs[0])
     assert "action_heatmap.csv" in outputs[0] and "horizon_r2.csv" in outputs[0]
     assert sorted(outputs[0]) == sorted(outputs[1])
     for file_name, data in outputs[0].items():
         assert data == outputs[1][file_name], file_name
+
+
+def frames_bits(frames) -> list:
+    """Venue order, and the dtype, shape and bytes of every array: equal for two
+    frame sets only if they are the same bit for bit (NaN payloads and -0.0 too)."""
+    def bits(arr):
+        return arr.dtype.str, arr.shape, arr.tobytes()
+
+    return [("grid_ts", bits(frames.grid_ts))] + [
+        (venue, f.name, bits(getattr(vf, f.name)))
+        for venue, vf in frames.venues.items()
+        for f in fields(VenueFrames)
+    ]
+
+
+def test_cli_warm_directory_never_parses_and_writes_the_same_bytes(pipeline, tmp_path, monkeypatch):
+    # Every command parses into `cold`; `warm` starts with cold's frames.npz, so
+    # no command may parse, and every file the manifests list is the same.
+    _, _, capture = pipeline
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    cold = run_every_command(capture, cold_dir, tmp_path, parse_each=True)
+    capture_sha256 = hashlib.sha256(capture.read_bytes()).hexdigest()
+    cached = read_frames_npz(cold_dir / "frames.npz", capture_sha256)
+    assert frames_bits(cached) == frames_bits(resample(read_capture(capture)))
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a command parsed the capture although frames.npz held its frames")
+
+    warm_dir.mkdir()
+    shutil.copy(cold_dir / "frames.npz", warm_dir)
+    monkeypatch.setattr(execlab.cli, "read_capture", no_parse)
+    monkeypatch.setattr(execlab.cli, "resample", no_parse)
+    warm = run_every_command(capture, warm_dir, tmp_path)
+    assert cold.pop("frames.npz") == (warm_dir / "frames.npz").read_bytes()
+    assert sorted(warm) == sorted(cold)
+    for file_name, data in cold.items():
+        assert data == warm[file_name], file_name
 
 
 def test_cli_one_manifest_per_command(pipeline, tmp_path):
@@ -365,8 +414,9 @@ def test_cli_evaluate_twap_bytes_pinned(pipeline, tmp_path):
     cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out)})
     assert main(["evaluate", "--config", str(cfg)]) == 0
     written = {p.name for p in out.iterdir()} - {"manifest_evaluate.json"}
-    assert written == set(TWAP_EVALUATE_DIGESTS)
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written}
+    # frames.npz embeds the digest of the ingest code's source, so it is not pinned.
+    assert written == set(TWAP_EVALUATE_DIGESTS) | {"frames.npz"}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TWAP_EVALUATE_DIGESTS}
     assert digests == TWAP_EVALUATE_DIGESTS
 
 
@@ -893,9 +943,9 @@ def test_readme_config_example_names_every_field():
 EXIT_CODES = {"ConfigParse": 2, "MissingInput": 3}  # every other kind exits 1
 
 
-def assert_clean_exit(argv):
+def assert_clean_exit(argv) -> int:
     """Run the CLI in-process: it exits 0, or prints one `error: <Kind>: ` line
-    and exits with that kind's code; it never raises."""
+    and exits with that kind's code; it never raises.  Returns the exit code."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -903,6 +953,7 @@ def assert_clean_exit(argv):
     if code != 0:
         assert err.count("\n") == 1 and err.startswith("error: "), err
         assert code == EXIT_CODES.get(err.split(":")[1].strip(), 1), err
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -968,7 +1019,8 @@ def test_mutated_capture_never_raises(small_run, data):
         (root / "cfg.json").write_text(json.dumps({**cfg, "paths": paths}))
         assert_clean_exit(["capture", "resample", str(capture), str(root / "frames.csv")])
         assert_clean_exit(["capture", "align", str(capture), str(root / "clock.json")])
-        assert_clean_exit(["train", "--config", str(root / "cfg.json")])
+        if assert_clean_exit(["train", "--config", str(root / "cfg.json")]) != 0:
+            assert not (root / "out" / "frames.npz").exists()  # a failed command caches nothing
 
 
 @settings(max_examples=25, deadline=None)
@@ -992,3 +1044,163 @@ def test_damaged_checkpoint_never_raises(small_run, data):
         paths = {**cfg["paths"], "checkpoint_cross": str(ckpt), "out_dir": str(root / "out")}
         (root / "cfg.json").write_text(json.dumps({**cfg, "paths": paths}))
         assert_clean_exit(["evaluate", "--config", str(root / "cfg.json")])
+
+
+# -- frames.npz ------------------------------------------------------------------
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_venues=st.integers(1, 3),
+    trade_intensity=st.sampled_from([0.0, 0.5, 2.0]),
+    duration_s=st.sampled_from([0.5, 2.0, 5.0]),
+)
+def test_cached_frames_equal_the_parse(seed, n_venues, trade_intensity, duration_s):
+    synth = SynthConfig(
+        seed=seed,
+        n_venues=n_venues,
+        lag_ms=(0, 200, 300)[:n_venues],
+        basis=(0.0, 0.5, -0.5)[:n_venues],
+        trade_intensity=trade_intensity,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        capture, cached = Path(tmp) / "market.ndjson", Path(tmp) / "frames.npz"
+        generate(synth, duration_s, capture)
+        frames = resample(read_capture(capture))
+        capture_sha256 = hashlib.sha256(capture.read_bytes()).hexdigest()
+        assert write_frames_npz(frames, cached, capture_sha256)
+        assert frames_bits(read_frames_npz(cached, capture_sha256)) == frames_bits(frames)
+        assert sorted(os.listdir(tmp)) == ["frames.npz", "market.ndjson"]
+
+
+def test_cached_frames_keep_signed_zeros_and_nan_payloads(tmp_path):
+    capture, cached = tmp_path / "market.ndjson", tmp_path / "frames.npz"
+    flat_market(100.0, 3.0, capture)
+    frames = resample(read_capture(capture))
+    assert list(frames.venues) == ["v0"]
+    vf = frames.venues["v0"]
+    vf.buy_volume[1] = -0.0
+    vf.bid_price.view(np.int64)[2, 4] = 0x7FF8000000000123  # a NaN with a payload
+    vf.mid[3] = np.nan
+    assert write_frames_npz(frames, cached, "0" * 64)
+    assert frames_bits(read_frames_npz(cached, "0" * 64)) == frames_bits(frames)
+    assert read_frames_npz(cached, "1" * 64) is None
+
+
+@pytest.mark.parametrize(
+    "edit", ["none", "dtype", "byte order", "shape", "extra member", "missing member", "venues as bytes"]
+)
+def test_frames_npz_of_another_layout_is_a_miss(tmp_path, edit):
+    # Both digests match, so only the member checks can turn these away.
+    capture, cached = tmp_path / "market.ndjson", tmp_path / "frames.npz"
+    flat_market(100.0, 3.0, capture)
+    assert write_frames_npz(resample(read_capture(capture)), cached, "0" * 64)
+    with np.load(cached) as npz:
+        members = dict(npz)
+    if edit == "dtype":
+        members["v0_present"] = members["v0_present"].astype(np.float64)
+    elif edit == "byte order":
+        members["grid_ts"] = members["grid_ts"].astype(">i8")
+    elif edit == "shape":
+        members["v0_bid_price"] = members["v0_bid_price"][:, 0]
+    elif edit == "extra member":
+        members["v1_present"] = members["v0_present"]
+    elif edit == "missing member":
+        del members["v0_mid"]
+    elif edit == "venues as bytes":
+        members["venues"] = members["venues"].astype(np.bytes_)
+    np.savez(cached, **members)
+    assert (read_frames_npz(cached, "0" * 64) is None) == (edit != "none")
+
+
+def test_venue_name_a_str_array_cannot_hold_is_not_cached(tmp_path):
+    capture, cached = tmp_path / "market.ndjson", tmp_path / "frames.npz"
+    flat_market(100.0, 3.0, capture)
+    frames = resample(read_capture(capture))
+    frames.venues = {"v0\x00": frames.venues["v0"]}  # numpy drops a str's trailing NULs
+    assert not write_frames_npz(frames, cached, "0" * 64)
+    assert sorted(os.listdir(tmp_path)) == ["market.ndjson"]
+
+
+def train_into(root: Path, capture_bytes: bytes, cfg: dict, cached: bytes | None = None) -> tuple:
+    """`train` with `cfg` on `capture_bytes` into root/out, which starts out
+    holding `cached` as frames.npz: the exit code, every file in root/out but
+    the manifest, and the names the manifest lists."""
+    out = root / "out"
+    out.mkdir()
+    (root / "market.ndjson").write_bytes(capture_bytes)
+    if cached is not None:
+        (out / "frames.npz").write_bytes(cached)
+    paths = {"capture": str(root / "market.ndjson"), "out_dir": str(out), "checkpoint_cross": str(out / "ppo_cross.npz")}
+    (root / "cfg.json").write_text(json.dumps({**cfg, "paths": paths}))
+    code = assert_clean_exit(["train", "--config", str(root / "cfg.json")])
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest_train_cross.json"}
+    listed = []
+    if code == 0:
+        manifest = json.loads((out / "manifest_train_cross.json").read_text())
+        listed = sorted(Path(p).name for p in manifest["outputs"])
+    return code, files, listed
+
+
+@pytest.fixture(scope="module")
+def cold_trains(small_run, tmp_path_factory):
+    """For the small run's capture and for that capture less its last line:
+    the capture's bytes, what a cold `train` writes, and the frames.npz that
+    ingest code with another source would have written."""
+    capture_bytes, cfg, _ = small_run
+    runs = {}
+    for name, data in (("full", capture_bytes), ("cut", capture_bytes[: capture_bytes.rindex(b"\n", 0, -1) + 1])):
+        root = tmp_path_factory.mktemp(f"cold_{name}")
+        code, files, listed = train_into(root, data, cfg)
+        assert code == 0 and "frames.npz" in listed
+        frames = read_frames_npz(root / "out" / "frames.npz", hashlib.sha256(data).hexdigest())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(execlab.cli, "ingest_sha256", lambda: "0" * 64)
+            stale = root / "stale.npz"
+            assert write_frames_npz(frames, stale, hashlib.sha256(data).hexdigest())
+        runs[name] = data, (files, listed), stale.read_bytes()
+    return runs, cfg
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_damaged_frames_npz_never_raises(cold_trains, data):
+    # Whatever frames.npz holds, `train` parses the capture again, writes what
+    # a cold run writes and replaces the file; no temporary file is left.
+    runs, cfg = cold_trains
+    name = data.draw(st.sampled_from(sorted(runs)))
+    capture_bytes, want, stale = runs[name]
+    good = want[0]["frames.npz"]
+    damage = data.draw(st.sampled_from(["truncate", "flip", "other capture", "other ingest code"]))
+    if damage == "truncate":
+        cached = good[: data.draw(st.integers(0, len(good) - 1))]
+    elif damage == "flip":
+        with zipfile.ZipFile(io.BytesIO(good)) as archive:
+            member = data.draw(st.sampled_from(archive.infolist()))
+        npy = good.index(b"\x93NUMPY", member.header_offset)  # where the member's data starts
+        out = bytearray(good)
+        positions = st.lists(st.integers(npy, npy + member.compress_size - 1), min_size=1, max_size=3, unique=True)
+        for pos in data.draw(positions):
+            out[pos] ^= data.draw(st.integers(1, 255))
+        cached = bytes(out)
+    elif damage == "other capture":  # also what a capture edited after caching leaves behind
+        cached = runs[next(other for other in runs if other != name)][1][0]["frames.npz"]
+    else:
+        cached = stale
+    with tempfile.TemporaryDirectory() as tmp:
+        assert train_into(Path(tmp), capture_bytes, cfg, cached) == (0, *want)
+
+
+def test_frames_npz_that_is_a_directory(small_run, tmp_path, capsys):
+    capture_bytes, cfg, _ = small_run
+    out = tmp_path / "out"
+    (out / "frames.npz").mkdir(parents=True)
+    (tmp_path / "market.ndjson").write_bytes(capture_bytes)
+    paths = {"capture": str(tmp_path / "market.ndjson"), "out_dir": str(out)}
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "paths": paths}))
+    code, err = run_cli(["train", "--config", str(tmp_path / "cfg.json")], capsys)
+    assert (code, err) == (1, f"error: UnwritableOutput: cannot create {out / 'frames.npz'}: Is a directory\n")
+    # The command's other outputs are written before frames.npz; the manifest, after.
+    assert sorted(p.name for p in out.iterdir()) == ["frames.npz", "ppo_cross.npz", "training_log_cross.csv"]
+    assert list((out / "frames.npz").iterdir()) == []
