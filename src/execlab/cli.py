@@ -13,7 +13,9 @@ manifest_train_<scope>.json, manifest_evaluate.json.  Identical configs reproduc
 outputs byte for byte.  The first of them to read a capture into a directory also
 writes the capture's frames there as frames.npz, which the later ones load instead of
 parsing again as long as the capture bytes and the ingest code are unchanged; deleting
-it is always safe.
+it is always safe.  `capture resample` counts its CSV's directory as its output
+directory: it loads and writes frames.npz there too, but writes it only beside a
+regular file, never beside a device such as /dev/stdout or a FIFO.
 """
 
 from __future__ import annotations
@@ -169,6 +171,23 @@ def read_frames_npz(path: Path, capture_sha256: str) -> FrameSet | None:
     return FrameSet(grid_ts=grid_ts, venues=by_venue)
 
 
+def load_frames(capture_path: Path, out_dir: Path) -> tuple[FrameSet, str, bool]:
+    """The capture's frames, its SHA-256, and whether the capture was parsed:
+    the frames come from `out_dir`'s frames.npz when it holds this capture's
+    frames, and from parsing the capture otherwise.  Writing the file after a
+    parse is the caller's, once its own outputs are written."""
+    capture_sha256 = file_sha256(capture_path)
+    frames = read_frames_npz(out_dir / FRAMES_NPZ, capture_sha256)
+    if frames is not None:
+        return frames, capture_sha256, False
+    frames = resample(read_capture(capture_path))
+    # The parse's last freed tuples stay in the interpreter's free lists and
+    # keep about 18 MB of its memory arenas resident for the rest of the
+    # command; only a full collection empties those lists.
+    gc.collect()
+    return frames, capture_sha256, True
+
+
 class Run:
     """What `signals report`, `train` and `evaluate` share: the checked config,
     the output directory, the capture's frames and the files the command writes.
@@ -187,16 +206,8 @@ class Run:
             check_seed("--seed", args.seed)
             self.cfg.train.seed = self.cfg.evaluate.seed = args.seed
         self.capture_path = _require_file(self.cfg.paths.capture, "capture")
-        self.capture_sha256 = file_sha256(self.capture_path)
         self.out_dir = Path(args.out_dir or self.cfg.paths.out_dir)
-        self.frames = read_frames_npz(self.out_dir / FRAMES_NPZ, self.capture_sha256)
-        self.parsed = self.frames is None
-        if self.parsed:
-            self.frames = resample(read_capture(self.capture_path))
-            # The parse's last freed tuples stay in the interpreter's free lists
-            # and keep about 18 MB of its memory arenas resident for the rest of
-            # the command; only a full collection empties those lists.
-            gc.collect()
+        self.frames, self.capture_sha256, self.parsed = load_frames(self.capture_path, self.out_dir)
         target = self.cfg.signals.target_venue
         if target not in self.frames.venues:
             raise ConfigError(
@@ -257,8 +268,12 @@ def cmd_capture_align(args) -> int:
 
 def cmd_capture_resample(args) -> int:
     src = _require_file(args.input, "capture")
-    frames = resample(read_capture(src))
-    write_frames_csv(frames, args.output)
+    out = Path(args.output)
+    frames, capture_sha256, parsed = load_frames(src, out.parent)
+    write_frames_csv(frames, out)
+    # Beside a device such as /dev/stdout or a FIFO there is no output directory.
+    if parsed and out.is_file():
+        write_frames_npz(frames, out.parent / FRAMES_NPZ, capture_sha256)
     print(f"wrote {frames.n_frames} grid points x {len(frames.venues)} venue(s) to {args.output}")
     return 0
 
@@ -295,9 +310,8 @@ def cmd_signals_report(args) -> int:
         )
         _write_json(run.output(f"report_{name}.json"), report.to_json_dict())
         for h, fit in zip(report.horizons_ms, report.fits):
-            horizon_lines.append(
-                f"{name},{h},{fit.alpha:.9g},{fit.beta:.9g},{fit.r2:.9g},{fit.n}"
-            )
+            cells = ",," if fit.degenerate else f"{fit.alpha:.9g},{fit.beta:.9g},{fit.r2:.9g}"
+            horizon_lines.append(f"{name},{h},{cells},{fit.n}")
         for c, m, k in zip(report.bin_centers, report.bin_mean_bps, report.bin_counts):
             cell = "" if not np.isfinite(m) else format(m, ".9g")
             bin_lines.append(f"{name},{c:.9g},{cell},{k}")

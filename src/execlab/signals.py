@@ -187,6 +187,7 @@ class LinearFit:
     beta: float
     r2: float
     n: int
+    degenerate: bool = False  # a zero-variance regressor: alpha, beta and r2 are NaN
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -220,7 +221,9 @@ class RegressionReport:
             "feature": self.feature,
             "target_venue": self.target_venue,
             "horizons": [
-                {"horizon_ms": h, "alpha": f.alpha, "beta": f.beta, "r2": f.r2, "n": f.n}
+                {"horizon_ms": h, "alpha": None, "beta": None, "r2": None, "n": f.n, "degenerate": True}
+                if f.degenerate
+                else {"horizon_ms": h, "alpha": f.alpha, "beta": f.beta, "r2": f.r2, "n": f.n}
                 for h, f in zip(self.horizons_ms, self.fits)
             ],
             "bin_curve": {
@@ -271,11 +274,17 @@ def horizon_report(
     bin_horizon_ms: int,
 ) -> RegressionReport:
     """One regression of the feature `name` per horizon plus the bin curve at
-    the designated horizon."""
+    the designated horizon.  A feature with no variance over a horizon's
+    paired points, such as the peer spread of venues that quote alike, gets
+    a degenerate fit there instead of an error."""
     fits = []
     for h_ms in horizons_ms:
         y = future_return_bps(frames, target_venue, horizon_steps(h_ms))
-        fits.append(fit_line(values, y))
+        try:
+            fits.append(fit_line(values, y))
+        except DegenerateXError:
+            n = int(np.count_nonzero(np.isfinite(values) & np.isfinite(y)))
+            fits.append(LinearFit(np.nan, np.nan, np.nan, n, degenerate=True))
     y_bin = future_return_bps(frames, target_venue, horizon_steps(bin_horizon_ms))
     centers, means, counts = bin_curve(values, y_bin, BIN_CURVE_BINS)
     return RegressionReport(

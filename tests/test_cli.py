@@ -1,11 +1,13 @@
 import contextlib
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import shutil
 import tempfile
+import threading
 import zipfile
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -1204,3 +1206,193 @@ def test_frames_npz_that_is_a_directory(small_run, tmp_path, capsys):
     # The command's other outputs are written before frames.npz; the manifest, after.
     assert sorted(p.name for p in out.iterdir()) == ["frames.npz", "ppo_cross.npz", "training_log_cross.csv"]
     assert list((out / "frames.npz").iterdir()) == []
+
+
+# -- capture resample and frames.npz -----------------------------------------------
+
+
+def resample_into(capture: Path, csv: Path) -> int:
+    """`capture resample` of `capture` into `csv`, in-process; its exit code."""
+    return assert_clean_exit(["capture", "resample", str(capture), str(csv)])
+
+
+def count_parses(monkeypatch) -> list:
+    """A list that grows by one at each `read_capture` call the CLI makes."""
+    calls = []
+    real = execlab.cli.read_capture
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(execlab.cli, "read_capture", counted)
+    return calls
+
+
+def test_capture_resample_hit_never_parses_and_writes_the_same_csv(small_run, tmp_path, monkeypatch):
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0])
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    assert resample_into(capture, cold / "frames.csv") == 0
+    assert sorted(os.listdir(cold)) == ["frames.csv", "frames.npz"]
+    shutil.copy(cold / "frames.npz", warm)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("capture resample parsed the capture although frames.npz held its frames")
+
+    monkeypatch.setattr(execlab.cli, "read_capture", no_parse)
+    monkeypatch.setattr(execlab.cli, "resample", no_parse)
+    assert resample_into(capture, warm / "frames.csv") == 0
+    assert (warm / "frames.csv").read_bytes() == (cold / "frames.csv").read_bytes()
+    assert (warm / "frames.npz").read_bytes() == (cold / "frames.npz").read_bytes()
+    assert sorted(os.listdir(warm)) == ["frames.csv", "frames.npz"]
+
+
+def test_capture_resample_miss_caches_the_frames_for_signals_report(pipeline, tmp_path, monkeypatch):
+    # The frames.npz `capture resample` writes holds the parse's frames bit for
+    # bit, and `signals report` into the same directory loads it: it parses
+    # nothing, writes the pinned reports and does not list the file.
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    assert resample_into(capture, out / "frames.csv") == 0
+    capture_sha256 = hashlib.sha256(capture.read_bytes()).hexdigest()
+    cached = read_frames_npz(out / "frames.npz", capture_sha256)
+    assert frames_bits(cached) == frames_bits(resample(read_capture(capture)))
+
+    parses = count_parses(monkeypatch)
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out)})
+    assert main(["signals", "report", "--config", str(cfg)]) == 0
+    assert parses == []
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPORT_DIGESTS}
+    assert digests == REPORT_DIGESTS
+    manifest = json.loads((out / "manifest_signals_report.json").read_text())
+    assert str(out / "frames.npz") not in manifest["outputs"]
+
+
+def test_capture_resample_parses_an_edited_capture_again(small_run, tmp_path, monkeypatch):
+    capture_bytes = small_run[0]
+    edited_bytes = capture_bytes[: capture_bytes.rindex(b"\n", 0, -1) + 1]  # less the last record
+    capture, out, fresh = tmp_path / "market.ndjson", tmp_path / "out", tmp_path / "fresh"
+    out.mkdir()
+    fresh.mkdir()
+    capture.write_bytes(capture_bytes)
+    assert resample_into(capture, out / "frames.csv") == 0
+    capture.write_bytes(edited_bytes)
+    parses = count_parses(monkeypatch)
+    assert resample_into(capture, out / "frames.csv") == 0
+    assert len(parses) == 1
+    old_sha256, new_sha256 = (hashlib.sha256(b).hexdigest() for b in (capture_bytes, edited_bytes))
+    assert read_frames_npz(out / "frames.npz", old_sha256) is None
+    assert frames_bits(read_frames_npz(out / "frames.npz", new_sha256)) == frames_bits(
+        resample(read_capture(capture))
+    )
+    assert resample_into(capture, fresh / "frames.csv") == 0
+    assert (out / "frames.csv").read_bytes() == (fresh / "frames.csv").read_bytes()
+    assert sorted(os.listdir(out)) == ["frames.csv", "frames.npz"]
+
+
+def test_capture_resample_frames_npz_that_is_a_directory(small_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "frames.npz").mkdir(parents=True)
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0])
+    code, err = run_cli(["capture", "resample", str(capture), str(out / "frames.csv")], capsys)
+    assert (code, err) == (1, f"error: UnwritableOutput: cannot create {out / 'frames.npz'}: Is a directory\n")
+    # The CSV is written before frames.npz and kept.
+    assert sorted(p.name for p in out.iterdir()) == ["frames.csv", "frames.npz"]
+    assert (out / "frames.csv").read_text().startswith("grid_ts,venue,present")
+    assert list((out / "frames.npz").iterdir()) == []
+
+
+def test_capture_resample_of_a_malformed_capture_writes_nothing(small_run, tmp_path, capsys):
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0][:-20])  # chop into the last record
+    code, err = run_cli(["capture", "resample", str(capture), str(tmp_path / "frames.csv")], capsys)
+    assert code == 1 and err.startswith("error: MalformedLine: ")
+    assert os.listdir(tmp_path) == ["market.ndjson"]
+
+
+def test_capture_resample_into_a_fifo_caches_nothing(small_run, tmp_path):
+    # Like /dev/stdout, a FIFO has no output directory: the CSV streams
+    # through it and no frames.npz appears beside it.
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0])
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = resample_into(capture, fifo)
+    reader.join(timeout=30)
+    assert code == 0
+    assert received[0].startswith(b"grid_ts,venue,present")
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "market.ndjson"]
+
+
+def test_pipeline_reads_the_capture_once(small_run, tmp_path, monkeypatch):
+    # The benchmark's five pipeline commands, in its order, into one output
+    # directory: only the first reads the capture; the rest load frames.npz.
+    capture_bytes, cfg, _ = small_run
+    out = tmp_path / "out"
+    out.mkdir()
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(capture_bytes)
+    paths = {
+        "capture": str(capture),
+        "out_dir": str(out),
+        "checkpoint_single": str(out / "ppo_single.npz"),
+        "checkpoint_cross": str(out / "ppo_cross.npz"),
+    }
+    configs = {}
+    for scope in ("cross", "single"):
+        configs[scope] = tmp_path / f"cfg_{scope}.json"
+        configs[scope].write_text(json.dumps({**cfg, "paths": paths, "train": {**cfg["train"], "scope": scope}}))
+    commands = {
+        "capture_resample": ["capture", "resample", str(capture), str(out / "frames.csv")],
+        "signals_report": ["signals", "report", "--config", str(configs["cross"])],
+        "train_cross": ["train", "--config", str(configs["cross"])],
+        "train_single": ["train", "--config", str(configs["single"])],
+        "evaluate": ["evaluate", "--config", str(configs["cross"])],
+    }
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert sorted(workloads.PIPELINE_COMMANDS) == sorted(commands)
+    parses = count_parses(monkeypatch)
+    for name in workloads.PIPELINE_COMMANDS:
+        assert assert_clean_exit(commands[name]) == 0, name
+    assert len(parses) == 1
+    assert (out / "comparison.json").is_file()
+
+
+def test_cli_signals_report_on_a_placebo_market(tmp_path):
+    # With no signal, no lag and no level noise every venue quotes alike, so
+    # the peer spread is constant: its fits are degenerate, not an error.
+    out = tmp_path / "out"
+    capture = tmp_path / "market.ndjson"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(out)},
+        synth={"signal_strength": 0.0, "lag_ms": [0, 0, 0], "level_noise": 0.0},
+        synth_duration_s=10.0,
+    )
+    assert main(["synth", "gen", "--config", str(cfg), "--out", str(capture)]) == 0
+    assert main(["signals", "report", "--config", str(cfg)]) == 0
+    placebo = json.loads((out / "report_peer_spread_centered.json").read_text())
+    assert [h["horizon_ms"] for h in placebo["horizons"]] == [100, 500]
+    for fit in placebo["horizons"]:
+        assert (fit["alpha"], fit["beta"], fit["r2"], fit["degenerate"]) == (None, None, None, True)
+        assert fit["n"] > 0
+    rows = [line.split(",") for line in (out / "horizon_r2.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows if row[2:5] == ["", "", ""]] == [
+        ["peer_spread_centered", "100"], ["peer_spread_centered", "500"]
+    ]
+    for report in out.glob("report_*.json"):
+        if report.name != "report_peer_spread_centered.json":
+            for fit in json.loads(report.read_text())["horizons"]:
+                assert set(fit) == {"horizon_ms", "alpha", "beta", "r2", "n"}, report.name

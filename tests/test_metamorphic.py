@@ -1,0 +1,94 @@
+"""Metamorphic relations: a capture rewritten in a way the method must not
+notice gives outputs that follow from the original's.
+
+Each relation runs the CLI in-process on one small synth market and on its
+rewrite, and compares the outputs byte for byte.
+"""
+
+import importlib
+from dataclasses import fields
+
+import pytest
+
+from execlab.capture import VenueFrames, read_capture, resample, write_capture
+from execlab.capture.book import LocalBook, apply_delta, apply_snapshot, merge_ticker
+from execlab.capture.records import KIND_BOOK_DELTA, KIND_BOOK_SNAPSHOT, KIND_TICKER, BookPayload
+from execlab.cli import main
+from execlab.errors import CrossedTicker
+from execlab.synth import SynthConfig, generate
+
+
+@pytest.fixture(scope="module")
+def market(tmp_path_factory):
+    """A 10 s synth capture and the frames CSV `capture resample` writes for it."""
+    root = tmp_path_factory.mktemp("metamorphic")
+    capture = root / "market.ndjson"
+    generate(SynthConfig(seed=21), 10.0, capture)
+    assert main(["capture", "resample", str(capture), str(root / "frames.csv")]) == 0
+    return capture, (root / "frames.csv").read_bytes()
+
+
+def book_copy(book: LocalBook) -> LocalBook:
+    return LocalBook(bids=dict(book.bids), asks=dict(book.asks))
+
+
+def snapshots_as_deltas(records) -> tuple[list, int]:
+    """The records with every snapshot after its venue's first replaced by the
+    book_delta that turns the venue's book into the snapshot's: the levels the
+    snapshot drops at qty 0, then the snapshot's levels.  Returns the records
+    and the number of snapshots replaced."""
+    books: dict[str, LocalBook] = {}
+    snapshotted: set[str] = set()  # venues whose first snapshot has passed
+    out, rewritten = [], 0
+    for rec in records:
+        book = books.get(rec.venue)
+        if rec.kind == KIND_BOOK_SNAPSHOT and rec.venue in snapshotted:
+            after = apply_snapshot(book_copy(book), rec.payload)
+            delta = BookPayload(
+                bids=tuple((p, 0.0) for p in book.bids if p not in after.bids) + tuple(after.bids.items()),
+                asks=tuple((p, 0.0) for p in book.asks if p not in after.asks) + tuple(after.asks.items()),
+            )
+            rec = rec._replace(kind=KIND_BOOK_DELTA, payload=delta)
+            replayed = apply_delta(book_copy(book), delta)
+            assert (replayed.bids, replayed.asks) == (after.bids, after.asks)
+            rewritten += 1
+        if rec.kind in (KIND_BOOK_SNAPSHOT, KIND_BOOK_DELTA, KIND_TICKER):
+            book = books.setdefault(rec.venue, LocalBook())
+            if rec.kind == KIND_BOOK_SNAPSHOT:
+                apply_snapshot(book, rec.payload)
+                snapshotted.add(rec.venue)
+            elif rec.kind == KIND_BOOK_DELTA:
+                apply_delta(book, rec.payload)
+            else:
+                try:
+                    merge_ticker(book, rec.payload)
+                except CrossedTicker:
+                    pass  # resample leaves the book unchanged too
+        out.append(rec)
+    return out, rewritten
+
+
+def test_snapshots_as_deltas_give_the_same_frames(market, tmp_path, monkeypatch):
+    capture, want_csv = market
+    records, rewritten = snapshots_as_deltas(read_capture(capture))
+    deltas = tmp_path / "deltas.ndjson"
+    write_capture(records, deltas)
+    assert rewritten > 0 and sum(r.kind == KIND_BOOK_DELTA for r in read_capture(deltas)) == rewritten
+
+    applied = []
+    resample_module = importlib.import_module("execlab.capture.resample")  # the package re-exports its function
+    real = resample_module.apply_delta
+
+    def counted(book, payload):
+        applied.append(payload)
+        return real(book, payload)
+
+    monkeypatch.setattr(resample_module, "apply_delta", counted)
+    assert main(["capture", "resample", str(deltas), str(tmp_path / "frames.csv")]) == 0
+    assert len(applied) == rewritten
+    assert (tmp_path / "frames.csv").read_bytes() == want_csv
+    got, want = resample(read_capture(deltas)), resample(read_capture(capture))
+    assert got.grid_ts.tobytes() == want.grid_ts.tobytes() and list(got.venues) == list(want.venues)
+    for venue, vf in want.venues.items():
+        for f in fields(VenueFrames):
+            assert getattr(vf, f.name).tobytes() == getattr(got.venues[venue], f.name).tobytes(), (venue, f.name)

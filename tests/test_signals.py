@@ -323,6 +323,20 @@ def test_horizon_report_shapes_and_bins():
     assert {h["horizon_ms"] for h in d["horizons"]} == {100, 500, 1000}
 
 
+def test_horizon_report_of_a_constant_feature_is_degenerate():
+    # fit_line still raises; the report records the fit and goes on.
+    frames = generate_frames(SynthConfig(seed=8), 20.0)
+    feat = np.full(frames.n_frames, 0.5)
+    report = horizon_report("constant", feat, frames, "v0", (100, 500), 500)
+    y = future_return_bps(frames, "v0", 10)
+    assert report.fits[0].n == np.count_nonzero(np.isfinite(y)) >= 3
+    assert all(f.degenerate and np.isnan([f.alpha, f.beta, f.r2]).all() for f in report.fits)
+    assert report.to_json_dict()["horizons"][0] == {
+        "horizon_ms": 100, "alpha": None, "beta": None, "r2": None, "n": report.fits[0].n, "degenerate": True
+    }
+    assert report.bin_counts.sum() > 0
+
+
 def test_feature_bundle_scopes():
     cfg = SynthConfig(seed=2)
     frames = generate_frames(cfg, 20.0)
