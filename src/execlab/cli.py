@@ -14,8 +14,9 @@ outputs byte for byte.  The first of them to read a capture into a directory als
 writes the capture's frames there as frames.npz, which the later ones load instead of
 parsing again as long as the capture bytes and the ingest code are unchanged; deleting
 it is always safe.  `capture resample` counts its CSV's directory as its output
-directory: it loads and writes frames.npz there too, but writes it only beside a
-regular file, never beside a device such as /dev/stdout or a FIFO.
+directory and loads and writes frames.npz there too, but only when the CSV path
+names a plain file, or nothing yet, and is not itself frames.npz: a link such as
+/dev/stdout, a device or a FIFO has no output directory.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import gc
 import hashlib
 import json
 import os
+import stat
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -171,15 +173,18 @@ def read_frames_npz(path: Path, capture_sha256: str) -> FrameSet | None:
     return FrameSet(grid_ts=grid_ts, venues=by_venue)
 
 
-def load_frames(capture_path: Path, out_dir: Path) -> tuple[FrameSet, str, bool]:
+def load_frames(capture_path: Path, out_dir: Path | None) -> tuple[FrameSet, str | None, bool]:
     """The capture's frames, its SHA-256, and whether the capture was parsed:
     the frames come from `out_dir`'s frames.npz when it holds this capture's
-    frames, and from parsing the capture otherwise.  Writing the file after a
-    parse is the caller's, once its own outputs are written."""
-    capture_sha256 = file_sha256(capture_path)
-    frames = read_frames_npz(out_dir / FRAMES_NPZ, capture_sha256)
-    if frames is not None:
-        return frames, capture_sha256, False
+    frames, and from parsing the capture otherwise.  With no `out_dir` the
+    capture is parsed and not hashed (its SHA-256 is None).  Writing the file
+    after a parse is the caller's, once its own outputs are written."""
+    capture_sha256 = None
+    if out_dir is not None:
+        capture_sha256 = file_sha256(capture_path)
+        frames = read_frames_npz(out_dir / FRAMES_NPZ, capture_sha256)
+        if frames is not None:
+            return frames, capture_sha256, False
     frames = resample(read_capture(capture_path))
     # The parse's last freed tuples stay in the interpreter's free lists and
     # keep about 18 MB of its memory arenas resident for the rest of the
@@ -266,14 +271,32 @@ def cmd_capture_align(args) -> int:
     return 0
 
 
+def _csv_out_dir(csv: Path) -> Path | None:
+    """The output directory of a frames CSV written to `csv`: its parent when
+    `csv` is a plain file or nothing yet (opening it then makes a plain file),
+    else None.  The link is not followed: /dev/stdout links to whatever the
+    shell redirected it to, often a regular file, but /dev is no output
+    directory.  A CSV named frames.npz has none either, as the cache would
+    replace it."""
+    if csv.name == FRAMES_NPZ:
+        return None
+    try:
+        mode = os.lstat(csv).st_mode
+    except FileNotFoundError:
+        return csv.parent
+    except OSError:
+        return None
+    return csv.parent if stat.S_ISREG(mode) else None
+
+
 def cmd_capture_resample(args) -> int:
     src = _require_file(args.input, "capture")
     out = Path(args.output)
-    frames, capture_sha256, parsed = load_frames(src, out.parent)
+    out_dir = _csv_out_dir(out)
+    frames, capture_sha256, parsed = load_frames(src, out_dir)
     write_frames_csv(frames, out)
-    # Beside a device such as /dev/stdout or a FIFO there is no output directory.
-    if parsed and out.is_file():
-        write_frames_npz(frames, out.parent / FRAMES_NPZ, capture_sha256)
+    if parsed and out_dir is not None:
+        write_frames_npz(frames, out_dir / FRAMES_NPZ, capture_sha256)
     print(f"wrote {frames.n_frames} grid points x {len(frames.venues)} venue(s) to {args.output}")
     return 0
 

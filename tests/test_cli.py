@@ -1332,6 +1332,65 @@ def test_capture_resample_into_a_fifo_caches_nothing(small_run, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["fifo", "market.ndjson"]
 
 
+def forbid_frames_npz(monkeypatch) -> None:
+    """Make any frames.npz lookup or write by the CLI fail the test."""
+
+    def no_cache(*args, **kwargs):
+        raise AssertionError("capture resample used a frames.npz where it has no output directory")
+
+    monkeypatch.setattr(execlab.cli, "read_frames_npz", no_cache)
+    monkeypatch.setattr(execlab.cli, "write_frames_npz", no_cache)
+
+
+@pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="needs /dev/stdout as a link to fd 1")
+def test_capture_resample_into_dev_stdout_redirected_to_a_file_caches_nothing(small_run, tmp_path, monkeypatch):
+    # `capture resample cap.ndjson /dev/stdout > frames.csv`: /dev/stdout links
+    # to the regular file the shell opened, but /dev is no output directory,
+    # so frames.npz is neither looked up nor written there.
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0])
+    assert resample_into(capture, tmp_path / "frames.csv") == 0
+    forbid_frames_npz(monkeypatch)
+    redirected = tmp_path / "redirected.csv"
+    saved = os.dup(1)
+    try:
+        with open(redirected, "wb") as fh:
+            os.dup2(fh.fileno(), 1)
+            code = resample_into(capture, Path("/dev/stdout"))
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+    assert code == 0
+    assert redirected.read_bytes() == (tmp_path / "frames.csv").read_bytes()
+
+
+def test_capture_resample_through_a_symlink_caches_nothing(small_run, tmp_path, monkeypatch):
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0])
+    assert resample_into(capture, tmp_path / "frames.csv") == 0
+    forbid_frames_npz(monkeypatch)
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (out / "frames.csv").symlink_to(elsewhere / "real.csv")
+    assert resample_into(capture, out / "frames.csv") == 0
+    assert (elsewhere / "real.csv").read_bytes() == (tmp_path / "frames.csv").read_bytes()
+    assert os.listdir(out) == ["frames.csv"] and os.listdir(elsewhere) == ["real.csv"]
+
+
+def test_capture_resample_into_a_csv_named_frames_npz_keeps_the_csv(small_run, tmp_path):
+    # The cache would replace the CSV on a cold run only; it is never written.
+    capture = tmp_path / "market.ndjson"
+    capture.write_bytes(small_run[0])
+    assert resample_into(capture, tmp_path / "frames.csv") == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    for _ in range(2):
+        assert resample_into(capture, out / "frames.npz") == 0
+        assert (out / "frames.npz").read_bytes() == (tmp_path / "frames.csv").read_bytes()
+        assert os.listdir(out) == ["frames.npz"]
+
+
 def test_pipeline_reads_the_capture_once(small_run, tmp_path, monkeypatch):
     # The benchmark's five pipeline commands, in its order, into one output
     # directory: only the first reads the capture; the rest load frames.npz.
