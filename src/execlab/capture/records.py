@@ -18,6 +18,13 @@ Payload bodies by kind:
 Records are immutable named tuples, and a payload's fields are its wire keys,
 in wire order.  Writing the records read from a valid file reproduces it
 byte for byte.
+
+A trade line in the canonical form `write_capture` writes is read without
+the JSON decoder, by one compiled pattern.  Every other line, and a
+canonical trade whose values fail a range check, takes the general path,
+json.loads and `parse_record`, which alone raises errors; the records and
+errors are the same either way.  A valid file in another form still reads
+correctly, only slower.
 """
 
 from __future__ import annotations
@@ -185,10 +192,37 @@ def read_capture(path: str | Path) -> Iterator[MarketRecord]:
         yield from read_capture_lines(fh)
 
 
+# A trade line exactly as record_to_line writes it: its fields in wire order,
+# a venue with nothing JSON escapes, and JSON numbers whose integer part has at
+# most 19 digits, so that int() always converts one.  json.loads gives this
+# line's values by the same int() and float() conversions.
+_INT = r"-?(?:0|[1-9][0-9]{0,18})"
+_NUM = _INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_CANONICAL_TRADE = re.compile(
+    r'\{"venue":"([^"\\\x00-\x1f]+)","kind":"trade","local_ts":(' + _INT + r')(?:,"exch_ts":(' + _INT + r'))?'
+    r',"payload":\{"price":(' + _NUM + r'),"qty":(' + _NUM + r'),"side":"(buy|sell)"\}\}\n?'
+)
+
+
 def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
+    canonical_trade = _CANONICAL_TRADE.fullmatch
     for line_no, line in enumerate(lines, start=1):
         if not line.isascii() and _UNDECODED.search(line):
             raise MalformedLine(line_no, "not valid UTF-8")
+        if match := canonical_trade(line):
+            venue, local_ts, exch_ts, price, qty, side = match.groups()
+            local_ts, price, qty = int(local_ts), float(price), float(qty)
+            if exch_ts is not None:
+                exch_ts = int(exch_ts)
+            if (
+                TS_MIN <= local_ts <= TS_MAX
+                and (exch_ts is None or TS_MIN <= exch_ts <= TS_MAX)
+                and 0 < price <= _FLOAT_MAX
+                and 0 < qty <= _FLOAT_MAX
+            ):
+                yield MarketRecord(venue, KIND_TRADE, local_ts, TradePayload(price, qty, side), exch_ts)
+                continue
+            # A value out of range: the general path below raises its error.
         stripped = line.strip()
         if not stripped:
             # A blank trailing line is tolerated; a blank interior line is not
@@ -200,6 +234,8 @@ def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
             raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
         except ValueError as exc:  # an integer literal longer than int() converts
             raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedLine(line_no, "invalid JSON: nested too deeply") from exc
         yield parse_record(obj, line_no)
 
 

@@ -84,6 +84,19 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _print_status(output: str | Path, line: str) -> None:
+    """Print the status line of a command that wrote `output`: to stderr when
+    `output` is stdout's own file, as /dev/stdout is, so that the line never
+    lands in what the command wrote (with stdout redirected to a file, a
+    second open of it writes from offset 0 and the line would overwrite the
+    start)."""
+    try:
+        onto_output = os.path.samestat(os.stat(output), os.fstat(1))
+    except OSError:
+        onto_output = False
+    print(line, file=sys.stderr if onto_output else sys.stdout)
+
+
 # -- frames.npz: the capture's frames, kept for the commands after the first
 
 FRAMES_NPZ = "frames.npz"
@@ -267,7 +280,7 @@ def cmd_capture_align(args) -> int:
             "rejected_knots": cmap.rejected_knots,
         }
     _write_json(args.output, out)
-    print(f"wrote clock maps for {len(out['venues'])} venue(s) to {args.output}")
+    _print_status(args.output, f"wrote clock maps for {len(out['venues'])} venue(s) to {args.output}")
     return 0
 
 
@@ -297,7 +310,7 @@ def cmd_capture_resample(args) -> int:
     write_frames_csv(frames, out)
     if parsed and out_dir is not None:
         write_frames_npz(frames, out_dir / FRAMES_NPZ, capture_sha256)
-    print(f"wrote {frames.n_frames} grid points x {len(frames.venues)} venue(s) to {args.output}")
+    _print_status(args.output, f"wrote {frames.n_frames} grid points x {len(frames.venues)} venue(s) to {args.output}")
     return 0
 
 
@@ -308,7 +321,7 @@ def cmd_synth_gen(args) -> int:
         check_seed("--seed", args.seed)
         synth_cfg = replace(synth_cfg, seed=args.seed)
     n = generate(synth_cfg, cfg.synth_duration_s, args.out)
-    print(f"wrote {n} records ({cfg.synth_duration_s}s, {synth_cfg.n_venues} venues) to {args.out}")
+    _print_status(args.out, f"wrote {n} records ({cfg.synth_duration_s}s, {synth_cfg.n_venues} venues) to {args.out}")
     return 0
 
 

@@ -210,6 +210,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(text)
     except ValueError as exc:  # also an integer literal longer than int() converts
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is not valid JSON: nested too deeply") from exc
     return parse_config(raw)
 
 

@@ -391,6 +391,8 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, PpoConfig, dict]:
             header = json.loads(bytes(array("header_json")).decode("utf-8"))
         except ValueError as exc:
             raise CheckpointError(f"header_json is not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise CheckpointError("header_json is not JSON: nested too deeply") from exc
         version = header.get("version") if isinstance(header, dict) else None
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from execlab.capture import (
     MarketRecord,
@@ -21,7 +23,8 @@ from execlab.capture.records import (
     write_capture_lines,
 )
 from execlab.capture.resample import GRID_NS, resample
-from execlab.errors import MalformedLine, UnknownKind
+from execlab.errors import ExecLabError, MalformedLine, UnknownKind
+from execlab.synth import SynthConfig, generate_records
 
 
 def _mixed_records(n=1000):
@@ -287,3 +290,128 @@ def test_accepted_edge_values():
     assert rec.payload == BookPayload(bids=(), asks=((1e300, 0.0),))
     (rec,) = read_capture_lines([_line("ticker", {**GOOD_TICKER, "ask_price": 10**300})])
     assert rec.payload.ask_price == 1e300
+
+
+def test_deeply_nested_line_is_malformed():
+    deep = "[" * 100_000 + "]" * 100_000
+    line = '{"venue":"v0","kind":"trade","local_ts":1,"payload":' + deep + "}"
+    with pytest.raises(MalformedLine) as exc:
+        list(read_capture_lines([_line(), line]))
+    assert (exc.value.line_no, exc.value.reason) == (2, "invalid JSON: nested too deeply")
+
+
+# -- canonical trade lines, read without the JSON decoder -------------------------
+
+
+_SURROGATE_BYTES = re.compile("[\udc80-\udcff]")
+
+
+def reference_read_capture_lines(lines):
+    """The line loop that canonical trade lines now skip: every line goes
+    through json.loads and parse_record."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() and _SURROGATE_BYTES.search(line):
+            raise MalformedLine(line_no, "not valid UTF-8")
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(line_no, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
+        yield parse_record(obj, line_no)
+
+
+def outcome(read, lines):
+    """The records `read` makes of `lines`, every field as its type and repr,
+    or the kind and message of the error it raises."""
+    try:
+        records = list(read(lines))
+    except ExecLabError as exc:
+        return type(exc).__name__, str(exc)
+    return [
+        (type(rec.payload), [(type(v), repr(v)) for v in (*rec[:3], rec.exch_ts, *rec.payload)])
+        for rec in records
+    ]
+
+
+_TS = st.one_of(
+    st.integers(0, 2**62),
+    st.integers(TS_MIN - 3, TS_MIN + 3),
+    st.integers(TS_MAX - 3, TS_MAX + 3),
+    st.integers(-(10**21), 10**21),
+)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_TRADE_LINES = st.builds(
+    lambda venue, local_ts, exch_ts, price, qty, side: record_to_line(
+        MarketRecord(venue, "trade", local_ts, TradePayload(price, qty, side), exch_ts)
+    ),
+    venue=st.sampled_from(["v0", "binance", "v\u00e9"]) | st.text(),
+    local_ts=_TS,
+    exch_ts=st.none() | _TS,
+    price=_POSITIVE | _POSITIVE | st.floats(allow_nan=False, allow_infinity=False),
+    qty=_POSITIVE | _POSITIVE | st.floats(allow_nan=False, allow_infinity=False),
+    side=st.sampled_from(["buy", "sell"]) | st.sampled_from(["buy", "sell"]) | st.text(max_size=5),
+)
+_NUMBER_TOKEN = re.compile(r"-?[0-9][0-9.eE+-]*")
+_TOKENS = [
+    "1e400", "-1e400", "1e-400", "-0.0", "-0", "0", "7", "1.5", "1E5", "1.", ".5", "+1", "1e", "0x10",
+    "12345678901234567890", "-12345678901234567890", "1234567890123456789", "0123", "00",
+    "true", "false", "null", "NaN", "Infinity", "-Infinity", "\u0663", "1\u0663", "1.\u0663", "1e\u0663",
+    str(TS_MAX), str(TS_MAX + 1), str(TS_MIN), str(TS_MIN - 1),
+]
+_CHARS = st.sampled_from(list('0123456789-+.eE"\\,:{}[] \t\x00\x1f\x7f\u00e9\u0663\ud800\udc80'))
+
+
+@st.composite
+def trade_line_and_mutant(draw):
+    """A trade line as record_to_line writes it, and that line with one
+    character replaced, inserted or deleted, or one number token replaced;
+    each with a line end."""
+    line = draw(_TRADE_LINES)
+    if draw(st.booleans()):
+        spans = [m.span() for m in _NUMBER_TOKEN.finditer(line)]
+        start, end = draw(st.sampled_from(spans))
+        mutant = line[:start] + draw(st.sampled_from(_TOKENS)) + line[end:]
+    else:
+        i = draw(st.integers(0, len(line) - 1) | st.just(len('{"venue":"')))  # or the venue's first character
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        char = "" if how == "delete" else draw(_CHARS | _CHARS | st.characters())
+        mutant = line[:i] + char + line[i + (how != "insert"):]
+    ends = st.sampled_from(["\n", "", "\r\n", " \n"])
+    return line + draw(ends), mutant + draw(ends)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=trade_line_and_mutant())
+def test_trade_lines_read_as_the_json_decoder_reads_them(lines):
+    ok = record_to_line(MarketRecord("v0", "trade", 5, TradePayload(1.0, 2.0, "buy"))) + "\n"
+    for line in lines:
+        capture = [ok, line, ok]
+        assert outcome(read_capture_lines, capture) == outcome(reference_read_capture_lines, capture)
+
+
+def test_every_number_token_in_every_number_reads_as_the_json_decoder_reads_it():
+    line = record_to_line(MarketRecord("v0", "trade", 5, TradePayload(1.5, 2.0, "buy"), exch_ts=4)) + "\n"
+    for start, end in [m.span() for m in _NUMBER_TOKEN.finditer(line)]:
+        for token in _TOKENS:
+            capture = [line, line[:start] + token + line[end:]]
+            assert outcome(read_capture_lines, capture) == outcome(reference_read_capture_lines, capture), capture
+
+
+def test_canonical_trade_lines_skip_the_json_decoder(monkeypatch):
+    records = list(generate_records(SynthConfig(seed=3), 2.0))
+    lines = [record_to_line(rec) + "\n" for rec in records]
+    decoded = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real_loads(text))
+    assert list(read_capture_lines(lines)) == records
+    trades = sum(rec.kind == "trade" for rec in records)
+    assert trades > 0 and len(decoded) == len(records) - trades
+    # The same file with other separators is still read, each line by the decoder.
+    decoded.clear()
+    spaced = [json.dumps(rec.to_wire()) + "\n" for rec in records]
+    assert list(read_capture_lines(spaced)) == records
+    assert len(decoded) == len(records)

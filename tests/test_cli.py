@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import zipfile
@@ -566,6 +568,10 @@ def test_cli_checkpoint_with_wrong_action_count_exit_code(pipeline, tmp_path, ca
     assert "n_actions=51" in err and "n_actions=21" in err
 
 
+# A JSON value nested deeper than the decoder's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def edit_header(change):
     def damage(arrays):
         header = json.loads(bytes(arrays["header_json"]).decode("utf-8"))
@@ -592,10 +598,14 @@ def edit_header(change):
         (edit_header(lambda header: header["config"].update(clip_ratio=5)), "clip_ratio must lie in (0, 1)"),
         (edit_header(lambda header: header.update(meta=[1])), "header_json meta is not an object"),
         (edit_header(lambda header: header.update(n_inputs="7")), "header_json n_inputs is not"),
+        (
+            lambda arrays: arrays.update(header_json=np.frombuffer(f'{{"meta": {DEEP}}}'.encode(), np.uint8)),
+            "header_json is not JSON: nested too deeply",
+        ),
     ],
     ids=[
         "no-header", "no-weight", "no-adam", "version", "no-header-field", "shape", "dtype", "text", "npy",
-        "config-key", "config-value", "meta", "n-inputs-type",
+        "config-key", "config-value", "meta", "n-inputs-type", "header-nested-too-deeply",
     ],
 )
 def test_cli_unreadable_checkpoint_exit_code(pipeline, tmp_path, capsys, damage, message):
@@ -706,8 +716,13 @@ def test_cli_capture_not_utf8(pipeline, tmp_path, capsys, command):
         ([b"EARLIER", b"not json"], "UnsortedInput: records not sorted by local_ts at position 1\n"),
         # an integer literal too long for int() is no JSON number
         ([b'{"local_ts": 1' + b"0" * 5000 + b"}"], "MalformedLine: line 2: invalid JSON: "),
+        # a value nested deeper than the decoder recurses
+        (
+            [b'{"venue":"v0","kind":"trade","local_ts":1,"payload":' + DEEP.encode() + b"}"],
+            "MalformedLine: line 2: invalid JSON: nested too deeply\n",
+        ),
     ],
-    ids=["bad-line-then-bad-byte", "unsorted-then-bad-line", "overlong-integer"],
+    ids=["bad-line-then-bad-byte", "unsorted-then-bad-line", "overlong-integer", "nested-too-deeply"],
 )
 def test_cli_first_fault_in_the_capture_is_reported(pipeline, tmp_path, capsys, lines, expected):
     _, _, capture = pipeline
@@ -762,6 +777,13 @@ def test_cli_config_with_overlong_integer(tmp_path, capsys):
     cfg.write_text('{"version": 1, "seed": 1' + "0" * 5000 + "}")
     code, err = run_cli(["train", "--config", str(cfg)], capsys)
     assert code == 2 and err.startswith("error: ConfigParse: config is not valid JSON: ")
+
+
+def test_cli_config_nested_too_deeply(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"version": 1, "seed": ' + DEEP + "}")
+    code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert (code, err) == (2, "error: ConfigParse: config is not valid JSON: nested too deeply\n")
 
 
 def test_cli_config_not_utf8(tmp_path, capsys):
@@ -987,7 +1009,7 @@ def blank_field(line: bytes, key: str) -> bytes:
 
 def mutate_capture(data: bytes, draw) -> bytes:
     lines = data.split(b"\n")[:-1]
-    what = draw(st.sampled_from(["truncate", "flip", "bad utf-8", "swap", "repeat", "blank"]))
+    what = draw(st.sampled_from(["truncate", "flip", "bad utf-8", "swap", "repeat", "blank", "deep"]))
     if what == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
     if what == "flip":
@@ -999,7 +1021,10 @@ def mutate_capture(data: bytes, draw) -> bytes:
         pos = draw(st.integers(0, len(data)))
         return data[:pos] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80\x80"])) + data[pos:]
     i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
-    if what == "swap":
+    if what == "deep":
+        key = draw(st.sampled_from(["venue", "kind", "local_ts", "payload"]))
+        lines[i] = json.dumps({**json.loads(lines[i]), key: "DEEP"}).encode().replace(b'"DEEP"', DEEP.encode())
+    elif what == "swap":
         lines[i], lines[j] = lines[j], lines[i]
     elif what == "repeat":
         lines.insert(j, lines[i])
@@ -1362,6 +1387,34 @@ def test_capture_resample_into_dev_stdout_redirected_to_a_file_caches_nothing(sm
         os.close(saved)
     assert code == 0
     assert redirected.read_bytes() == (tmp_path / "frames.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", ["capture resample", "capture align", "synth gen"])
+def test_output_to_dev_stdout_redirected_to_a_file_holds_the_output_alone(small_run, tmp_path, command):
+    # `execlab capture resample cap.ndjson /dev/stdout > frames.csv` in a shell:
+    # the status line goes to stderr, not over the start of the file written.
+    capture_bytes, cfg, _ = small_run
+    capture, config = tmp_path / "market.ndjson", tmp_path / "cfg.json"
+    capture.write_bytes(capture_bytes)
+    config.write_text(json.dumps(cfg))
+
+    def argv(out: str) -> list[str]:
+        if command == "synth gen":
+            return ["synth", "gen", "--config", str(config), "--out", out]
+        return [*command.split(), str(capture), out]
+
+    assert assert_clean_exit(argv(str(tmp_path / "plain"))) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "redirected", "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "execlab", *argv("/dev/stdout")],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("wrote ") and proc.stderr.endswith(" to /dev/stdout\n")
+    assert (tmp_path / "redirected").read_bytes() == (tmp_path / "plain").read_bytes()
 
 
 def test_capture_resample_through_a_symlink_caches_nothing(small_run, tmp_path, monkeypatch):
