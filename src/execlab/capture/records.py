@@ -25,6 +25,11 @@ canonical trade whose values fail a range check, takes the general path,
 json.loads and `parse_record`, which alone raises errors; the records and
 errors are the same either way.  A valid file in another form still reads
 correctly, only slower.
+
+The writer mirrors the reader: a trade whose line that pattern reads, every
+value of its exact builtin type, is written by one format string with the
+bytes the JSON encoder gives it.  Every other record takes the general
+path, json.dumps of `to_wire()`, which alone raises errors.
 """
 
 from __future__ import annotations
@@ -246,9 +251,56 @@ def write_capture(records: Iterable[MarketRecord], path: str | Path) -> int:
 
 
 def write_capture_lines(records: Iterable[MarketRecord], fh: IO[str]) -> int:
+    venue_json: dict[str, str] = {}
     count = 0
     for record in records:
-        fh.write(record_to_line(record))
-        fh.write("\n")
+        line = _canonical_trade_line(record, venue_json)
+        fh.write(line if line is not None else record_to_line(record) + "\n")
         count += 1
     return count
+
+
+def _canonical_trade_line(record: MarketRecord, venue_json: dict[str, str]) -> str | None:
+    """The line record_to_line writes for `record`, line end included, when
+    it is a trade whose line _CANONICAL_TRADE reads; None for any other.
+
+    Each value has its exact builtin type, so the format string converts it
+    as the JSON encoder does: int.__repr__ for a timestamp in [TS_MIN,
+    TS_MAX], float.__repr__ for a finite price or qty.  `venue_json` caches
+    each venue's JSON string, or "" for a venue that is empty or that JSON
+    escapes.
+    """
+    if type(record) is not MarketRecord:
+        return None
+    venue, kind, local_ts, payload, exch_ts = record
+    if not (
+        type(payload) is TradePayload
+        and type(kind) is str
+        and kind == KIND_TRADE
+        and type(local_ts) is int
+        and TS_MIN <= local_ts <= TS_MAX
+        and (exch_ts is None or type(exch_ts) is int and TS_MIN <= exch_ts <= TS_MAX)
+        and type(venue) is str
+    ):
+        return None
+    price, qty, side = payload
+    if not (
+        type(price) is float
+        and -_FLOAT_MAX <= price <= _FLOAT_MAX
+        and type(qty) is float
+        and -_FLOAT_MAX <= qty <= _FLOAT_MAX
+        and type(side) is str
+        and (side == SIDE_BUY or side == SIDE_SELL)
+    ):
+        return None
+    quoted = venue_json.get(venue)
+    if quoted is None:
+        quoted = json.dumps(venue, ensure_ascii=False)
+        quoted = venue_json[venue] = quoted if venue and len(quoted) == len(venue) + 2 else ""
+    if not quoted:
+        return None
+    stamps = local_ts if exch_ts is None else f'{local_ts},"exch_ts":{exch_ts}'
+    return (
+        f'{{"venue":{quoted},"kind":"trade","local_ts":{stamps},'
+        f'"payload":{{"price":{price!r},"qty":{qty!r},"side":"{side}"}}}}\n'
+    )

@@ -538,6 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     except ExecLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: OutOfMemory: {str(exc) or 'cannot allocate memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

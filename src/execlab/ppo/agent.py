@@ -12,7 +12,7 @@ surrogate, value loss and entropy term follow the standard form
 
 with r the new/old probability ratio and advantages normalized per
 minibatch.  Gradients are assembled by hand and verified against central
-finite differences (gradcheck.py).
+finite differences by the tests (tests/gradcheck.py).
 """
 
 from __future__ import annotations

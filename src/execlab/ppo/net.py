@@ -2,7 +2,8 @@
 
 The whole package trains networks of exactly this shape (64x64 tanh trunk),
 so forward, backward and the optimizer are written out explicitly instead of
-pulling in an autodiff framework.  `gradcheck` verifies the algebra.
+pulling in an autodiff framework.  The tests check the algebra
+against central finite differences (tests/gradcheck.py).
 
 A network's parameters live in one contiguous float64 vector; the layer
 arrays are reshaped views into it, in `FIELDS` order.  Adam and the

@@ -35,6 +35,7 @@ from .capture.records import (
     KIND_TRADE,
     SIDE_BUY,
     SIDE_SELL,
+    TS_MAX,
     BookPayload,
     MarketRecord,
     TradePayload,
@@ -214,10 +215,14 @@ def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
 
 
 def duration_steps(duration_s: float) -> int:
-    """Grid steps in a synthetic market of duration_s seconds; at least one."""
+    """Grid steps in a synthetic market of duration_s seconds: at least one,
+    and so few that the market's last grid time, steps * GRID_NS, which its
+    records all precede, is at most TS_MAX, the last timestamp a capture holds."""
     steps = duration_s * _STEPS_PER_S
     if not (math.isfinite(steps) and round(steps) >= 1):
         raise InvalidConfig(f"duration must cover at least one {_GRID_MS} ms grid step, got {duration_s} s")
+    if round(steps) > TS_MAX // GRID_NS:
+        raise InvalidConfig(f"duration must end by the last capture timestamp, {TS_MAX} ns, got {duration_s} s")
     return int(round(steps))
 
 
@@ -288,31 +293,3 @@ def generate(config: SynthConfig, duration_s: float, path: str | Path) -> int:
     """Write the synthetic market as a capture file; returns records written."""
     duration_steps(duration_s)  # generate_records is lazy: check before the file is created
     return write_capture(generate_records(config, duration_s), path)
-
-
-def flat_market_config(price: float = 100.0, **overrides) -> SynthConfig:
-    base = dict(
-        seed=0,
-        n_venues=1,
-        leader=0,
-        lag_ms=(0,),
-        basis=(0.0,),
-        vol=0.0,
-        drift_vol=0.0,
-        signal_strength=0.0,
-        trade_intensity=0.0,
-        level_noise=0.0,
-        tilt_noise=0.0,
-        mid0=price,
-    )
-    base.update(overrides)
-    return SynthConfig(**base)
-
-
-def flat_market_frames(price: float, duration_s: float, **overrides) -> FrameSet:
-    """Oracle fixture: constant mid, constant symmetric book, no trades."""
-    return generate_frames(flat_market_config(price, **overrides), duration_s)
-
-
-def flat_market(price: float, duration_s: float, path: str | Path, **overrides) -> int:
-    return generate(flat_market_config(price, **overrides), duration_s, path)

@@ -1,4 +1,4 @@
-"""Central finite-difference verification of the analytic gradients."""
+"""Central finite-difference verification of the analytic PPO gradients, for the tests."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .agent import PolicyParams, PpoConfig, ppo_loss
+from execlab.ppo.agent import PolicyParams, PpoConfig, ppo_loss
 
 
 def gradient_check(

@@ -27,7 +27,6 @@ from execlab.ppo import (
     PpoConfig,
     RolloutBuffer,
     action_mask,
-    gradient_check_ppo,
     policy_forward,
     sample_actions,
     update,
@@ -47,7 +46,9 @@ from execlab.signals import (
     window_steps,
     bin_curve,
 )
-from execlab.synth import SynthConfig, flat_market, generate, generate_frames
+from execlab.synth import SynthConfig, generate, generate_frames
+from gradcheck import gradient_check_ppo
+from markets import flat_market
 
 # Pinned experiment constants: the planted-signal market of criteria 3-6 and 9.
 MARKET = SynthConfig(

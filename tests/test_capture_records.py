@@ -1,10 +1,13 @@
+import contextlib
 import io
 import json
 import math
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from execlab.capture import (
     MarketRecord,
@@ -13,7 +16,9 @@ from execlab.capture import (
     read_capture,
     write_capture,
 )
+from execlab.capture import records as records_module
 from execlab.capture.records import (
+    KINDS,
     TS_MAX,
     TS_MIN,
     BookPayload,
@@ -415,3 +420,174 @@ def test_canonical_trade_lines_skip_the_json_decoder(monkeypatch):
     spaced = [json.dumps(rec.to_wire()) + "\n" for rec in records]
     assert list(read_capture_lines(spaced)) == records
     assert len(decoded) == len(records)
+
+
+# -- canonical trades, written without the JSON encoder ---------------------------
+
+
+def reference_write_capture_lines(records, fh):
+    """The writer loop that canonical trades now skip: every record goes
+    through record_to_line."""
+    count = 0
+    for record in records:
+        fh.write(record_to_line(record))
+        fh.write("\n")
+        count += 1
+    return count
+
+
+def written(write, records):
+    """What `write` writes for `records`, and the kind and message of the
+    error it raises, if any."""
+    fh = io.StringIO()
+    try:
+        count = write(records, fh)
+    except Exception as exc:  # the writers' errors come from the JSON encoder, not ExecLabError
+        return fh.getvalue(), type(exc), str(exc)
+    return fh.getvalue(), count
+
+
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, 1e-5, 0.1, 100.0, 123456789012345680.0,
+]
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_STAMP = st.integers(0, 2**62) | st.integers(TS_MIN, TS_MAX) | st.sampled_from([TS_MIN, TS_MAX])
+_ODD_NUMBER = st.one_of(
+    st.floats(),  # NaN and infinities too
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, "1.0", 1, 0, -3]),
+    st.builds(np.float64, _FLOAT),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+)
+_ODD_STAMP = st.one_of(
+    _TS,  # at and beyond TS_MIN and TS_MAX
+    st.sampled_from([10**19, -(10**19) - 1, 2**64]),  # more digits than a capture timestamp has
+    st.sampled_from([True, False, 1.0, math.nan, "5"]),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+)
+_ODD_VENUES = ['v"0', "v\\0", "v\x00", "\x1f", "tab\t", "v\u00e9", "\u65e5\u672c", "\u2028", "\x7f", "", " "]
+_ODD = {
+    "venue": st.text() | st.sampled_from(_ODD_VENUES) | st.sampled_from([None, 7]),
+    "kind": st.sampled_from(KINDS) | st.text(max_size=6),
+    "local_ts": _ODD_STAMP,
+    "exch_ts": _ODD_STAMP,
+    "payload": st.one_of(
+        st.builds(BookPayload, st.lists(st.tuples(_FLOAT, _FLOAT), max_size=2).map(tuple)),
+        st.builds(TickerPayload, _FLOAT, _FLOAT, _FLOAT, _FLOAT),
+        st.sampled_from([None, (1.0, 1.0, "buy"), {"price": 1.0, "qty": 1.0, "side": "buy"}]),
+    ),
+    "price": _ODD_NUMBER,
+    "qty": _ODD_NUMBER,
+    "side": st.text(max_size=5) | st.sampled_from([None, "BUY", "buy ", np.str_("buy")]),
+}
+
+
+@st.composite
+def trade_or_mutant(draw):
+    """A trade of plain values as synth writes them, with up to two of its
+    fields (the payload's too) replaced by a value of another type or range."""
+    fields = {
+        "venue": draw(st.sampled_from(["v0", "binance", "v\u00e9"]) | st.text(min_size=1)),
+        "kind": "trade",
+        "local_ts": draw(_STAMP),
+        "exch_ts": draw(st.none() | _STAMP),
+        "price": draw(_FLOAT),
+        "qty": draw(_FLOAT),
+        "side": draw(st.sampled_from(["buy", "sell"])),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(_ODD)), max_size=2)):
+        fields[name] = draw(_ODD[name])
+    payload = fields.pop("payload", None) or TradePayload(fields["price"], fields["qty"], fields["side"])
+    return MarketRecord(fields["venue"], fields["kind"], fields["local_ts"], payload, fields["exch_ts"])
+
+
+@contextlib.contextmanager
+def general_path_calls():
+    """The records write_capture_lines hands to record_to_line while in the block."""
+    calls = []
+
+    def counted(record):
+        calls.append(record)
+        return record_to_line(record)
+
+    with mock.patch.object(records_module, "record_to_line", counted):
+        yield calls
+
+
+def fast_path_lines(records):
+    """The lines write_capture_lines writes without record_to_line, one
+    record at a time; a record that record_to_line rejects has none."""
+    lines = []
+    for record in records:
+        fh = io.StringIO()
+        with general_path_calls() as general:
+            try:
+                write_capture_lines([record], fh)
+            except Exception:
+                assert general
+        if not general:
+            lines.append(fh.getvalue())
+    return lines
+
+
+def assert_written_as_record_to_line_writes(records):
+    assert written(write_capture_lines, records) == written(reference_write_capture_lines, records)
+    # What the writer writes without the encoder, the reader reads without the decoder.
+    for line in fast_path_lines(records):
+        assert records_module._CANONICAL_TRADE.fullmatch(line), line
+
+
+@settings(max_examples=500, deadline=None)
+@given(records=st.lists(trade_or_mutant(), min_size=1, max_size=3))
+@example(records=[MarketRecord('v"0', "trade", 5, TradePayload(1.0, 2.0, "buy"))] * 2)  # a cached venue
+def test_every_record_is_written_as_record_to_line_writes_it(records):
+    assert_written_as_record_to_line_writes(records)
+
+
+def _trade(venue="v0", local_ts=5, price=1.0, qty=2.0, side="buy", exch_ts=None, kind="trade"):
+    return MarketRecord(venue, kind, local_ts, TradePayload(price, qty, side), exch_ts)
+
+
+EDGE_RECORDS = [
+    _trade(),
+    _trade(venue=""),
+    _trade(venue='v"0'),
+    _trade(venue="v\\0"),
+    _trade(venue="v\x00"),
+    _trade(venue="v\u00e9\u65e5"),
+    _trade(local_ts=True),
+    _trade(exch_ts=np.int64(4)),
+    _trade(local_ts=TS_MAX, exch_ts=TS_MIN),
+    _trade(local_ts=TS_MAX + 1),
+    _trade(exch_ts=TS_MIN - 1),
+    _trade(local_ts=2**64),
+    _trade(exch_ts=-(2**64)),
+    _trade(local_ts=10**5000),  # more digits than int() prints
+    _trade(price=-0.0, qty=5e-324),
+    _trade(price=1.7976931348623157e308, qty=-1.7976931348623157e308),
+    _trade(price=math.nan),
+    _trade(qty=-math.inf),
+    _trade(price=np.float64(1.5)),
+    _trade(qty=np.int64(2)),
+    _trade(qty=2),
+    _trade(side="BUY"),
+    _trade(side=np.str_("sell")),
+    _trade(kind="book_snapshot"),
+    MarketRecord("v0", "trade", 5, BookPayload(((1.0, 2.0),), ())),
+    MarketRecord("v0", "trade", 5, (1.0, 2.0, "buy")),
+]
+
+
+@pytest.mark.parametrize("record", EDGE_RECORDS, ids=range(len(EDGE_RECORDS)))
+def test_edge_record_is_written_as_record_to_line_writes_it(record):
+    assert_written_as_record_to_line_writes([record])
+
+
+def test_synth_trades_are_written_without_the_json_encoder():
+    records = list(generate_records(SynthConfig(seed=3), 2.0))
+    fh = io.StringIO()
+    with general_path_calls() as general:
+        assert write_capture_lines(records, fh) == len(records)
+    trades = sum(rec.kind == "trade" for rec in records)
+    assert trades > 0 and len(general) == len(records) - trades
+    assert fh.getvalue() == "".join(record_to_line(rec) + "\n" for rec in records)

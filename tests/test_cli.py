@@ -19,13 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import execlab.cli
+import execlab.synth
 from execlab.capture import VenueFrames, read_capture, resample
 from execlab.cli import main, read_frames_npz, write_frames_npz
 from execlab.config import ExperimentConfig, load_config, parse_config
 from execlab.errors import ConfigError, UnwritableOutput, open_output
 from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
 from execlab.signals import feature_bundle
-from execlab.synth import SynthConfig, flat_market, generate
+from execlab.synth import SynthConfig, generate
+from markets import flat_market
 
 
 def write_config(path, **overrides):
@@ -481,6 +483,8 @@ def test_cli_invalid_synth_exit_code(tmp_path, capsys):
         ({"synth": {"vol": float("nan")}}, "synth.vol"),
         ({"problem": {"fee_rate": float("inf")}}, "problem.fee_rate"),
         ({"synth": {"basis": [0.0, float("-inf"), 0.0]}}, "synth.basis"),
+        # Its last records would lie past the last timestamp a capture holds.
+        ({"synth_duration_s": 1e12}, "synth_duration_s"),
     ],
 )
 def test_cli_synth_gen_rejects_out_of_range_values(tmp_path, capsys, override, field):
@@ -686,6 +690,25 @@ def run_cli(argv, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err, err
     return code, err
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [
+        (MemoryError("Unable to allocate 728. TiB"), "Unable to allocate 728. TiB"),
+        (MemoryError(), "cannot allocate memory"),
+    ],
+)
+def test_cli_synth_gen_out_of_memory(tmp_path, capsys, monkeypatch, raised, message):
+    def no_memory(config, n_steps):
+        raise raised
+
+    monkeypatch.setattr(execlab.synth, "_materialize", no_memory)
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "m.ndjson"
+    code, err = run_cli(["synth", "gen", "--config", str(cfg), "--out", str(out)], capsys)
+    assert (code, err) == (1, f"error: OutOfMemory: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

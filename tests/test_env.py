@@ -13,7 +13,8 @@ from execlab.env import (
 from execlab.errors import CaptureTooShort, OversellError
 from execlab.evalkit import RandomPolicy, implementation_shortfall
 from execlab.signals import feature_bundle
-from execlab.synth import SynthConfig, flat_market_frames, generate_frames
+from execlab.synth import SynthConfig, generate_frames
+from markets import flat_market_frames
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,8 @@ from execlab.evalkit import (
 )
 from execlab.ppo import PolicyParams
 from execlab.signals import feature_bundle
-from execlab.synth import SynthConfig, flat_market_frames, generate_frames
+from execlab.synth import SynthConfig, generate_frames
+from markets import flat_market_frames
 
 
 @pytest.fixture(scope="module")

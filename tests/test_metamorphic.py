@@ -6,13 +6,21 @@ rewrite, and compares the outputs byte for byte.
 """
 
 import importlib
+import json
 from dataclasses import fields
 
 import pytest
 
 from execlab.capture import VenueFrames, read_capture, resample, write_capture
 from execlab.capture.book import LocalBook, apply_delta, apply_snapshot, merge_ticker
-from execlab.capture.records import KIND_BOOK_DELTA, KIND_BOOK_SNAPSHOT, KIND_TICKER, BookPayload
+from execlab.capture.records import (
+    KIND_BOOK_DELTA,
+    KIND_BOOK_SNAPSHOT,
+    KIND_TICKER,
+    BookPayload,
+    TickerPayload,
+    TradePayload,
+)
 from execlab.cli import main
 from execlab.errors import CrossedTicker
 from execlab.synth import SynthConfig, generate
@@ -92,3 +100,75 @@ def test_snapshots_as_deltas_give_the_same_frames(market, tmp_path, monkeypatch)
     for venue, vf in want.venues.items():
         for f in fields(VenueFrames):
             assert getattr(vf, f.name).tobytes() == getattr(got.venues[venue], f.name).tobytes(), (venue, f.name)
+
+
+# -- every quantity scaled by a power of two --------------------------------------
+
+# A run short enough to repeat for each transformed capture: two updates per
+# scope, a few episodes.
+EXPERIMENT = {
+    "version": 1,
+    "problem": {"horizon_s": 2.0, "n_decisions": 5},
+    "ppo": {"rollout_steps": 64, "minibatch_size": 32, "update_epochs": 1},
+    "signals": {"target_venue": "v1", "horizons_ms": [100, 500], "window_ms": 2000, "bin_horizon_ms": 500},
+    "train": {"updates": 2, "seed": 5},
+    "evaluate": {"episodes": 10, "seed": 6, "heatmap_episodes": 3, "trace_episodes": 1},
+}
+
+
+def experiment_outputs(capture, out_dir) -> dict[str, bytes]:
+    """Run signals report, train for both scopes and evaluate on `capture`
+    in-process; every file they write into `out_dir`, by name, except the
+    manifests (which hold the capture's digest) and frames.npz."""
+    paths = {
+        "capture": str(capture),
+        "out_dir": str(out_dir),
+        "checkpoint_single": str(out_dir / "single.npz"),
+        "checkpoint_cross": str(out_dir / "cross.npz"),
+    }
+    out_dir.mkdir()
+    commands = ((["signals", "report"], "cross"), (["train"], "single"), (["train"], "cross"), (["evaluate"], "cross"))
+    for command, scope in commands:
+        cfg = out_dir.parent / f"{out_dir.name}_{scope}.json"
+        cfg.write_text(json.dumps({**EXPERIMENT, "paths": paths, "train": {**EXPERIMENT["train"], "scope": scope}}))
+        assert main(command + ["--config", str(cfg)]) == 0
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(out_dir.iterdir())
+        if not path.name.startswith("manifest_") and path.name != "frames.npz"
+    }
+
+
+@pytest.fixture(scope="module")
+def untransformed_outputs(market, tmp_path_factory):
+    capture, _ = market
+    return experiment_outputs(capture, tmp_path_factory.mktemp("untransformed") / "out")
+
+
+def scaled_quantities(records, factor: float):
+    """The records with every trade, book level and ticker quantity times `factor`."""
+    for rec in records:
+        p = rec.payload
+        if isinstance(p, TradePayload):
+            p = p._replace(qty=p.qty * factor)
+        elif isinstance(p, BookPayload):
+            p = BookPayload(
+                bids=tuple((price, qty * factor) for price, qty in p.bids),
+                asks=tuple((price, qty * factor) for price, qty in p.asks),
+            )
+        elif isinstance(p, TickerPayload):
+            p = p._replace(bid_qty=p.bid_qty * factor, ask_qty=p.ask_qty * factor)
+        yield rec._replace(payload=p)
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_quantities_scaled_by_a_power_of_two_give_the_same_outputs(market, untransformed_outputs, tmp_path, factor):
+    capture, _ = market
+    scaled = tmp_path / "scaled.ndjson"
+    write_capture(scaled_quantities(read_capture(capture), factor), scaled)
+    assert scaled.read_bytes() != capture.read_bytes()
+    got = experiment_outputs(scaled, tmp_path / "out")
+    assert {"single.npz", "cross.npz", "comparison.json", "horizon_r2.csv"} <= set(untransformed_outputs)
+    assert list(got) == list(untransformed_outputs)
+    for name, want in untransformed_outputs.items():
+        assert got[name] == want, name

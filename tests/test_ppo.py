@@ -14,8 +14,6 @@ from execlab.ppo import (
     action_mask,
     adam_step,
     gae,
-    gradient_check,
-    gradient_check_ppo,
     load_checkpoint,
     masked_probs,
     mlp_backward,
@@ -28,6 +26,7 @@ from execlab.ppo import (
 )
 from execlab.ppo import agent
 from execlab.ppo.net import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIELDS, ForwardCache, init_mlp
+from gradcheck import gradient_check, gradient_check_ppo
 
 
 def make_params(n_inputs=7, n_actions=51, seed=0):

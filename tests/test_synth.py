@@ -1,15 +1,51 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from execlab.capture import read_capture, resample
+from execlab.capture.records import GRID_NS, TS_MAX
+from execlab.cli import main
 from execlab.errors import InvalidConfig
-from execlab.synth import (
-    SynthConfig,
-    flat_market,
-    flat_market_frames,
-    generate,
-    generate_frames,
-)
+from execlab.synth import SynthConfig, duration_steps, generate, generate_frames
+from markets import flat_market, flat_market_frames
+
+# SHA-256 of the capture `synth gen` writes, as written when every record
+# went through json.dumps: the default market, and one venue trading an
+# integer quantity, which the writer passes to the JSON encoder.
+PINNED_CAPTURES = {
+    "default": (
+        {"version": 1, "synth_duration_s": 5.0},
+        "c1d877db1bf169a49dbda730167fa80b8150f5bd767e02873cde6122cc73bd17",
+    ),
+    "int_qty_one_venue": (
+        {
+            "version": 1,
+            "synth": {"seed": 3, "n_venues": 1, "lag_ms": [0], "basis": [0.0], "trade_qty": 2},
+            "synth_duration_s": 5.0,
+        },
+        "cde24406863fefeb9847b8e2d07b2bab3064ed445c82f0a70b257da993f50450",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CAPTURES))
+def test_synth_gen_writes_the_pinned_bytes(tmp_path, name):
+    config, digest = PINNED_CAPTURES[name]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "market.ndjson"
+    assert main(["synth", "gen", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_duration_ends_by_the_last_capture_timestamp():
+    last = TS_MAX // GRID_NS  # steps in the longest market
+    assert duration_steps(last / 100) == last
+    with pytest.raises(InvalidConfig, match="last capture timestamp"):
+        duration_steps((last + 1) / 100)
+    with pytest.raises(InvalidConfig, match="last capture timestamp"):
+        duration_steps(1e12)
 
 
 def test_same_seed_identical_bytes(tmp_path):
