@@ -211,6 +211,9 @@ _CANONICAL_TRADE = re.compile(
 
 def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
     canonical_trade = _CANONICAL_TRADE.fullmatch
+    # Every trade shares the first string read of its venue and side, so
+    # records held in memory do not each keep a fresh copy of both.
+    shared = {SIDE_BUY: SIDE_BUY, SIDE_SELL: SIDE_SELL}
     for line_no, line in enumerate(lines, start=1):
         if not line.isascii() and _UNDECODED.search(line):
             raise MalformedLine(line_no, "not valid UTF-8")
@@ -225,7 +228,8 @@ def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
                 and 0 < price <= _FLOAT_MAX
                 and 0 < qty <= _FLOAT_MAX
             ):
-                yield MarketRecord(venue, KIND_TRADE, local_ts, TradePayload(price, qty, side), exch_ts)
+                venue = shared.setdefault(venue, venue)
+                yield MarketRecord(venue, KIND_TRADE, local_ts, TradePayload(price, qty, shared[side]), exch_ts)
                 continue
             # A value out of range: the general path below raises its error.
         stripped = line.strip()

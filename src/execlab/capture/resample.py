@@ -7,16 +7,17 @@ last book state with local_ts <= g and the taker volumes summed over the
 window, so no record after g can influence it.  Venues with no two-sided book
 yet are marked absent; downstream features treat absent as missing.
 
-Each venue's records are read once, in order.  The book is read after the
-last record of each frame that a book record touched; the frames no book
-record touched carry the previous read forward (the empty book before the
-first).
+The stream is read in one pass, and each record is dropped once it is
+applied, so memory grows with the number of frames, not of records.  Each
+venue keeps only its book, the book reads taken so far and its taker volumes
+per frame.  The book is read after the last record of each frame that a
+book record touched; the frames no book record touched carry the previous
+read forward (the empty book before the first).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -100,57 +101,90 @@ def _book_part(book: LocalBook) -> tuple[float, ...]:
     )
 
 
-def _venue_frames(records: list[MarketRecord], grid: range) -> VenueFrames:
-    """One venue's frames, one per grid index in `grid`, from its records.
-    Trade qtys are summed into their frame in record order, starting from 0.0.
+class _VenueState:
+    """One venue's part of the single pass: its book, the book reads taken
+    so far, and the taker volumes per frame.
+
+    `reads` holds the reads flat, _READ_WIDTH doubles per row, row 0 being
+    the empty book; row i + 1 was read at the end of frame `read_frames[i]`.
+    `buy` and `sell` are indexed by frame and grown on demand; trade qtys are
+    added into their frame in record order, starting from 0.0.
     """
-    first, n = grid.start, len(grid)
-    buy = [0.0] * n
-    sell = [0.0] * n
-    book = LocalBook()
-    parts = [_book_part(book)]  # row 0: the empty book
-    read_at = np.zeros(n, dtype=np.intp)  # row of `parts` each frame a book record touched ends with
-    pending = None  # the frame of the last book record, whose read is still due
-    for rec in records:
-        frame = -(-rec.local_ts // GRID_NS) - first  # ceil: the grid point whose window holds it
-        kind = rec.kind
-        if kind == KIND_TRADE:
-            if rec.payload.side == SIDE_BUY:
-                buy[frame] += rec.payload.qty
-            else:
-                sell[frame] += rec.payload.qty
-            continue
-        if pending is not None and frame != pending:
-            parts.append(_book_part(book))
-            read_at[pending] = len(parts) - 1
-        pending = frame
+
+    __slots__ = ("book", "reads", "read_frames", "buy", "sell", "pending")
+
+    def __init__(self) -> None:
+        # Imported on first use, not with the module: a process that never
+        # resamples, such as one training on cached frames, skips loading it.
+        from array import array
+
+        self.book = LocalBook()
+        self.reads = array("d", _EMPTY_READ)
+        self.read_frames = array("q")
+        self.buy = array("d")
+        self.sell = array("d")
+        self.pending = -1  # the frame of the last book record, whose read is still due; -1: none
+
+    def apply(self, frame: int, kind: str, payload) -> None:
+        """Apply a book record of frame `frame`, first reading the book if
+        the previous book record's frame has ended."""
+        if frame != self.pending:
+            if self.pending >= 0:
+                self._read()
+            self.pending = frame
         if kind == KIND_BOOK_SNAPSHOT:
-            apply_snapshot(book, rec.payload)
+            apply_snapshot(self.book, payload)
         elif kind == KIND_BOOK_DELTA:
-            apply_delta(book, rec.payload)
+            apply_delta(self.book, payload)
         elif kind == KIND_TICKER:
             try:
-                merge_ticker(book, rec.payload)
+                merge_ticker(self.book, payload)
             except CrossedTicker:
                 pass  # the book is unchanged
-    if pending is not None:
-        parts.append(_book_part(book))
-        read_at[pending] = len(parts) - 1
-    # Reads are taken in frame order, so a running max carries each one forward.
-    table = np.array(parts, dtype=np.float64)[np.maximum.accumulate(read_at)]
-    levels = table[:, 4:].reshape(n, 4, BOOK_DEPTH)
-    return VenueFrames(
-        present=table[:, 0] != 0.0,
-        best_bid=table[:, 1].copy(),
-        best_ask=table[:, 2].copy(),
-        mid=table[:, 3].copy(),
-        buy_volume=np.array(buy, dtype=np.float64),
-        sell_volume=np.array(sell, dtype=np.float64),
-        bid_price=levels[:, 0].copy(),
-        bid_qty=levels[:, 1].copy(),
-        ask_price=levels[:, 2].copy(),
-        ask_qty=levels[:, 3].copy(),
-    )
+
+    def _read(self) -> None:
+        self.reads.extend(_book_part(self.book))
+        self.read_frames.append(self.pending)
+
+    def frames(self, n: int) -> VenueFrames:
+        """The venue's frames for a grid of `n` points."""
+        if self.pending >= 0:
+            self._read()
+        read_at = np.zeros(n, dtype=np.intp)
+        read_at[np.frombuffer(self.read_frames, dtype=np.int64)] = np.arange(1, len(self.read_frames) + 1)
+        # Reads are taken in frame order, so a running max carries each one forward.
+        reads = np.frombuffer(self.reads, dtype=np.float64).reshape(-1, _READ_WIDTH)
+        table = reads[np.maximum.accumulate(read_at)]
+        levels = table[:, 4:].reshape(n, 4, BOOK_DEPTH)
+        return VenueFrames(
+            present=table[:, 0] != 0.0,
+            best_bid=table[:, 1].copy(),
+            best_ask=table[:, 2].copy(),
+            mid=table[:, 3].copy(),
+            buy_volume=_volumes(self.buy, n),
+            sell_volume=_volumes(self.sell, n),
+            bid_price=levels[:, 0].copy(),
+            bid_qty=levels[:, 1].copy(),
+            ask_price=levels[:, 2].copy(),
+            ask_qty=levels[:, 3].copy(),
+        )
+
+
+_EMPTY_READ = _book_part(LocalBook())
+_READ_WIDTH = len(_EMPTY_READ)
+
+
+def _grow(volumes, frame: int) -> None:
+    """Extend `volumes` with zeros past index `frame`, at least doubling it."""
+    volumes.frombytes(bytes(volumes.itemsize * max(frame + 1 - len(volumes), len(volumes))))
+
+
+def _volumes(volumes, n: int) -> np.ndarray:
+    """The first `n` volumes, zero past the grown length."""
+    out = np.zeros(n, dtype=np.float64)
+    m = min(n, len(volumes))
+    out[:m] = np.frombuffer(volumes, dtype=np.float64)[:m]
+    return out
 
 
 def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = None) -> FrameSet:
@@ -161,24 +195,36 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
     read.  The venues framed are `venues`, or every venue of the stream;
     records of other venues still extend the grid.
     """
-    by_venue: defaultdict[str, list[MarketRecord]] = defaultdict(list)
-    first_ts = last_ts = None
-    for pos, rec in enumerate(records):
-        ts = rec.local_ts
-        if last_ts is not None and ts < last_ts:
+    discover = venues is None
+    states = {} if discover else {v: _VenueState() for v in venues}
+    first = 0  # the grid index of the first record
+    last_ts = None
+    for pos, (venue, kind, ts, payload, _) in enumerate(records):
+        if last_ts is None:
+            first = -(-ts // GRID_NS)
+        elif ts < last_ts:
             raise UnsortedInput(pos)
         last_ts = ts
-        if first_ts is None:
-            first_ts = ts
-        by_venue[rec.venue].append(rec)
-    if venues is None:
-        venues = sorted(by_venue)
-    grid = range(0)  # grid indices, from the ceil of the first record's local_ts to the last's
-    if last_ts is not None:
-        grid = range(-(-first_ts // GRID_NS), -(-last_ts // GRID_NS) + 1)
+        state = states.get(venue)
+        if state is None:
+            if not discover:
+                continue
+            state = states[venue] = _VenueState()
+        frame = -(-ts // GRID_NS) - first  # ceil: the grid point whose window holds it
+        if kind == KIND_TRADE:
+            _, qty, side = payload
+            volumes = state.buy if side == SIDE_BUY else state.sell
+            if frame >= len(volumes):
+                _grow(volumes, frame)
+            volumes[frame] += qty
+        else:
+            state.apply(frame, kind, payload)
+    stop = first if last_ts is None else -(-last_ts // GRID_NS) + 1
+    order = sorted(states) if discover else list(states)
+    # Each venue's state is dropped as soon as its frames are built.
     return FrameSet(
-        grid_ts=np.arange(grid.start, grid.stop, dtype=np.int64) * GRID_NS,
-        venues={v: _venue_frames(by_venue[v], grid) for v in venues},
+        grid_ts=np.arange(first, stop, dtype=np.int64) * GRID_NS,
+        venues={v: states.pop(v).frames(stop - first) for v in order},
     )
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gc
 import hashlib
 import json
 import os
@@ -199,10 +198,6 @@ def load_frames(capture_path: Path, out_dir: Path | None) -> tuple[FrameSet, str
         if frames is not None:
             return frames, capture_sha256, False
     frames = resample(read_capture(capture_path))
-    # The parse's last freed tuples stay in the interpreter's free lists and
-    # keep about 18 MB of its memory arenas resident for the rest of the
-    # command; only a full collection empties those lists.
-    gc.collect()
     return frames, capture_sha256, True
 
 

@@ -422,6 +422,17 @@ def test_canonical_trade_lines_skip_the_json_decoder(monkeypatch):
     assert len(decoded) == len(records)
 
 
+def test_trades_share_their_venue_and_side_strings(tmp_path):
+    path = tmp_path / "market.ndjson"
+    write_capture(generate_records(SynthConfig(seed=3), 2.0), path)
+    trades = [rec for rec in read_capture(path) if rec.kind == "trade"]
+    for value in (lambda rec: rec.venue, lambda rec: rec.payload.side):
+        first = {}
+        for rec in trades:
+            assert value(rec) is first.setdefault(value(rec), value(rec))
+        assert len(first) > 1
+
+
 # -- canonical trades, written without the JSON encoder ---------------------------
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,3 +329,42 @@ def test_resample_matches_reference_on_every_kind_of_update():
     assert v.buy_volume[7] == 1.5 and v.best_ask[7] == 100.1
     assert v.best_ask[8] == 100.3 and v.best_ask[9] == 100.3
     assert not got.venues["v1"].present.any()
+
+
+# -- the streaming contract ----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=_streams())
+def test_resample_of_an_iterator_equals_resample_of_the_list(stream):
+    records, venues = stream
+    _assert_frames_equal(resample(iter(records), venues=venues), resample(records, venues=venues))
+
+
+def test_unsorted_input_is_raised_before_the_next_record_is_read():
+    records = [snap(10 * MS), trade(15 * MS, 1.0, "buy"), snap(30 * MS), snap(20 * MS)]
+
+    def stream():
+        yield from records
+        raise AssertionError("pulled past the first out-of-order record")
+
+    with pytest.raises(UnsortedInput) as exc:
+        resample(stream())
+    assert exc.value.position == 3
+
+
+def test_resample_holds_frames_not_records(tmp_path):
+    capture = tmp_path / "market.ndjson"
+    generate(SynthConfig(seed=1234), 10.0, capture)
+    tracemalloc.start()
+    try:
+        frames = resample(read_capture(capture))
+        held_by_frames, peak = tracemalloc.get_traced_memory()
+        del frames
+        start = tracemalloc.get_traced_memory()[0]
+        records = list(read_capture(capture))
+        held_by_records = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 0
+    assert peak - held_by_frames < held_by_records / 4
