@@ -8,7 +8,7 @@ into the same pipeline.
 from __future__ import annotations
 
 from .book import LocalBook, apply_delta, apply_snapshot, merge_ticker
-from .clock import ClockMap, align_clock
+from .clock import ClockMap, align_clock, align_clocks
 from .records import (
     KIND_BOOK_DELTA,
     KIND_BOOK_SNAPSHOT,
@@ -55,6 +55,7 @@ __all__ = [
     "TradePayload",
     "VenueFrames",
     "align_clock",
+    "align_clocks",
     "apply_delta",
     "apply_snapshot",
     "merge_ticker",

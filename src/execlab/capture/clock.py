@@ -9,7 +9,10 @@ because epoch nanoseconds do not fit exactly in a float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -48,33 +51,68 @@ class ClockMap:
         return e0 + int(round(frac * (e1 - e0)))
 
 
-def align_clock(records: Iterable[MarketRecord]) -> ClockMap:
-    """Build a ClockMap from the records of one venue stream.
+class _Knots:
+    """One venue's clock-map knots and rejected count, kept as its records arrive."""
+
+    __slots__ = ("venue", "local", "exch", "rejected")
+
+    def __init__(self):
+        from array import array  # imported when first used, as only aligning needs it
+
+        self.venue = ""
+        self.local = array("q")
+        self.exch = array("q")
+        self.rejected = 0
+
+    def extend(self, records: Iterable[MarketRecord]) -> None:
+        """The rule: a record with an exchange timestamp is a knot, unless its
+        local_ts does not rise or its exch_ts falls, which rejects it."""
+        last_local, last_exch = (self.local[-1], self.exch[-1]) if self.local else (-math.inf, -math.inf)
+        local: list[int] = []  # appended to faster than an array, then moved into one
+        exch: list[int] = []
+        venue, rejected = self.venue, 0
+        for venue, _, local_ts, _, exch_ts in records:
+            if exch_ts is None:
+                continue
+            if local_ts <= last_local or exch_ts < last_exch:
+                rejected += 1
+            else:
+                local.append(local_ts)
+                exch.append(exch_ts)
+                last_local, last_exch = local_ts, exch_ts
+        self.local.fromlist(local)
+        self.exch.fromlist(exch)
+        self.venue = venue
+        self.rejected += rejected
+
+
+def align_clock(records: Iterable[MarketRecord], knots: _Knots | None = None) -> ClockMap:
+    """Build a ClockMap from the records of one venue stream, after `knots`,
+    the state align_clocks kept of the venue's earlier records, if given.
 
     Knots whose exchange timestamp would move backwards are rejected and
     counted; fewer than two surviving knots raises FewerThanTwoKnots.
     """
-    locals_: list[int] = []
-    exchs: list[int] = []
-    rejected = 0
-    venue = ""
-    for rec in records:
-        venue = rec.venue
-        if rec.exch_ts is None:
-            continue
-        if locals_ and rec.local_ts <= locals_[-1]:
-            rejected += 1
-            continue
-        if exchs and rec.exch_ts < exchs[-1]:
-            rejected += 1
-            continue
-        locals_.append(rec.local_ts)
-        exchs.append(rec.exch_ts)
-    if len(locals_) < 2:
-        raise FewerThanTwoKnots(f"{venue or '<empty>'}: {len(locals_)} usable knot(s)")
+    if knots is None:
+        knots = _Knots()
+    knots.extend(records)
+    if len(knots.local) < 2:
+        raise FewerThanTwoKnots(f"{knots.venue or '<empty>'}: {len(knots.local)} usable knot(s)")
     return ClockMap(
-        venue=venue,
-        local_knots=np.asarray(locals_, dtype=np.int64),
-        exch_knots=np.asarray(exchs, dtype=np.int64),
-        rejected_knots=rejected,
+        venue=knots.venue,
+        local_knots=np.array(knots.local, dtype=np.int64),
+        exch_knots=np.array(knots.exch, dtype=np.int64),
+        rejected_knots=knots.rejected,
     )
+
+
+def align_clocks(records: Iterable[MarketRecord]) -> dict[str, ClockMap]:
+    """align_clock of each venue's records in a stream of several venues, by
+    venue name, in one pass that keeps each venue's knots and no record."""
+    knots: dict[str, _Knots] = {}
+    for venue, run in groupby(records, key=attrgetter("venue")):
+        venue_knots = knots.get(venue)
+        if venue_knots is None:
+            venue_knots = knots[venue] = _Knots()
+        venue_knots.extend(run)
+    return {venue: align_clock((), knots.pop(venue)) for venue in sorted(knots)}

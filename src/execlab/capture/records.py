@@ -27,9 +27,10 @@ errors are the same either way.  A valid file in another form still reads
 correctly, only slower.
 
 The writer mirrors the reader: a trade whose line that pattern reads, every
-value of its exact builtin type, is written by one format string with the
-bytes the JSON encoder gives it.  Every other record takes the general
-path, json.dumps of `to_wire()`, which alone raises errors.
+value of its exact builtin type, is written from `_trade_head` and
+`_trade_tail` with the bytes the JSON encoder gives it; synth's column
+writer builds its trade lines from the same two.  Every other record takes
+the general path, json.dumps of `to_wire()`, which alone raises errors.
 """
 
 from __future__ import annotations
@@ -255,24 +256,43 @@ def write_capture(records: Iterable[MarketRecord], path: str | Path) -> int:
 
 
 def write_capture_lines(records: Iterable[MarketRecord], fh: IO[str]) -> int:
-    venue_json: dict[str, str] = {}
+    heads: dict[str, str] = {}
     count = 0
     for record in records:
-        line = _canonical_trade_line(record, venue_json)
+        line = _canonical_trade_line(record, heads)
         fh.write(line if line is not None else record_to_line(record) + "\n")
         count += 1
     return count
 
 
-def _canonical_trade_line(record: MarketRecord, venue_json: dict[str, str]) -> str | None:
+# The bytes of a canonical trade line: _trade_head(venue), local_ts, then
+# _EXCH_TS and exch_ts when there is one, then _trade_tail of the payload.
+_EXCH_TS = ',"exch_ts":'
+
+
+def _trade_head(venue: str) -> str:
+    """A canonical trade line of `venue` up to its local_ts value, or "" for
+    a venue that is empty or that JSON escapes."""
+    quoted = json.dumps(venue, ensure_ascii=False)
+    if not venue or len(quoted) != len(venue) + 2:
+        return ""
+    return f'{{"venue":{quoted},"kind":"trade","local_ts":'
+
+
+def _trade_tail(price: str, qty: str, side: str) -> str:
+    """A canonical trade line after its timestamps, from the JSON of its
+    price and qty: the payload and the line end."""
+    return f',"payload":{{"price":{price},"qty":{qty},"side":"{side}"}}}}\n'
+
+
+def _canonical_trade_line(record: MarketRecord, heads: dict[str, str]) -> str | None:
     """The line record_to_line writes for `record`, line end included, when
     it is a trade whose line _CANONICAL_TRADE reads; None for any other.
 
     Each value has its exact builtin type, so the format string converts it
     as the JSON encoder does: int.__repr__ for a timestamp in [TS_MIN,
-    TS_MAX], float.__repr__ for a finite price or qty.  `venue_json` caches
-    each venue's JSON string, or "" for a venue that is empty or that JSON
-    escapes.
+    TS_MAX], float.__repr__ for a finite price or qty.  `heads` caches each
+    venue's _trade_head.
     """
     if type(record) is not MarketRecord:
         return None
@@ -297,14 +317,10 @@ def _canonical_trade_line(record: MarketRecord, venue_json: dict[str, str]) -> s
         and (side == SIDE_BUY or side == SIDE_SELL)
     ):
         return None
-    quoted = venue_json.get(venue)
-    if quoted is None:
-        quoted = json.dumps(venue, ensure_ascii=False)
-        quoted = venue_json[venue] = quoted if venue and len(quoted) == len(venue) + 2 else ""
-    if not quoted:
+    head = heads.get(venue)
+    if head is None:
+        head = heads[venue] = _trade_head(venue)
+    if not head:
         return None
-    stamps = local_ts if exch_ts is None else f'{local_ts},"exch_ts":{exch_ts}'
-    return (
-        f'{{"venue":{quoted},"kind":"trade","local_ts":{stamps},'
-        f'"payload":{{"price":{price!r},"qty":{qty!r},"side":"{side}"}}}}\n'
-    )
+    stamps = local_ts if exch_ts is None else f"{local_ts}{_EXCH_TS}{exch_ts}"
+    return f"{head}{stamps}{_trade_tail(repr(price), repr(qty), side)}"

@@ -35,10 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capture import BOOK_DEPTH, FrameSet, VenueFrames, align_clock, read_capture, resample, write_frames_csv
+from .capture import (  # noqa: F401  perfbench/tracing.py patches align_clock; align_clocks calls it
+    BOOK_DEPTH, ClockMap, FrameSet, VenueFrames, align_clock, align_clocks, read_capture, resample, write_frames_csv,
+)
 from .config import SCOPES, check_seed, file_sha256, load_config
 from .env import policy_dims
-from .errors import CheckpointError, ConfigError, ExecLabError, MissingInput, UnwritableOutput, open_output
+from .errors import CheckpointError, ConfigError, ExecLabError, InvalidConfig, MissingInput, UnwritableOutput, open_output
 from .evalkit import (
     Arm,
     SampledPolicy,
@@ -261,22 +263,28 @@ class Run:
 
 def cmd_capture_align(args) -> int:
     src = _require_file(args.input, "capture")
-    by_venue: dict[str, list] = {}
-    for rec in read_capture(src):
-        by_venue.setdefault(rec.venue, []).append(rec)
-    out = {"venues": {}}
-    for venue in sorted(by_venue):
-        cmap = align_clock(by_venue[venue])
-        out["venues"][venue] = {
-            "knots": [
-                [int(loc), int(exch)]
-                for loc, exch in zip(cmap.local_knots, cmap.exch_knots)
-            ],
-            "rejected_knots": cmap.rejected_knots,
-        }
-    _write_json(args.output, out)
-    _print_status(args.output, f"wrote clock maps for {len(out['venues'])} venue(s) to {args.output}")
+    cmaps = align_clocks(read_capture(src))
+    _write_clock_maps(args.output, cmaps)
+    _print_status(args.output, f"wrote clock maps for {len(cmaps)} venue(s) to {args.output}")
     return 0
+
+
+def _write_clock_maps(path: str | Path, cmaps: dict[str, ClockMap]) -> None:
+    """Write what _write_json writes for {"venues": {venue: {"knots": [[local,
+    exch], ...], "rejected_knots": n}}}, in venue order, a knot at a time:
+    there is no list per knot, and no text of all of them."""
+    with open_output(path) as fh:
+        fh.write('{\n  "venues": {')
+        for i, venue in enumerate(sorted(cmaps)):
+            cmap = cmaps[venue]
+            fh.write(f'{"," if i else ""}\n    {json.dumps(venue)}: {{\n      "knots": [')
+            knots = zip(cmap.local_knots, cmap.exch_knots)
+            fh.writelines(
+                f'{"," if j else ""}\n        [\n          {local},\n          {exch}\n        ]'
+                for j, (local, exch) in enumerate(knots)
+            )
+            fh.write(f'\n      ],\n      "rejected_knots": {cmap.rejected_knots}\n    }}')
+        fh.write("\n  }\n}\n" if cmaps else "}\n}\n")
 
 
 def _csv_out_dir(csv: Path) -> Path | None:
@@ -315,7 +323,10 @@ def cmd_synth_gen(args) -> int:
     if args.seed is not None:
         check_seed("--seed", args.seed)
         synth_cfg = replace(synth_cfg, seed=args.seed)
-    n = generate(synth_cfg, cfg.synth_duration_s, args.out)
+    try:
+        n = generate(synth_cfg, cfg.synth_duration_s, args.out)
+    except InvalidConfig as exc:  # draws that no capture can hold
+        raise ConfigError(f"synth: {exc}", field="synth") from exc
     _print_status(args.out, f"wrote {n} records ({cfg.synth_duration_s}s, {synth_cfg.n_venues} venues) to {args.out}")
     return 0
 

@@ -17,11 +17,16 @@ Generative model, per 10ms grid step:
 
 ``generate_frames`` materializes resampled frames directly from the draws;
 ``generate`` serializes the identical draws as a capture file, so
-``resample(generate(...)) == generate_frames(...)`` bit for bit.
+``resample(generate(...)) == generate_frames(...)`` bit for bit.  It writes
+the draws column-wise, one block of ``_BLOCK_STEPS`` grid steps at a time:
+numpy computes every record's step, timestamp, venue and rank, one sort puts
+them in capture order, and each trade line is formatted from the columns.
+Both refuse draws with a price that is not a finite number > 0.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,18 +36,19 @@ import numpy as np
 from numpy.random import default_rng
 
 from .capture.records import (
+    _EXCH_TS,
     KIND_BOOK_SNAPSHOT,
-    KIND_TRADE,
     SIDE_BUY,
     SIDE_SELL,
     TS_MAX,
     BookPayload,
     MarketRecord,
-    TradePayload,
+    _trade_head,
+    _trade_tail,
+    record_to_line,
 )
 from .capture.resample import BOOK_DEPTH, GRID_NS, FrameSet, VenueFrames
-from .capture import write_capture
-from .errors import InvalidConfig
+from .errors import InvalidConfig, open_output
 
 _STEPS_PER_S = 1_000_000_000 // GRID_NS
 _GRID_MS = GRID_NS // 1_000_000
@@ -226,70 +232,94 @@ def duration_steps(duration_s: float) -> int:
     return int(round(steps))
 
 
+def _draws(config: SynthConfig, n_steps: int) -> _Draws:
+    """_materialize's draws, unless a price in them is not a finite number > 0
+    or a level quantity is not finite: a capture of those would not read back."""
+    # Such an overflow is refused below, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = _materialize(config, n_steps)
+    for name, vd in draws.venues.items():
+        # NaN fails every comparison.
+        if not all(px.min() > 0 and px.max() < np.inf for px in (vd.mid, vd.bid_px, vd.ask_px)):
+            raise InvalidConfig(f"venue {name} draws a price that is not a finite number > 0")
+        if not all(qty.max() < np.inf for qty in (vd.bid_qty, vd.ask_qty)):
+            raise InvalidConfig(f"venue {name} draws a book quantity that is not finite")
+    return draws
+
+
 def generate_frames(config: SynthConfig, duration_s: float) -> FrameSet:
     """Resampled frames of the synthetic market, bypassing serialization."""
-    return _frames_from_draws(config, _materialize(config, duration_steps(duration_s)))
+    return _frames_from_draws(config, _draws(config, duration_steps(duration_s)))
 
 
 _SNAP_OFF = 1_000_000  # snapshot offset into the window, ns
 _TRADE_OFF = 2_000_000
 _TRADE_SPACING = 10_000
-
-
-def _venue_clock_offset(venue_idx: int) -> int:
-    # Constant per-venue skew so align_clock has something honest to find.
-    return (venue_idx + 1) * 5_000
-
-
-def generate_records(config: SynthConfig, duration_s: float) -> Iterator[MarketRecord]:
-    """The same market as generate_frames, as a sorted MarketRecord stream."""
-    n = duration_steps(duration_s)
-    draws = _materialize(config, n)
-    names = config.venue_names
-    update_steps = config.book_update_ms // _GRID_MS
-    for k in range(n):
-        base = k * GRID_NS
-        step_records: list[tuple[tuple[int, int, int], MarketRecord]] = []
-        for idx, name in enumerate(names):
-            vd = draws.venues[name]
-            if k % update_steps == 0:
-                ts = base + _SNAP_OFF
-                payload = BookPayload(
-                    bids=tuple((float(p), float(q)) for p, q in zip(vd.bid_px[k], vd.bid_qty[k])),
-                    asks=tuple((float(p), float(q)) for p, q in zip(vd.ask_px[k], vd.ask_qty[k])),
-                )
-                step_records.append(
-                    (
-                        (ts, idx, 0),
-                        MarketRecord(name, KIND_BOOK_SNAPSHOT, ts, payload, ts - _venue_clock_offset(idx)),
-                    )
-                )
-            n_tr = int(vd.n_trades[k])
-            n_buy = int(vd.buys[k])
-            if n_tr:
-                price = float(vd.mid[k])
-                spacing = min(_TRADE_SPACING, max(1, 7_000_000 // (n_tr * len(names))))
-                for j in range(n_tr):
-                    ts = base + _TRADE_OFF + (j * len(names) + idx) * spacing
-                    side = SIDE_BUY if j < n_buy else SIDE_SELL
-                    step_records.append(
-                        (
-                            (ts, idx, 1 + j),
-                            MarketRecord(
-                                name,
-                                KIND_TRADE,
-                                ts,
-                                TradePayload(price, config.trade_qty, side),
-                                ts - _venue_clock_offset(idx),
-                            ),
-                        )
-                    )
-        step_records.sort(key=lambda kv: kv[0])
-        for _, rec in step_records:
-            yield rec
+_CLOCK_SKEW = 5_000  # venue i's clock runs (i + 1) * _CLOCK_SKEW ns behind, for align_clock to find
+_BLOCK_STEPS = 250  # grid steps generate formats at a time, which bounds its memory
 
 
 def generate(config: SynthConfig, duration_s: float, path: str | Path) -> int:
-    """Write the synthetic market as a capture file; returns records written."""
-    duration_steps(duration_s)  # generate_records is lazy: check before the file is created
-    return write_capture(generate_records(config, duration_s), path)
+    """Write the synthetic market as a capture file; returns records written.
+
+    Per grid step, each venue's book snapshot on its book steps comes first,
+    at _SNAP_OFF into the step, then its trades from _TRADE_OFF on, spread
+    over 7 ms across the venues and ordered by (local_ts, venue, trade).
+    """
+    draws = _draws(config, duration_steps(duration_s))  # both may refuse: before the file is created
+    written = 0
+    with open_output(path) as fh:
+        for text, count in _capture_blocks(config, draws):
+            fh.write(text)
+            written += count
+    return written
+
+
+def _capture_blocks(config: SynthConfig, draws: _Draws) -> Iterator[tuple[str, int]]:
+    """The capture of `draws` as (text, records) for each block of
+    _BLOCK_STEPS whole grid steps, its records built column by column."""
+    names = config.venue_names
+    nv = len(names)
+    update_steps = config.book_update_ms // _GRID_MS
+    qty = json.dumps(config.trade_qty)  # as the JSON encoder writes it: an int stays one
+    heads = [_trade_head(name) for name in names]
+    for k0 in range(0, draws.n_steps, _BLOCK_STEPS):
+        k1 = min(k0 + _BLOCK_STEPS, draws.n_steps)
+        lines: list[str] = []
+        keys: list[tuple[np.ndarray, ...]] = []  # (step, local_ts, venue, rank) per record, in `lines` order
+        for idx, name in enumerate(names):
+            vd = draws.venues[name]
+            skew = (idx + 1) * _CLOCK_SKEW
+            snap_steps = np.arange(-(-k0 // update_steps) * update_steps, k1, update_steps)
+            snap_ts = snap_steps * GRID_NS + _SNAP_OFF
+            for k, ts in zip(snap_steps.tolist(), snap_ts.tolist()):
+                book = BookPayload(
+                    bids=tuple(zip(vd.bid_px[k].tolist(), vd.bid_qty[k].tolist())),
+                    asks=tuple(zip(vd.ask_px[k].tolist(), vd.ask_qty[k].tolist())),
+                )
+                lines.append(record_to_line(MarketRecord(name, KIND_BOOK_SNAPSHOT, ts, book, ts - skew)) + "\n")
+            keys.append((snap_steps, snap_ts, np.full(len(snap_steps), idx), np.zeros(len(snap_steps), dtype=np.int64)))
+
+            n_trades = vd.n_trades[k0:k1]
+            step = np.repeat(np.arange(k0, k1), n_trades)
+            j = np.arange(len(step)) - np.repeat(np.cumsum(n_trades) - n_trades, n_trades)
+            spacing = np.minimum(_TRADE_SPACING, np.maximum(1, 7_000_000 // np.maximum(n_trades * nv, 1)))
+            # A trade's ts lies below (step + 1) * GRID_NS <= TS_MAX (see duration_steps)
+            # while its step has at most 7e6 trades, so int64 holds it exactly.
+            ts = step * GRID_NS + _TRADE_OFF + (j * nv + idx) * np.repeat(spacing, n_trades)
+            # A venue's trades within one book row share its mid as their price,
+            # so each (row, side) has one payload; its tail is formatted once.
+            row0 = k0 // update_steps
+            row_prices = vd.mid[np.arange(row0, (k1 - 1) // update_steps + 1) * update_steps].tolist()
+            tails = np.array(
+                [_trade_tail(repr(p), qty, side) for p in row_prices for side in (SIDE_BUY, SIDE_SELL)], dtype=object
+            )
+            sells = j >= np.repeat(vd.buys[k0:k1], n_trades)
+            tail = tails[(step // update_steps - row0) * 2 + sells]
+            head = heads[idx]
+            lines += [f"{head}{t}{_EXCH_TS}{e}{p}" for t, e, p in zip(ts.tolist(), (ts - skew).tolist(), tail.tolist())]
+            keys.append((step, ts, np.full(len(step), idx), j + 1))
+        step, ts, venue, rank = (np.concatenate(column) for column in zip(*keys))
+        # The step first, so a step's records all precede the next step's.
+        order = np.lexsort((rank, venue, ts, step))
+        yield "".join([lines[i] for i in order.tolist()]), len(lines)

@@ -29,7 +29,8 @@ from execlab.capture.records import (
 )
 from execlab.capture.resample import GRID_NS, resample
 from execlab.errors import ExecLabError, MalformedLine, UnknownKind
-from execlab.synth import SynthConfig, generate_records
+from execlab.synth import SynthConfig
+from synth_reference import generate_records
 
 
 def _mixed_records(n=1000):

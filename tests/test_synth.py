@@ -1,19 +1,27 @@
 import hashlib
 import json
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from execlab.capture import read_capture, resample
+from execlab.capture import read_capture, resample, write_capture
 from execlab.capture.records import GRID_NS, TS_MAX
 from execlab.cli import main
 from execlab.errors import InvalidConfig
-from execlab.synth import SynthConfig, duration_steps, generate, generate_frames
+from execlab.synth import SynthConfig, _materialize, duration_steps, generate, generate_frames
 from markets import flat_market, flat_market_frames
+from synth_reference import generate_records
 
-# SHA-256 of the capture `synth gen` writes, as written when every record
-# went through json.dumps: the default market, and one venue trading an
-# integer quantity, which the writer passes to the JSON encoder.
+# SHA-256 of the capture `synth gen` writes.  The first two were written when
+# every record went through json.dumps: the default market, and one venue
+# trading an integer quantity, which the writer passes to the JSON encoder.
+# The other two were written by the per-record generator, now
+# synth_reference.generate_records, before the column writer replaced it.
 PINNED_CAPTURES = {
     "default": (
         {"version": 1, "synth_duration_s": 5.0},
@@ -26,6 +34,32 @@ PINNED_CAPTURES = {
             "synth_duration_s": 5.0,
         },
         "cde24406863fefeb9847b8e2d07b2bab3064ed445c82f0a70b257da993f50450",
+    ),
+    # Four venues, book rows of 7 steps and 333 steps in all, so neither
+    # lines up with a block of the column writer.
+    "four_venues_70ms_books": (
+        {
+            "version": 1,
+            "synth": {
+                "seed": 5,
+                "n_venues": 4,
+                "lag_ms": [0, 70, 140, 210],
+                "basis": [0.0, 0.5, -0.5, 0.25],
+                "book_update_ms": 70,
+                "trade_intensity": 40.0,
+            },
+            "synth_duration_s": 3.33,
+        },
+        "4f8fbf749182288f280de3848d2017ab425cd56c7d3def33cd819b7f69011af1",
+    ),
+    # One venue whose book rows, 300 steps each, are longer than a block.
+    "one_venue_3s_books": (
+        {
+            "version": 1,
+            "synth": {"seed": 8, "n_venues": 1, "lag_ms": [0], "basis": [0.0], "book_update_ms": 3000},
+            "synth_duration_s": 9.5,
+        },
+        "c87b3232074929ab9425d9bbf04074fbb9049f64dc431ad76fd345babbf9c617",
     ),
 }
 
@@ -198,3 +232,96 @@ def test_trade_side_bias_follows_drift_sign():
     ret = fwd[horizon:] - fwd[:-horizon]
     rho = np.corrcoef(oim[: -horizon], ret)[0, 1]
     assert rho > 0.05
+
+
+# -- the column writer ---------------------------------------------------------
+
+
+@st.composite
+def markets(draw):
+    """A valid market and a duration in whole grid steps, small enough that
+    the per-record reference writes it in well under a second."""
+    n_venues = draw(st.integers(1, 4))
+    leader = draw(st.integers(0, n_venues - 1))
+    lag_ms = [0 if i == leader else draw(st.integers(0, 500)) for i in range(n_venues)]
+    intensity = draw(st.sampled_from([0.0, 0.3, 2.0, 40.0, 200.0, 400.0]))
+    config = SynthConfig(
+        seed=draw(st.integers(0, 2**16)),
+        n_venues=n_venues,
+        leader=leader,
+        lag_ms=tuple(lag_ms),
+        basis=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(n_venues)),
+        vol=draw(st.sampled_from([0.0, 2e-5, 1e-4])),
+        trade_intensity=intensity,
+        trade_qty=draw(st.one_of(st.integers(1, 3), st.floats(0.01, 50.0))),
+        book_update_ms=draw(st.integers(1, 250)) * 10,
+    )
+    max_steps = max(1, min(777, int(4000 // max(1.0, intensity * n_venues))))
+    return config, draw(st.integers(1, max_steps)) / 100
+
+
+def _bytes_of(write) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "market.ndjson"
+        write(path)
+        return path.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(markets())
+# Book rows of 300 steps across blocks of 250, and a duration that is no multiple of either.
+@example((SynthConfig(n_venues=1, lag_ms=(0,), basis=(0.0,), book_update_ms=3000, trade_qty=2), 7.77))
+# The trade-spacing branch: more than 700 trades of all venues in one step.
+@example((SynthConfig(n_venues=4, lag_ms=(0, 10, 20, 30), basis=(0.0,) * 4, trade_intensity=400.0), 0.03))
+# Two venues' trades at one local_ts, which the venue index orders.
+@example((SynthConfig(seed=1, n_venues=2, lag_ms=(0, 0), basis=(0.0, 0.0), trade_intensity=400.0), 0.03))
+def test_generate_writes_the_bytes_of_the_per_record_generator(market):
+    config, duration_s = market
+    written = _bytes_of(lambda path: generate(config, duration_s, path))
+    assert written == _bytes_of(lambda path: write_capture(generate_records(config, duration_s), path))
+
+
+def test_generate_returns_the_records_written(tmp_path):
+    config = SynthConfig(seed=4, n_venues=2, lag_ms=(0, 100), basis=(0.0, 0.1))
+    path = tmp_path / "market.ndjson"
+    n = generate(config, 6.0, path)
+    assert n == len(path.read_text().splitlines()) == len(list(generate_records(config, 6.0)))
+
+
+def test_generate_holds_a_block_of_lines_not_the_capture(tmp_path):
+    config = SynthConfig(seed=1234)
+    tracemalloc.start()
+    try:
+        draws = _materialize(config, duration_steps(30.0))
+        held_by_draws = tracemalloc.get_traced_memory()[0]
+        del draws
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        generate(config, 30.0, tmp_path / "market.ndjson")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # The 30 s capture is 2.9 MB; the lines of all of it take about 11 MB.
+    assert (tmp_path / "market.ndjson").stat().st_size > 2_000_000
+    assert peak - held_by_draws < 3_000_000
+
+
+@pytest.mark.parametrize("vol", [0.05, 1e306], ids=["negative-prices", "overflow"])
+def test_synth_gen_refuses_draws_its_reader_would_reject(tmp_path, capsys, vol):
+    (tmp_path / "cfg.json").write_text(json.dumps({"synth": {"seed": 1, "vol": vol}, "synth_duration_s": 5.0}))
+    out = tmp_path / "market.ndjson"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["synth", "gen", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        with pytest.raises(InvalidConfig, match="price that is not a finite number > 0"):
+            generate_frames(SynthConfig(seed=1, vol=vol), 5.0)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigParse: synth: venue v0 draws a price that is not a finite number > 0\n"
+    )
+    assert not out.exists()
+
+
+def test_draws_with_an_infinite_book_quantity_are_refused():
+    with pytest.raises(InvalidConfig, match="book quantity that is not finite"):
+        generate_frames(SynthConfig(depth_profile=(1.7e308,) * 5), 1.0)
