@@ -26,11 +26,10 @@ json.loads and `parse_record`, which alone raises errors; the records and
 errors are the same either way.  A valid file in another form still reads
 correctly, only slower.
 
-The writer mirrors the reader: a trade whose line that pattern reads, every
-value of its exact builtin type, is written from `_trade_head` and
-`_trade_tail` with the bytes the JSON encoder gives it; synth's column
-writer builds its trade lines from the same two.  Every other record takes
-the general path, json.dumps of `to_wire()`, which alone raises errors.
+`write_capture` writes every record as json.dumps of its wire object,
+`to_wire()`.  `synth gen` builds its trade lines without the encoder, from
+`_trade_head`, `_EXCH_TS` and `_trade_tail` below; test_synth.py checks
+those bytes against what `write_capture` writes for the same records.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from ..errors import MalformedLine, UnknownKind, open_output
 
@@ -251,17 +250,11 @@ def read_capture_lines(lines: Iterable[str]) -> Iterator[MarketRecord]:
 
 def write_capture(records: Iterable[MarketRecord], path: str | Path) -> int:
     """Write records as NDJSON; returns the number of records written."""
-    with open_output(path) as fh:
-        return write_capture_lines(records, fh)
-
-
-def write_capture_lines(records: Iterable[MarketRecord], fh: IO[str]) -> int:
-    heads: dict[str, str] = {}
     count = 0
-    for record in records:
-        line = _canonical_trade_line(record, heads)
-        fh.write(line if line is not None else record_to_line(record) + "\n")
-        count += 1
+    with open_output(path) as fh:
+        for record in records:
+            fh.write(record_to_line(record) + "\n")
+            count += 1
     return count
 
 
@@ -271,56 +264,11 @@ _EXCH_TS = ',"exch_ts":'
 
 
 def _trade_head(venue: str) -> str:
-    """A canonical trade line of `venue` up to its local_ts value, or "" for
-    a venue that is empty or that JSON escapes."""
-    quoted = json.dumps(venue, ensure_ascii=False)
-    if not venue or len(quoted) != len(venue) + 2:
-        return ""
-    return f'{{"venue":{quoted},"kind":"trade","local_ts":'
+    """A canonical trade line of `venue` up to its local_ts value."""
+    return f'{{"venue":{json.dumps(venue, ensure_ascii=False)},"kind":"trade","local_ts":'
 
 
 def _trade_tail(price: str, qty: str, side: str) -> str:
     """A canonical trade line after its timestamps, from the JSON of its
     price and qty: the payload and the line end."""
     return f',"payload":{{"price":{price},"qty":{qty},"side":"{side}"}}}}\n'
-
-
-def _canonical_trade_line(record: MarketRecord, heads: dict[str, str]) -> str | None:
-    """The line record_to_line writes for `record`, line end included, when
-    it is a trade whose line _CANONICAL_TRADE reads; None for any other.
-
-    Each value has its exact builtin type, so the format string converts it
-    as the JSON encoder does: int.__repr__ for a timestamp in [TS_MIN,
-    TS_MAX], float.__repr__ for a finite price or qty.  `heads` caches each
-    venue's _trade_head.
-    """
-    if type(record) is not MarketRecord:
-        return None
-    venue, kind, local_ts, payload, exch_ts = record
-    if not (
-        type(payload) is TradePayload
-        and type(kind) is str
-        and kind == KIND_TRADE
-        and type(local_ts) is int
-        and TS_MIN <= local_ts <= TS_MAX
-        and (exch_ts is None or type(exch_ts) is int and TS_MIN <= exch_ts <= TS_MAX)
-        and type(venue) is str
-    ):
-        return None
-    price, qty, side = payload
-    if not (
-        type(price) is float
-        and -_FLOAT_MAX <= price <= _FLOAT_MAX
-        and type(qty) is float
-        and -_FLOAT_MAX <= qty <= _FLOAT_MAX
-        and type(side) is str
-        and (side == SIDE_BUY or side == SIDE_SELL)
-    ):
-        return None
-    head = heads.get(venue)
-    if head is None:
-        head = heads[venue] = _trade_head(venue)
-    if not head:
-        return None
-    stamps = local_ts if exch_ts is None else f"{local_ts}{_EXCH_TS}{exch_ts}"
-    return f"{head}{stamps}{_trade_tail(repr(price), repr(qty), side)}"

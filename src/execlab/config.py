@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -31,11 +32,16 @@ CONFIG_VERSION = 1
 
 SCOPES = ("single", "cross")
 
+INT_MAX = 2**63 - 1  # every int field, seeds too, holds an int64, as numpy sizes and counts do
+FLOAT_MAX = sys.float_info.max  # a larger int has no float
+
 
 def check_seed(name: str, seed: int) -> None:
     """numpy seeds a generator only from a non-negative integer."""
     if seed < 0:
         raise ConfigError(f"{name} must be >= 0, got {seed}", field=name)
+    if seed > INT_MAX:
+        raise ConfigError(f"{name} must be <= {INT_MAX}, got {seed}", field=name)
 
 
 @dataclass
@@ -131,8 +137,9 @@ class ExperimentConfig:
 
 def _admits(hint, value) -> bool:
     """Whether a value read from JSON fits a field annotation as it is: an int
-    field takes no bool, a float field takes a finite float or an int, a tuple
-    field takes a list, and `| None` also takes null."""
+    field takes an int64 but no bool, a float field takes a finite float or an
+    int within the float range, a tuple field takes a list, and `| None` also
+    takes null."""
     if isinstance(hint, UnionType):
         return any(_admits(h, value) for h in get_args(hint))
     if get_origin(hint) is tuple:
@@ -140,13 +147,20 @@ def _admits(hint, value) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:  # NaN would pass every range check, as its comparisons are all false
-        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        if isinstance(value, int):
+            return -FLOAT_MAX <= value <= FLOAT_MAX
+        return isinstance(value, float) and math.isfinite(value)
+    if hint is int:
+        return isinstance(value, int) and -INT_MAX - 1 <= value <= INT_MAX
     return isinstance(value, hint)
+
+
+_SHOWN = {int: f"int in [{-INT_MAX - 1}, {INT_MAX}]", float: "finite float"}
 
 
 def _check_type(name: str, hint, value) -> None:
     if not _admits(hint, value):
-        shown = hint.__name__ if isinstance(hint, type) else hint
+        shown = _SHOWN.get(hint) or (hint.__name__ if isinstance(hint, type) else hint)
         raise ConfigError(f"{name} must be {shown}, got {value!r}", field=name)
 
 

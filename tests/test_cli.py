@@ -944,6 +944,16 @@ OUT_OF_RANGE = st.one_of(
             ("synth.signal_strength", 1.5),
         ]
     ),
+    # past int64 on an int field, past the largest float on a float field; a list field holds one
+    st.sampled_from(
+        [
+            (name, [value] if kind.startswith("tuple") else value)
+            for name, kind in config_fields()
+            for value in {"int": [2**63, -(2**63) - 1, 10**30], "float": [10**400, -(10**400)]}.get(
+                kind.removeprefix("tuple[").removesuffix(", ...]"), []
+            )
+        ]
+    ),
 )
 
 

@@ -17,6 +17,7 @@ from execlab.capture.records import (
     KIND_BOOK_DELTA,
     KIND_BOOK_SNAPSHOT,
     KIND_TICKER,
+    GRID_NS,
     BookPayload,
     TickerPayload,
     TradePayload,
@@ -172,3 +173,38 @@ def test_quantities_scaled_by_a_power_of_two_give_the_same_outputs(market, untra
     assert list(got) == list(untransformed_outputs)
     for name, want in untransformed_outputs.items():
         assert got[name] == want, name
+
+
+# -- every timestamp shifted by whole grid steps -----------------------------------
+
+
+def shifted_in_time(records, shift_ns: int):
+    """The records with every local_ts and exch_ts moved by `shift_ns`."""
+    for rec in records:
+        exch_ts = None if rec.exch_ts is None else rec.exch_ts + shift_ns
+        yield rec._replace(local_ts=rec.local_ts + shift_ns, exch_ts=exch_ts)
+
+
+@pytest.mark.parametrize("steps", [37, -5])
+def test_timestamps_shifted_by_whole_grid_steps_move_only_the_trace_times(
+    market, untransformed_outputs, tmp_path, steps
+):
+    capture, _ = market
+    shift_ns = steps * GRID_NS
+    shifted = tmp_path / "shifted.ndjson"
+    write_capture(shifted_in_time(read_capture(capture), shift_ns), shifted)
+    got = experiment_outputs(shifted, tmp_path / "out")
+    assert list(got) == list(untransformed_outputs)
+    traces = [name for name in got if name.startswith("trace_") and name.endswith(".csv")]
+    assert traces
+    for name, want in untransformed_outputs.items():
+        if name not in traces:
+            assert got[name] == want, name
+            continue
+        # Only the first field, the grid time, moves, by exactly the shift.
+        got_rows = [line.split(",", 1) for line in got[name].decode().splitlines()]
+        want_rows = [line.split(",", 1) for line in want.decode().splitlines()]
+        assert got_rows[0] == want_rows[0] and want_rows[0][0] == "t", name
+        assert len(got_rows) == len(want_rows) > 1, name
+        for (got_t, got_rest), (want_t, want_rest) in zip(got_rows[1:], want_rows[1:]):
+            assert got_rest == want_rest and int(got_t) == int(want_t) + shift_ns, name
