@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from execlab.capture.records import (
     TS_MAX,
     TS_MIN,
     BookPayload,
+    _trade_head,
     parse_record,
     read_capture_lines,
     record_to_line,
@@ -425,3 +427,59 @@ def test_trades_share_their_venue_and_side_strings(tmp_path):
         for rec in trades:
             assert value(rec) is first.setdefault(value(rec), value(rec))
         assert len(first) > 1
+
+
+# -- edge records, written and read back -------------------------------------------
+
+
+def _trade(venue="v0", local_ts=5, price=1.0, qty=2.0, side="buy", exch_ts=None, kind="trade"):
+    return MarketRecord(venue, kind, local_ts, TradePayload(price, qty, side), exch_ts)
+
+
+EDGE_RECORDS = [
+    _trade(),
+    _trade(venue=""),
+    _trade(venue='v"0'),
+    _trade(venue="v\\0"),
+    _trade(venue="v\x00"),
+    _trade(venue="v\u00e9\u65e5"),
+    _trade(local_ts=True),
+    _trade(exch_ts=np.int64(4)),
+    _trade(local_ts=TS_MAX, exch_ts=TS_MIN),
+    _trade(local_ts=TS_MAX + 1),
+    _trade(exch_ts=TS_MIN - 1),
+    _trade(local_ts=2**64),
+    _trade(exch_ts=-(2**64)),
+    _trade(local_ts=10**5000),  # more digits than int() prints
+    _trade(price=-0.0, qty=5e-324),
+    _trade(price=1.7976931348623157e308, qty=-1.7976931348623157e308),
+    _trade(price=math.nan),
+    _trade(qty=-math.inf),
+    _trade(price=np.float64(1.5)),
+    _trade(qty=np.int64(2)),
+    _trade(qty=2),
+    _trade(side="BUY"),
+    _trade(side=np.str_("sell")),
+    _trade(kind="book_snapshot"),
+    MarketRecord("v0", "trade", 5, BookPayload(((1.0, 2.0),), ())),
+    MarketRecord("v0", "trade", 5, (1.0, 2.0, "buy")),
+]
+
+
+@pytest.mark.parametrize("record", EDGE_RECORDS, ids=range(len(EDGE_RECORDS)))
+def test_edge_record_reads_back_as_the_json_decoder_reads_it(record, tmp_path):
+    path = tmp_path / "cap.ndjson"
+    try:
+        write_capture([record], path)
+    except (AttributeError, TypeError, ValueError):  # to_wire's and the JSON encoder's errors
+        assert not path.exists()  # no partial capture is left behind
+        return
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 1
+    read = outcome(read_capture_lines, lines)
+    assert read == outcome(reference_read_capture_lines, lines)
+    if record.kind == "trade":
+        # synth builds its trade lines from the same head, for any venue.
+        assert lines[0].startswith(_trade_head(record.venue))
+        if isinstance(read, list):
+            assert list(read_capture(path)) == [record]
