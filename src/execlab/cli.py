@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import importlib
 import json
 import os
 import stat
@@ -35,27 +36,72 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capture import (  # noqa: F401  perfbench/tracing.py patches align_clock; align_clocks calls it
-    BOOK_DEPTH, ClockMap, FrameSet, VenueFrames, align_clock, align_clocks, read_capture, resample, write_frames_csv,
+from .capture import (
+    BOOK_DEPTH, ClockMap, FrameSet, VenueFrames, align_clocks, read_capture, resample, write_frames_csv,
 )
-from .config import SCOPES, check_seed, file_sha256, load_config
-from .env import policy_dims
 from .errors import CheckpointError, ConfigError, ExecLabError, InvalidConfig, MissingInput, UnwritableOutput, open_output
-from .evalkit import (
-    Arm,
-    SampledPolicy,
-    TwapPolicy,
-    action_heatmap,
-    compare,
-    trace_csv_lines,
-)
-from .ppo.agent import load_checkpoint, save_checkpoint
-from .ppo.trainer import train_policy
-from .signals import REPORT_SERIES, feature_bundle, feature_series, horizon_report
-from .signals import (  # noqa: F401  perfbench/tracing.py patches these names; no caller here
-    cross_sum, depth_imbalance, flow_imbalance, flow_imbalance_norm, peer_spread, peer_spread_centered,
-)
-from .synth import generate
+
+# The names only some commands use, by the module of the package that defines
+# them.  A command binds its modules' names when main dispatches it (see
+# _bind), so a process imports only what its command runs: `capture` needs
+# no config, and `synth gen` neither the environment nor the agent.
+_LAZY = {
+    "align_clock": "capture",  # perfbench/tracing.py patches this name; align_clocks calls it
+    "SCOPES": "config",
+    "check_seed": "config",
+    "load_config": "config",
+    "generate": "synth",
+    "REPORT_SERIES": "signals",
+    "feature_bundle": "signals",
+    "feature_series": "signals",
+    "horizon_report": "signals",
+    # perfbench/tracing.py patches these names; no caller here
+    "cross_sum": "signals",
+    "depth_imbalance": "signals",
+    "flow_imbalance": "signals",
+    "flow_imbalance_norm": "signals",
+    "peer_spread": "signals",
+    "peer_spread_centered": "signals",
+    "policy_dims": "env",
+    "Arm": "evalkit",
+    "SampledPolicy": "evalkit",
+    "TwapPolicy": "evalkit",
+    "action_heatmap": "evalkit",
+    "compare": "evalkit",
+    "trace_csv_lines": "evalkit",
+    "load_checkpoint": "ppo.agent",
+    "save_checkpoint": "ppo.agent",
+    "train_policy": "ppo.trainer",
+}
+
+
+def _bind(modules) -> None:
+    """Bind each name of _LAZY that one of `modules` defines, unless it is
+    bound already: a name a caller has replaced here stays replaced."""
+    for name, module in _LAZY.items():
+        if module in modules and name not in globals():
+            globals()[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def __getattr__(name: str):
+    """A name of _LAZY looked up from outside.  The lookup binds every one of
+    them, as importing this module did when it imported all of the package,
+    so that a caller who replaces a name in its defining module afterwards
+    (perfbench/tracing.py does) still finds the original here, as the
+    commands call it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(set(_LAZY.values()))
+    return globals()[name]
+
+
+def file_sha256(path: str | Path) -> str:
+    """SHA-256 of a file's bytes, read in blocks so a large capture is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -495,11 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_align = cap_sub.add_parser("align", help="build per-venue clock maps")
     p_align.add_argument("input")
     p_align.add_argument("output")
-    p_align.set_defaults(func=cmd_capture_align)
+    p_align.set_defaults(func=cmd_capture_align, modules=())
     p_resample = cap_sub.add_parser("resample", help="capture NDJSON to frames CSV")
     p_resample.add_argument("input")
     p_resample.add_argument("output")
-    p_resample.set_defaults(func=cmd_capture_resample)
+    p_resample.set_defaults(func=cmd_capture_resample, modules=())
 
     p_synth = sub.add_parser("synth", help="synthetic market generation")
     synth_sub = p_synth.add_subparsers(dest="synth_command", required=True)
@@ -507,32 +553,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.set_defaults(func=cmd_synth_gen)
+    p_gen.set_defaults(func=cmd_synth_gen, modules=("config", "synth"))
 
     p_signals = sub.add_parser("signals", help="feature predictiveness reports")
     sig_sub = p_signals.add_subparsers(dest="signals_command", required=True)
     p_report = sig_sub.add_parser("report", help="r2 by horizon and bin curves")
     p_report.add_argument("--config", required=True)
     p_report.add_argument("--out-dir", default=None)
-    p_report.set_defaults(func=cmd_signals_report)
+    p_report.set_defaults(func=cmd_signals_report, modules=("config", "signals"))
 
     p_train = sub.add_parser("train", help="train the PPO execution agent")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out-dir", default=None)
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, modules=("config", "signals", "ppo.agent", "ppo.trainer"))
 
     p_eval = sub.add_parser("evaluate", help="paired policy comparison")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--out-dir", default=None)
     p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, modules=("config", "signals", "env", "evalkit", "ppo.agent"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind(args.modules)
     try:
         return args.func(args)
     except ConfigError as exc:

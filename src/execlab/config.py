@@ -7,11 +7,14 @@ rejected by name so typos cannot silently change a run.  Each spec type
 checks its own values when it is made, so no invalid spec exists.  Seeds are
 explicit everywhere; nothing defaults to the wall clock.  Only paths may be
 overridden from the environment (EXECLAB_CAPTURE, EXECLAB_OUT_DIR).
+
+The problem and PPO sections, `ProblemSpec` and `PpoConfig`, are defined
+here; `execlab.env` and `execlab.ppo` import them from here, so loading a
+config loads neither of those modules.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -21,9 +24,8 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .env import ProblemSpec
+from .capture.resample import GRID_NS
 from .errors import ConfigError, InvalidConfig
-from .ppo.agent import PpoConfig
 from .signals import CROSS_FEATURES, DEFAULT_WINDOW_MS, REPORT_SERIES
 from .signals import horizon_steps, window_steps
 from .synth import SynthConfig, duration_steps
@@ -42,6 +44,80 @@ def check_seed(name: str, seed: int) -> None:
         raise ConfigError(f"{name} must be >= 0, got {seed}", field=name)
     if seed > INT_MAX:
         raise ConfigError(f"{name} must be <= {INT_MAX}, got {seed}", field=name)
+
+
+FILL_QUOTE = "quote"
+FILL_BOOK_WALK = "walk"
+FILL_LINEAR_IMPACT = "linear"
+FILL_MODELS = (FILL_QUOTE, FILL_BOOK_WALK, FILL_LINEAR_IMPACT)
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """The execution problem `execlab.env` runs: sell `total_units` over
+    `horizon_s` seconds in `n_decisions` equally spaced decisions."""
+
+    total_units: int = 50
+    horizon_s: float = 50.0
+    n_decisions: int = 10
+    fee_rate: float = 3e-4
+    impact_coef: float = 1e-5
+    penalty_coef: float = 0.02
+    fill_model: str = FILL_QUOTE
+    linear_impact_k: float = 0.0
+    impact_enabled: bool = False
+
+    def __post_init__(self):
+        if self.total_units <= 0 or self.n_decisions < 1:
+            raise ValueError("total_units must be > 0 and n_decisions >= 1")
+        if self.fee_rate < 0 or self.impact_coef < 0 or self.penalty_coef < 0:
+            raise ValueError("fee_rate, impact_coef and penalty_coef must be >= 0")
+        if self.fill_model not in FILL_MODELS:
+            raise ValueError(f"fill_model must be one of {FILL_MODELS}")
+        self.decision_steps()
+
+    def decision_steps(self) -> int:
+        steps_ns = self.horizon_s / self.n_decisions * 1e9
+        steps = int(round(steps_ns / GRID_NS))
+        if steps < 1 or abs(steps * GRID_NS - steps_ns) > 0.5:
+            raise ValueError(
+                f"decision interval horizon_s / n_decisions = {self.horizon_s / self.n_decisions:g} s "
+                f"is not a multiple of the {GRID_NS / 1e6:g} ms grid"
+            )
+        return steps
+
+
+@dataclass(frozen=True)
+class PpoConfig:
+    """The PPO hyperparameters `execlab.ppo` trains with."""
+
+    clip_ratio: float = 0.2
+    discount: float = 0.99
+    gae_lambda: float = 0.95
+    actor_lr: float = 3e-4
+    critic_lr: float = 1e-3
+    value_coef: float = 0.5
+    entropy_coef: float = 0.01
+    update_epochs: int = 4
+    minibatch_size: int = 256
+    rollout_steps: int = 2048
+    normalize_advantages: bool = True
+    max_grad_norm: float = 0.5
+    seed: int = 0
+
+    def __post_init__(self):
+        if not (0.0 < self.clip_ratio < 1.0):
+            raise ValueError("clip_ratio must lie in (0, 1)")
+        if not (0.0 <= self.discount <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
+            raise ValueError("discount and gae_lambda must lie in [0, 1]")
+        # update skips any minibatch of fewer than 2 rows
+        if self.minibatch_size < 2:
+            raise ValueError(f"minibatch_size must be >= 2, got {self.minibatch_size}")
+        # with no epoch, update takes no step and logs the mean of nothing
+        if self.update_epochs < 1:
+            raise ValueError(f"update_epochs must be >= 1, got {self.update_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -228,11 +304,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("config is not valid JSON: nested too deeply") from exc
     return parse_config(raw)
 
-
-def file_sha256(path: str | Path) -> str:
-    """SHA-256 of a file's bytes, read in blocks so a large capture is never held whole."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()

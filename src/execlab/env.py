@@ -28,46 +28,10 @@ from typing import Callable
 
 import numpy as np
 
-from .capture.resample import GRID_NS, FrameSet
+from .capture.resample import FrameSet
+from .config import FILL_BOOK_WALK, FILL_MODELS, FILL_QUOTE, ProblemSpec  # noqa: F401  FILL_MODELS is imported from here
 from .errors import CaptureTooShort, OversellError
 from .lob import fill_market_sell  # noqa: F401  perfbench/tracing.py patches this name; no caller here
-
-FILL_QUOTE = "quote"
-FILL_BOOK_WALK = "walk"
-FILL_LINEAR_IMPACT = "linear"
-FILL_MODELS = (FILL_QUOTE, FILL_BOOK_WALK, FILL_LINEAR_IMPACT)
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    total_units: int = 50
-    horizon_s: float = 50.0
-    n_decisions: int = 10
-    fee_rate: float = 3e-4
-    impact_coef: float = 1e-5
-    penalty_coef: float = 0.02
-    fill_model: str = FILL_QUOTE
-    linear_impact_k: float = 0.0
-    impact_enabled: bool = False
-
-    def __post_init__(self):
-        if self.total_units <= 0 or self.n_decisions < 1:
-            raise ValueError("total_units must be > 0 and n_decisions >= 1")
-        if self.fee_rate < 0 or self.impact_coef < 0 or self.penalty_coef < 0:
-            raise ValueError("fee_rate, impact_coef and penalty_coef must be >= 0")
-        if self.fill_model not in FILL_MODELS:
-            raise ValueError(f"fill_model must be one of {FILL_MODELS}")
-        self.decision_steps()
-
-    def decision_steps(self) -> int:
-        steps_ns = self.horizon_s / self.n_decisions * 1e9
-        steps = int(round(steps_ns / GRID_NS))
-        if steps < 1 or abs(steps * GRID_NS - steps_ns) > 0.5:
-            raise ValueError(
-                f"decision interval horizon_s / n_decisions = {self.horizon_s / self.n_decisions:g} s "
-                f"is not a multiple of the {GRID_NS / 1e6:g} ms grid"
-            )
-        return steps
 
 
 def impact_cost(action, spec: ProblemSpec, start_price):

@@ -25,43 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import PpoConfig
 from ..errors import AllMaskedError, CheckpointError, NonFiniteLossError, open_output
 from .net import (
     FIELDS, AdamState, MlpParams, ForwardCache, adam_step, init_mlp, mlp_backward, mlp_forward,
 )
 
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class PpoConfig:
-    clip_ratio: float = 0.2
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    actor_lr: float = 3e-4
-    critic_lr: float = 1e-3
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
-    update_epochs: int = 4
-    minibatch_size: int = 256
-    rollout_steps: int = 2048
-    normalize_advantages: bool = True
-    max_grad_norm: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.clip_ratio < 1.0):
-            raise ValueError("clip_ratio must lie in (0, 1)")
-        if not (0.0 <= self.discount <= 1.0 and 0.0 <= self.gae_lambda <= 1.0):
-            raise ValueError("discount and gae_lambda must lie in [0, 1]")
-        # update skips any minibatch of fewer than 2 rows
-        if self.minibatch_size < 2:
-            raise ValueError(f"minibatch_size must be >= 2, got {self.minibatch_size}")
-        # with no epoch, update takes no step and logs the mean of nothing
-        if self.update_epochs < 1:
-            raise ValueError(f"update_epochs must be >= 1, got {self.update_epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -22,6 +22,8 @@ OUT_SCALE = 0.01  # output-layer init scale
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+# The most float64 values one array holds: numpy counts an array's bytes in an intp.
+MAX_PARAMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 class MlpParams:
@@ -30,7 +32,11 @@ class MlpParams:
 
     def __init__(self, n_in: int, n_out: int, flat: np.ndarray | None = None):
         shapes = ((n_in, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, n_out), (n_out,))
-        bounds = np.cumsum([0, *(prod(s) for s in shapes)])
+        sizes = [prod(s) for s in shapes]
+        # Summed as Python ints, which cannot wrap; numpy would raise ValueError for such a size.
+        if flat is None and sum(sizes) > MAX_PARAMS:
+            raise MemoryError(f"Unable to allocate {sum(sizes)} network parameters: an array holds at most {MAX_PARAMS}")
+        bounds = np.cumsum([0, *sizes])
         self.n_in, self.n_out = n_in, n_out
         self.flat = np.zeros(bounds[-1]) if flat is None else flat
         self.arrays = tuple(self.flat[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], shapes))

@@ -20,7 +20,8 @@ Generative model, per 10ms grid step:
 ``resample(generate(...)) == generate_frames(...)`` bit for bit.  It writes
 the draws column-wise, one block of ``_BLOCK_STEPS`` grid steps at a time:
 numpy computes every record's step, timestamp, venue and rank, one sort puts
-them in capture order, and each trade line is formatted from the columns.
+them in capture order, and each line, trade or book snapshot, is formatted
+from the columns in the bytes the JSON encoder would write for its record.
 Both refuse draws with a price that is not a finite number > 0.
 """
 
@@ -35,18 +36,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import default_rng
 
-from .capture.records import (
-    _EXCH_TS,
-    KIND_BOOK_SNAPSHOT,
-    SIDE_BUY,
-    SIDE_SELL,
-    TS_MAX,
-    BookPayload,
-    MarketRecord,
-    _trade_head,
-    _trade_tail,
-    record_to_line,
-)
+from .capture.records import _EXCH_TS, KIND_BOOK_SNAPSHOT, SIDE_BUY, SIDE_SELL, TS_MAX, _trade_head, _trade_tail
 from .capture.resample import BOOK_DEPTH, GRID_NS, FrameSet, VenueFrames
 from .errors import InvalidConfig, open_output
 
@@ -275,6 +265,19 @@ def generate(config: SynthConfig, duration_s: float, path: str | Path) -> int:
     return written
 
 
+def _snapshot_format(venue: str) -> str:
+    """The str.format template of a book_snapshot line of `venue`, as the JSON
+    encoder writes it, from local_ts, exch_ts, then each bid level's price and
+    qty in turn, then each ask level's.  The levels are finite floats, for
+    which the encoder writes their repr."""
+    head = f'{{"venue":{json.dumps(venue, ensure_ascii=False)},"kind":"{KIND_BOOK_SNAPSHOT}","local_ts":'
+    levels = "[" + ",".join(["[{!r},{!r}]"] * BOOK_DEPTH) + "]"
+    return (
+        head.replace("{", "{{").replace("}", "}}")
+        + "{}" + _EXCH_TS + '{},"payload":{{"bids":' + levels + ',"asks":' + levels + "}}}}\n"
+    )
+
+
 def _capture_blocks(config: SynthConfig, draws: _Draws) -> Iterator[tuple[str, int]]:
     """The capture of `draws` as (text, records) for each block of
     _BLOCK_STEPS whole grid steps, its records built column by column."""
@@ -283,6 +286,7 @@ def _capture_blocks(config: SynthConfig, draws: _Draws) -> Iterator[tuple[str, i
     update_steps = config.book_update_ms // _GRID_MS
     qty = json.dumps(config.trade_qty)  # as the JSON encoder writes it: an int stays one
     heads = [_trade_head(name) for name in names]
+    snapshot_formats = [_snapshot_format(name).format for name in names]
     for k0 in range(0, draws.n_steps, _BLOCK_STEPS):
         k1 = min(k0 + _BLOCK_STEPS, draws.n_steps)
         lines: list[str] = []
@@ -292,12 +296,14 @@ def _capture_blocks(config: SynthConfig, draws: _Draws) -> Iterator[tuple[str, i
             skew = (idx + 1) * _CLOCK_SKEW
             snap_steps = np.arange(-(-k0 // update_steps) * update_steps, k1, update_steps)
             snap_ts = snap_steps * GRID_NS + _SNAP_OFF
-            for k, ts in zip(snap_steps.tolist(), snap_ts.tolist()):
-                book = BookPayload(
-                    bids=tuple(zip(vd.bid_px[k].tolist(), vd.bid_qty[k].tolist())),
-                    asks=tuple(zip(vd.ask_px[k].tolist(), vd.ask_qty[k].tolist())),
-                )
-                lines.append(record_to_line(MarketRecord(name, KIND_BOOK_SNAPSHOT, ts, book, ts - skew)) + "\n")
+            # Per snapshot: each bid level's price and qty in turn, then each ask level's.
+            bids = np.stack((vd.bid_px[snap_steps], vd.bid_qty[snap_steps]), axis=2)
+            asks = np.stack((vd.ask_px[snap_steps], vd.ask_qty[snap_steps]), axis=2)
+            levels = np.concatenate((bids, asks), axis=1).reshape(len(snap_steps), 4 * BOOK_DEPTH)
+            snapshot = snapshot_formats[idx]
+            lines += [
+                snapshot(t, e, *row) for t, e, row in zip(snap_ts.tolist(), (snap_ts - skew).tolist(), levels.tolist())
+            ]
             keys.append((snap_steps, snap_ts, np.full(len(snap_steps), idx), np.zeros(len(snap_steps), dtype=np.int64)))
 
             n_trades = vd.n_trades[k0:k1]

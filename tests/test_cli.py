@@ -693,22 +693,35 @@ def run_cli(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "raised, message",
+    "command, override, raised, message",
     [
-        (MemoryError("Unable to allocate 728. TiB"), "Unable to allocate 728. TiB"),
-        (MemoryError(), "cannot allocate memory"),
+        (["synth", "gen"], {}, MemoryError("Unable to allocate 728. TiB"), "Unable to allocate 728. TiB\n"),
+        (["synth", "gen"], {}, MemoryError(), "cannot allocate memory\n"),
+        # a policy network of more parameters than one numpy array holds
+        (["train"], {"problem": {"total_units": 2**62}}, None, "Unable to allocate "),
+        (["train"], {"problem": {"total_units": 10**18}}, None, "Unable to allocate "),
+        # one whose int64 size would wrap negative
+        (["train"], {"problem": {"total_units": 142_500_000_000_000_000}}, None, "Unable to allocate "),
     ],
 )
-def test_cli_synth_gen_out_of_memory(tmp_path, capsys, monkeypatch, raised, message):
-    def no_memory(config, n_steps):
-        raise raised
+def test_cli_out_of_memory(pipeline, tmp_path, capsys, monkeypatch, command, override, raised, message):
+    if raised is not None:
 
-    monkeypatch.setattr(execlab.synth, "_materialize", no_memory)
-    cfg = write_config(tmp_path / "cfg.json")
-    out = tmp_path / "m.ndjson"
-    code, err = run_cli(["synth", "gen", "--config", str(cfg), "--out", str(out)], capsys)
-    assert (code, err) == (1, f"error: OutOfMemory: {message}\n")
-    assert not out.exists()
+        def no_memory(config, n_steps):
+            raise raised
+
+        monkeypatch.setattr(execlab.synth, "_materialize", no_memory)
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    ckpt = tmp_path / "ppo.npz"
+    cfg = write_config(
+        tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(ckpt)}, **override
+    )
+    generated = tmp_path / "m.ndjson"
+    target = ["--out", str(generated)] if command == ["synth", "gen"] else []
+    code, err = run_cli(command + ["--config", str(cfg), *target], capsys)
+    assert code == 1 and err.startswith(f"error: OutOfMemory: {message}"), err
+    assert not generated.exists() and not ckpt.exists() and not list(out.glob("manifest_*"))
 
 
 @pytest.mark.parametrize(

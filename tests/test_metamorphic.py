@@ -6,9 +6,11 @@ rewrite, and compares the outputs byte for byte.
 """
 
 import importlib
+import io
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from execlab.capture import VenueFrames, read_capture, resample, write_capture
@@ -117,10 +119,11 @@ EXPERIMENT = {
 }
 
 
-def experiment_outputs(capture, out_dir) -> dict[str, bytes]:
+def experiment_outputs(capture, out_dir, target_venue="v1") -> dict[str, bytes]:
     """Run signals report, train for both scopes and evaluate on `capture`
-    in-process; every file they write into `out_dir`, by name, except the
-    manifests (which hold the capture's digest) and frames.npz."""
+    in-process, for `target_venue`; every file they write into `out_dir`, by
+    name, except the manifests (which hold the capture's digest) and
+    frames.npz."""
     paths = {
         "capture": str(capture),
         "out_dir": str(out_dir),
@@ -131,7 +134,16 @@ def experiment_outputs(capture, out_dir) -> dict[str, bytes]:
     commands = ((["signals", "report"], "cross"), (["train"], "single"), (["train"], "cross"), (["evaluate"], "cross"))
     for command, scope in commands:
         cfg = out_dir.parent / f"{out_dir.name}_{scope}.json"
-        cfg.write_text(json.dumps({**EXPERIMENT, "paths": paths, "train": {**EXPERIMENT["train"], "scope": scope}}))
+        cfg.write_text(
+            json.dumps(
+                {
+                    **EXPERIMENT,
+                    "paths": paths,
+                    "signals": {**EXPERIMENT["signals"], "target_venue": target_venue},
+                    "train": {**EXPERIMENT["train"], "scope": scope},
+                }
+            )
+        )
         assert main(command + ["--config", str(cfg)]) == 0
     return {
         path.name: path.read_bytes()
@@ -208,3 +220,37 @@ def test_timestamps_shifted_by_whole_grid_steps_move_only_the_trace_times(
         assert len(got_rows) == len(want_rows) > 1, name
         for (got_t, got_rest), (want_t, want_rest) in zip(got_rows[1:], want_rows[1:]):
             assert got_rest == want_rest and int(got_t) == int(want_t) + shift_ns, name
+
+
+# -- every venue renamed, in the same sort order ----------------------------------
+
+RENAMED = {"v0": "Ex-A", "v1": "Ex-B", "v2": "Ex-C"}  # text no output holds otherwise
+
+
+def test_venues_renamed_in_the_same_order_give_the_same_outputs(market, untransformed_outputs, tmp_path):
+    capture, _ = market
+    assert sorted(RENAMED) == sorted(RENAMED, key=RENAMED.get)
+    renamed = tmp_path / "renamed.ndjson"
+    write_capture((rec._replace(venue=RENAMED[rec.venue]) for rec in read_capture(capture)), renamed)
+    got = experiment_outputs(renamed, tmp_path / "out", target_venue=RENAMED["v1"])
+    assert list(got) == list(untransformed_outputs)
+    checkpoints = [name for name in got if name.endswith(".npz")]
+    assert checkpoints == ["cross.npz", "single.npz"]
+    for name, want in untransformed_outputs.items():
+        if name not in checkpoints:
+            text = got[name].decode()
+            for old, new in RENAMED.items():
+                text = text.replace(new, old)
+            assert text.encode() == want, name
+            continue
+        # A checkpoint names the venue it was trained for in its header alone.
+        with np.load(io.BytesIO(got[name])) as got_npz, np.load(io.BytesIO(want)) as want_npz:
+            assert got_npz.files == want_npz.files, name
+            for member in want_npz.files:
+                if member != "header_json":
+                    assert got_npz[member].tobytes() == want_npz[member].tobytes(), (name, member)
+            got_header = json.loads(got_npz["header_json"].tobytes())
+            want_header = json.loads(want_npz["header_json"].tobytes())
+        assert got_header["meta"].pop("target_venue") == RENAMED["v1"], name
+        assert want_header["meta"].pop("target_venue") == "v1", name
+        assert got_header == want_header, name

@@ -9,11 +9,13 @@ not modified; the traced CLI runs go through the benchmark's own worker.
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+SRC = TRACING.parent.parent / "src"
 
 
 def load_tracing():
@@ -95,3 +97,68 @@ def test_traced_cli_runs_open_their_spans(tmp_path):
         "evalkit.compare",
         "evalkit.heatmap",
     } <= names
+
+
+# Replaces every PATCHES entry in the order Tracer.install does, in a process
+# that has imported nothing of execlab yet, as the benchmark's worker has
+# not, by a wrapper that records "<module>.<attribute>"; then runs the CLI.
+PATCH_AND_RUN = """
+import contextlib, importlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+assert not [name for name in sys.modules if name.startswith("execlab")]
+calls = []
+
+def recording(key, fn):
+    def called(*args, **kwargs):
+        calls.append(key)
+        return fn(*args, **kwargs)
+    return called
+
+for module_name, attr, _ in tracing.PATCHES:
+    owner = importlib.import_module(module_name)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    setattr(owner, leaf, recording(f"{module_name}.{attr}", getattr(owner, leaf)))
+
+from execlab.cli import main
+
+called = {}
+for argv in json.loads(sys.argv[2]):
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    called[" ".join(argv[:2])] = sorted(set(calls))
+print(json.dumps(called))
+"""
+
+
+def test_patched_cli_names_are_what_the_commands_call(tmp_path):
+    # Each execlab.cli name is resolved on its first lookup; the patch made
+    # there is what the command calls, and around the function its module
+    # defines, not around that module's own patch (which would open every
+    # span twice).
+    capture = tmp_path / "market.ndjson"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "synth": {"seed": 3}, "synth_duration_s": 5.0}))
+    commands = [
+        ["synth", "gen", "--config", str(cfg), "--out", str(capture)],
+        ["capture", "resample", str(capture), str(tmp_path / "frames.csv")],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PATCH_AND_RUN, str(TRACING), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    called = json.loads(proc.stdout)
+    assert called["synth gen"] == ["execlab.cli.generate"]
+    assert called["capture resample"] == [
+        "execlab.capture.resample.apply_snapshot",
+        "execlab.cli.read_capture",
+        "execlab.cli.resample",
+        "execlab.cli.write_frames_csv",
+    ]
