@@ -18,6 +18,7 @@ finite differences by the tests (tests/gradcheck.py).
 from __future__ import annotations
 
 import json
+import math
 import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -169,27 +170,34 @@ def ppo_loss(
     batch: dict[str, np.ndarray],
     config: PpoConfig,
     *,
-    out: tuple[MlpParams, MlpParams] | None = None,
-) -> tuple[LossStats, MlpParams, MlpParams]:
+    out: tuple[MlpParams, MlpParams | None] | None = None,
+    critic: bool = True,
+) -> tuple[LossStats, MlpParams | None, MlpParams | None]:
     """Loss statistics and analytic gradients for one minibatch.
 
     Returns (stats, actor gradients, critic gradients); the gradients are
     written into `out`'s (actor, critic) pair when given.  Raises
     NonFiniteLossError when the loss stops being finite.
+
+    The actor's terms are computed here and the critic's by `value_loss`.
+    critic=False leaves the critic out, for `update`, which takes the two
+    networks' steps apart: the stats' total and value_loss are NaN, the
+    critic gradients are None, nothing is raised, and the actor gradients are
+    None where the actor's terms or gradient are not finite.
     """
     states = batch["states"]
     actions = batch["actions"]
     masks = batch["masks"]
     old_logp = batch["log_probs"]
     adv = batch["advantages"]
-    targets = batch["value_targets"]
     n = len(actions)
     eps = config.clip_ratio
 
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
-    probs, values, actor_cache, critic_cache = policy_forward(params, states, masks)
+    actor_cache = mlp_forward(params.actor, states)
+    probs = masked_probs(actor_cache.out, masks)
     rows = np.arange(n)
     p_taken = probs[rows, actions]
     logp = np.log(p_taken)
@@ -205,49 +213,74 @@ def ppo_loss(
     plogp = probs * logp_full
     entropy = -plogp.sum(axis=-1)
 
-    value_err = values - targets
-    value_loss = float(np.mean(value_err**2))
-    clip_obj = float(objective.mean())
-    entropy_mean = float(entropy.mean())
-    total = -clip_obj + config.value_coef * value_loss - config.entropy_coef * entropy_mean
-    if not np.isfinite(total):
-        raise NonFiniteLossError(f"loss={total}")
-
-    # Actor gradient.  The min() gates the ratio path: gradient flows only
-    # where the unclipped branch attains the minimum.
-    active = (unclipped <= clipped).astype(float)
-    coef = active * ratio * adv  # d objective / d logp(a)
-    # one_hot - probs: 0.0 - p rounds (and signs zeros) as the one-hot would
-    grad_logits = np.subtract(0.0, probs)
-    grad_logits[rows, actions] += 1.0
-    grad_logits *= coef[:, None]
-    np.negative(grad_logits, out=grad_logits)
-    grad_logits /= n
-    # Entropy term: dH/dz_k = -p_k (log p_k + H); loss carries -entropy_coef * H.
-    logp_full += entropy[:, None]
-    ent_term = np.multiply(probs, config.entropy_coef, out=plogp)
-    ent_term *= logp_full
-    ent_term /= n
-    grad_logits += ent_term
-    np.copyto(grad_logits, 0.0, where=~masks)
-    actor_out, critic_out = out if out is not None else (None, None)
-    actor_grads = mlp_backward(params.actor, actor_cache, grad_logits, out=actor_out)
-
-    grad_value = (config.value_coef * 2.0 * value_err / n)[:, None]
-    critic_grads = mlp_backward(params.critic, critic_cache, grad_value, out=critic_out)
-
-    if not (np.isfinite(actor_grads.flat).all() and np.isfinite(critic_grads.flat).all()):
-        raise NonFiniteLossError("non-finite gradient")
-
     stats = LossStats(
-        total=total,
-        clip_objective=clip_obj,
-        value_loss=value_loss,
-        entropy=entropy_mean,
+        total=math.nan,
+        clip_objective=float(objective.mean()),
+        value_loss=math.nan,
+        entropy=float(entropy.mean()),
         approx_kl=float(np.mean(old_logp - logp)),
         clip_fraction=float(np.mean(np.abs(ratio - 1.0) > eps)),
     )
-    return stats, actor_grads, critic_grads
+    actor_out, critic_out = out if out is not None else (None, None)
+    actor_grads = None
+    if np.isfinite(stats.clip_objective) and np.isfinite(stats.entropy):
+        # Actor gradient.  The min() gates the ratio path: gradient flows only
+        # where the unclipped branch attains the minimum.
+        active = (unclipped <= clipped).astype(float)
+        coef = active * ratio * adv  # d objective / d logp(a)
+        # one_hot - probs: 0.0 - p rounds (and signs zeros) as the one-hot would
+        grad_logits = np.subtract(0.0, probs)
+        grad_logits[rows, actions] += 1.0
+        grad_logits *= coef[:, None]
+        np.negative(grad_logits, out=grad_logits)
+        grad_logits /= n
+        # Entropy term: dH/dz_k = -p_k (log p_k + H); loss carries -entropy_coef * H.
+        logp_full += entropy[:, None]
+        ent_term = np.multiply(probs, config.entropy_coef, out=plogp)
+        ent_term *= logp_full
+        ent_term /= n
+        grad_logits += ent_term
+        np.copyto(grad_logits, 0.0, where=~masks)
+        actor_grads = mlp_backward(params.actor, actor_cache, grad_logits, out=actor_out)
+        if not np.isfinite(actor_grads.flat).all():
+            actor_grads = None
+    if not critic:
+        return stats, actor_grads, None
+    value, critic_grads = value_loss(params.critic, states, batch["value_targets"], config, out=critic_out)
+    return _joined(stats, actor_grads is not None, value, critic_grads is not None, config), actor_grads, critic_grads
+
+
+def value_loss(
+    critic: MlpParams,
+    states: np.ndarray,
+    value_targets: np.ndarray,
+    config: PpoConfig,
+    *,
+    out: MlpParams | None = None,
+) -> tuple[float, MlpParams | None]:
+    """The critic's mean squared value error on one minibatch and the
+    gradient of value_coef times it (written into `out` when given), None
+    where the error or the gradient is not finite."""
+    cache = mlp_forward(critic, states)
+    value_err = cache.out[:, 0] - value_targets
+    loss = float(np.mean(value_err**2))
+    if not np.isfinite(loss):
+        return loss, None
+    grad_value = (config.value_coef * 2.0 * value_err / len(value_err))[:, None]
+    grads = mlp_backward(critic, cache, grad_value, out=out)
+    return loss, grads if np.isfinite(grads.flat).all() else None
+
+
+def _joined(actor: LossStats, actor_finite: bool, value: float, critic_finite: bool, config: PpoConfig) -> LossStats:
+    """The minibatch's LossStats from the actor's stats and the critic's
+    value loss, raising NonFiniteLossError where the loss or a gradient is
+    not finite."""
+    total = -actor.clip_objective + config.value_coef * value - config.entropy_coef * actor.entropy
+    if not np.isfinite(total):
+        raise NonFiniteLossError(f"loss={total}")
+    if not (actor_finite and critic_finite):
+        raise NonFiniteLossError("non-finite gradient")
+    return replace(actor, total=total, value_loss=value)
 
 
 def _clip_grad_norm(grads: MlpParams, max_norm: float) -> None:
@@ -258,41 +291,103 @@ def _clip_grad_norm(grads: MlpParams, max_norm: float) -> None:
         grads.flat *= max_norm / total
 
 
+def _minibatches(n: int, size: int):
+    """(lo, hi) of each minibatch of an epoch; a last one of fewer than 2 rows is skipped."""
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        if hi - lo >= 2:
+            yield lo, hi
+
+
 def update(
     params: PolicyParams,
     buffer: RolloutBuffer,
     config: PpoConfig,
     rng: np.random.Generator,
+    *,
+    critic_helper=None,
 ) -> dict[str, float]:
-    """Several epochs of minibatch Adam steps over one rollout; returns means."""
+    """Several epochs of minibatch Adam steps over one rollout; returns means.
+
+    Every epoch's permutation is drawn first.  The actor's steps
+    (`_actor_steps`) and the critic's (`critic_steps`) share no parameter,
+    so they are taken one network after the other, and each minibatch's
+    stats and errors are joined afterwards in minibatch order.  A
+    `critic_helper` (see ppo.trainer) takes the critic's steps elsewhere
+    while this process takes the actor's: `send(states, value_targets,
+    orders)` starts them, and `receive()` returns the critic's parameter
+    vector, Adam m, v and t and `critic_steps`' result.
+    """
     if buffer.advantages is None:
         buffer.finalize(config)
-    n = len(buffer)
-    stats_acc: dict[str, list[float]] = {f.name: [] for f in fields(LossStats)}
-    # ppo_loss writes every minibatch's gradients into these two
-    grads = (MlpParams(params.n_inputs, params.n_actions), MlpParams(params.n_inputs, 1))
-    for _ in range(config.update_epochs):
-        order = rng.permutation(n)
+    orders = [rng.permutation(len(buffer)) for _ in range(config.update_epochs)]
+    if critic_helper is not None:
+        critic_helper.send(buffer.states, buffer.value_targets, orders)
+    actor = _actor_steps(params, buffer, config, orders)
+    if critic_helper is None:
+        critic = critic_steps(params.critic, params.critic_opt, buffer.states, buffer.value_targets, orders, config)
+    else:
+        flat, m, v, t, critic = critic_helper.receive()
+        params.critic.flat[...] = flat
+        params.critic_opt.m[...] = m
+        params.critic_opt.v[...] = v
+        params.critic_opt.t = t
+    # zip stops at the shorter half, whose last minibatch is then the first that fails
+    stats = [_joined(*a, *c, config) for a, c in zip(actor, critic)]
+    params.updates_done += 1
+    return {f.name: float(np.mean([getattr(s, f.name) for s in stats])) for f in fields(LossStats)}
+
+
+def _actor_steps(
+    params: PolicyParams, buffer: RolloutBuffer, config: PpoConfig, orders: list[np.ndarray]
+) -> list[tuple[LossStats, bool]]:
+    """The actor's minibatch steps over the epoch permutations `orders`:
+    each minibatch's stats without the critic's terms and whether its
+    gradient is finite, up to the first where it is not."""
+    # ppo_loss writes every minibatch's gradient into this
+    grads = (MlpParams(params.n_inputs, params.n_actions), None)
+    steps: list[tuple[LossStats, bool]] = []
+    for order in orders:
         # one gather per epoch; minibatches are slices of the shuffled arrays
         shuffled = {
-            key: getattr(buffer, key)[order]
-            for key in ("states", "actions", "masks", "log_probs", "advantages", "value_targets")
+            key: getattr(buffer, key)[order] for key in ("states", "actions", "masks", "log_probs", "advantages")
         }
-        for lo in range(0, n, config.minibatch_size):
-            hi = min(lo + config.minibatch_size, n)
-            if hi - lo < 2:
-                continue
+        for lo, hi in _minibatches(len(buffer), config.minibatch_size):
             batch = {key: column[lo:hi] for key, column in shuffled.items()}
-            stats, actor_grads, critic_grads = ppo_loss(params, batch, config, out=grads)
+            minibatch, actor_grads, _ = ppo_loss(params, batch, config, out=grads, critic=False)
+            steps.append((minibatch, actor_grads is not None))
+            if actor_grads is None:
+                return steps
             if config.max_grad_norm > 0:
                 _clip_grad_norm(actor_grads, config.max_grad_norm)
-                _clip_grad_norm(critic_grads, config.max_grad_norm)
             adam_step(params.actor, actor_grads, params.actor_opt, config.actor_lr)
-            adam_step(params.critic, critic_grads, params.critic_opt, config.critic_lr)
-            for key in stats_acc:
-                stats_acc[key].append(getattr(stats, key))
-    params.updates_done += 1
-    return {k: float(np.mean(v)) for k, v in stats_acc.items()}
+    return steps
+
+
+def critic_steps(
+    critic: MlpParams,
+    opt: AdamState,
+    states: np.ndarray,
+    value_targets: np.ndarray,
+    orders: list[np.ndarray],
+    config: PpoConfig,
+) -> list[tuple[float, bool]]:
+    """The critic's minibatch steps over the epoch permutations `orders`, on
+    `critic` and `opt` in place: each minibatch's value loss and whether its
+    gradient is finite, up to the first where it is not."""
+    grads = MlpParams(states.shape[1], 1)
+    steps: list[tuple[float, bool]] = []
+    for order in orders:
+        shuffled_states, shuffled_targets = states[order], value_targets[order]
+        for lo, hi in _minibatches(len(value_targets), config.minibatch_size):
+            loss, critic_grads = value_loss(critic, shuffled_states[lo:hi], shuffled_targets[lo:hi], config, out=grads)
+            steps.append((loss, critic_grads is not None))
+            if critic_grads is None:
+                return steps
+            if config.max_grad_norm > 0:
+                _clip_grad_norm(critic_grads, config.max_grad_norm)
+            adam_step(critic, critic_grads, opt, config.critic_lr)
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ Generative model, per 10ms grid step:
 
 ``generate_frames`` materializes resampled frames directly from the draws;
 ``generate`` serializes the identical draws as a capture file, so
-``resample(generate(...)) == generate_frames(...)`` bit for bit.  It writes
+``resample(generate(...)) == generate_frames(...)`` bit for bit: the frames
+end, as the resampler's grid does, at the last step that holds a record, and
+a frame's taker volume is its trades' sizes added one after another.  It writes
 the draws column-wise, one block of ``_BLOCK_STEPS`` grid steps at a time:
 numpy computes every record's step, timestamp, venue and rank, one sort puts
 them in capture order, and each line, trade or book snapshot, is formatted
 from the columns in the bytes the JSON encoder would write for its record.
-Both refuse draws with a price that is not a finite number > 0.
+Both refuse draws that a capture cannot carry (see ``_draws``).
 """
 
 from __future__ import annotations
@@ -185,14 +187,36 @@ def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
     return draws
 
 
+def _taker_volumes(trade_qty: float, max_trades: int) -> np.ndarray:
+    """The volume of k trades of trade_qty at index k, for k up to max_trades,
+    summed one trade after another as the resampler sums a frame's trades:
+    k * trade_qty may round otherwise."""
+    return np.concatenate(([0.0], np.cumsum(np.full(max_trades, float(trade_qty)))))
+
+
+def _framed_steps(config: SynthConfig, draws: _Draws) -> int:
+    """The steps up to the last one that holds a record of the capture: the
+    resampler's grid ends at its last record."""
+    book_steps = config.book_update_ms // _GRID_MS
+    last_book = (draws.n_steps - 1) // book_steps * book_steps
+    n = last_book + 1
+    for vd in draws.venues.values():
+        traded = np.flatnonzero(vd.n_trades[last_book:])
+        if len(traded):
+            n = max(n, last_book + int(traded[-1]) + 1)
+    return n
+
+
 def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
-    n = draws.n_steps
+    n = _framed_steps(config, draws)
     grid_ts = (np.arange(1, n + 1, dtype=np.int64)) * GRID_NS
     venues: dict[str, VenueFrames] = {}
     half_spread = config.half_spread_ticks * config.tick
+    volumes = _taker_volumes(config.trade_qty, max(int(vd.n_trades.max()) for vd in draws.venues.values()))
     for name, vd in draws.venues.items():
-        best_bid = vd.mid - half_spread
-        best_ask = vd.mid + half_spread
+        best_bid = vd.mid[:n] - half_spread
+        best_ask = vd.mid[:n] + half_spread
+        n_trades, buys = vd.n_trades[:n], vd.buys[:n]
         venues[name] = VenueFrames(
             present=np.ones(n, dtype=bool),
             best_bid=best_bid,
@@ -200,12 +224,12 @@ def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
             # Same float expression the resampler uses, so both paths agree
             # bit for bit.
             mid=(best_bid + best_ask) / 2.0,
-            buy_volume=vd.buys * config.trade_qty,
-            sell_volume=(vd.n_trades - vd.buys) * config.trade_qty,
-            bid_price=vd.bid_px,
-            bid_qty=vd.bid_qty,
-            ask_price=vd.ask_px,
-            ask_qty=vd.ask_qty,
+            buy_volume=volumes[buys],
+            sell_volume=volumes[n_trades - buys],
+            bid_price=vd.bid_px[:n],
+            bid_qty=vd.bid_qty[:n],
+            ask_price=vd.ask_px[:n],
+            ask_qty=vd.ask_qty[:n],
         )
     return FrameSet(grid_ts=grid_ts, venues=venues)
 
@@ -223,17 +247,39 @@ def duration_steps(duration_s: float) -> int:
 
 
 def _draws(config: SynthConfig, n_steps: int) -> _Draws:
-    """_materialize's draws, unless a price in them is not a finite number > 0
-    or a level quantity is not finite: a capture of those would not read back."""
+    """_materialize's draws, unless a capture of them would not read back as
+    their frames: a price in them is not a finite number > 0, a level
+    quantity or a step's taker volume is not finite, or a book's prices do
+    not strictly fall on the bid side, rise on the ask side and put the best
+    bid below the best ask (the resampler keys levels by price, and a tick
+    below the float spacing of the prices merges them)."""
+    book_steps = config.book_update_ms // _GRID_MS
     # Such an overflow is refused below, so numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         draws = _materialize(config, n_steps)
-    for name, vd in draws.venues.items():
-        # NaN fails every comparison.
-        if not all(px.min() > 0 and px.max() < np.inf for px in (vd.mid, vd.bid_px, vd.ask_px)):
-            raise InvalidConfig(f"venue {name} draws a price that is not a finite number > 0")
-        if not all(qty.max() < np.inf for qty in (vd.bid_qty, vd.ask_qty)):
-            raise InvalidConfig(f"venue {name} draws a book quantity that is not finite")
+        for name, vd in draws.venues.items():
+            # NaN fails every comparison.
+            if not all(px.min() > 0 and px.max() < np.inf for px in (vd.mid, vd.bid_px, vd.ask_px)):
+                raise InvalidConfig(f"venue {name} draws a price that is not a finite number > 0")
+            if not all(qty.max() < np.inf for qty in (vd.bid_qty, vd.ask_qty)):
+                raise InvalidConfig(f"venue {name} draws a book quantity that is not finite")
+            # Steps repeat their book row's levels: each row's first step stands for it.
+            bids, asks = vd.bid_px[::book_steps], vd.ask_px[::book_steps]
+            if not (
+                (bids[:, 1:] < bids[:, :-1]).all()
+                and (asks[:, 1:] > asks[:, :-1]).all()
+                and (bids[:, 0] < asks[:, 0]).all()
+            ):
+                raise InvalidConfig(
+                    f"venue {name} draws a book whose price levels are not strictly ordered: "
+                    f"a tick of {config.tick} is too fine for the float spacing of its prices"
+                )
+            max_trades = int(vd.n_trades.max())
+            if not _taker_volumes(config.trade_qty, max_trades)[-1] < np.inf:
+                raise InvalidConfig(
+                    f"venue {name} draws a taker volume that is not finite: "
+                    f"{max_trades} trades of {config.trade_qty} in a step"
+                )
     return draws
 
 

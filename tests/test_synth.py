@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -325,3 +327,95 @@ def test_synth_gen_refuses_draws_its_reader_would_reject(tmp_path, capsys, vol):
 def test_draws_with_an_infinite_book_quantity_are_refused():
     with pytest.raises(InvalidConfig, match="book quantity that is not finite"):
         generate_frames(SynthConfig(depth_profile=(1.7e308,) * 5), 1.0)
+
+
+def synth_gen(tmp_path, synth: dict) -> tuple[int, Path]:
+    """`synth gen` of a 3 s market, with warnings turned into errors."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"synth": synth, "synth_duration_s": 3.0}))
+    out = tmp_path / "market.ndjson"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["synth", "gen", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("mid0", [1e14, 1e15, 1e308])
+def test_synth_gen_refuses_book_levels_a_float_cannot_tell_apart(tmp_path, capsys, mid0):
+    # With a tick of 0.01 the levels round together from about 1e14 on, and
+    # the capture's book would read back as another book.
+    code, out = synth_gen(tmp_path, {"seed": 1, "mid0": mid0})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigParse: synth: venue v0 draws a book whose price levels are not strictly ordered: "
+        "a tick of 0.01 is too fine for the float spacing of its prices\n"
+    )
+    assert not out.exists()
+
+
+def test_synth_gen_keeps_a_book_of_1e12(tmp_path):
+    code, out = synth_gen(tmp_path, {"seed": 1, "mid0": 1e12})
+    assert code == 0
+    config = SynthConfig(seed=1, mid0=1e12)
+    assert_same_frames(resample(read_capture(out)), generate_frames(config, 3.0))
+
+
+def test_synth_gen_refuses_a_taker_volume_that_overflows(tmp_path, capsys):
+    code, out = synth_gen(tmp_path, {"seed": 1, "trade_qty": 1e308})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParse: synth: venue v0 draws a taker volume that is not finite: ")
+    assert err.endswith(" trades of 1e+308 in a step\n")
+    assert not out.exists()
+
+
+def assert_same_frames(got, want) -> None:
+    """Bit for bit in every column of every venue, NaNs in the same places."""
+    assert got.grid_ts.tobytes() == want.grid_ts.tobytes()
+    assert list(got.venues) == list(want.venues)
+    for venue, frames in want.venues.items():
+        for f in dataclasses.fields(frames):
+            a, b = getattr(got.venues[venue], f.name), getattr(frames, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (venue, f.name)
+
+
+@st.composite
+def oracle_markets(draw):
+    """A market of 1-3 venues and a few seconds, over the prices, ticks,
+    spreads, book cadences, lags and trade sizes a config may set."""
+    n_venues = draw(st.integers(1, 3))
+    lag_ms = [0] + [draw(st.integers(0, 50)) * 10 for _ in range(n_venues - 1)]
+    mid0 = draw(st.one_of(st.floats(10.0, 1e12), st.sampled_from([10.0, 1e12])))
+    config = SynthConfig(
+        seed=draw(st.integers(0, 2**16)),
+        n_venues=n_venues,
+        lag_ms=tuple(lag_ms),
+        basis=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(n_venues)),
+        mid0=mid0,
+        tick=draw(st.sampled_from([1e-4, 0.01, 0.05, 0.5])),
+        half_spread_ticks=draw(st.integers(1, 4)),
+        book_update_ms=draw(st.integers(1, 50)) * 10,
+        trade_qty=draw(st.one_of(st.integers(1, 5), st.floats(0.001, 1e6))),
+        trade_intensity=draw(st.sampled_from([0.0, 2.0, 20.0])),
+    )
+    return config, draw(st.integers(100, 400)) / 100
+
+
+@settings(max_examples=25, deadline=None)
+@given(oracle_markets())
+# A tick of 1e-4 is below the float spacing at 1e12: refused.
+@example((SynthConfig(n_venues=1, lag_ms=(0,), basis=(0.0,), mid0=1e12, tick=1e-4), 1.0))
+# Many trades of a size that does not add up exactly: 0.1 * 6 != 0.1 + ... + 0.1.
+@example((SynthConfig(seed=2, trade_qty=0.1, trade_intensity=20.0), 1.0))
+def test_generate_frames_is_the_resampled_capture(market):
+    config, duration_s = market
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "market.ndjson"
+        try:
+            want = generate_frames(config, duration_s)
+        except InvalidConfig as exc:
+            with pytest.raises(InvalidConfig, match=re.escape(str(exc))):
+                generate(config, duration_s, path)
+            assert not path.exists()
+            return
+        generate(config, duration_s, path)
+        assert_same_frames(resample(read_capture(path)), want)
