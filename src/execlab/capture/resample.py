@@ -24,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import CrossedTicker, UnsortedInput, open_output
+from ..errors import CrossedTicker, UnsortedInput, VolumeOverflow, open_output
 from .book import BOOK_DEPTH, LocalBook, apply_delta, apply_snapshot, merge_ticker
 from .records import (
     GRID_NS,
@@ -193,7 +193,8 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
     The order is checked as records arrive: UnsortedInput, with the 0-based
     position of the first violation, is raised before any later record is
     read.  The venues framed are `venues`, or every venue of the stream;
-    records of other venues still extend the grid.
+    records of other venues still extend the grid.  VolumeOverflow names a
+    venue's first frame whose taker volumes sum past the float range.
     """
     discover = venues is None
     states = {} if discover else {v: _VenueState() for v in venues}
@@ -220,12 +221,16 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
         else:
             state.apply(frame, kind, payload)
     stop = first if last_ts is None else -(-last_ts // GRID_NS) + 1
-    order = sorted(states) if discover else list(states)
-    # Each venue's state is dropped as soon as its frames are built.
-    return FrameSet(
-        grid_ts=np.arange(first, stop, dtype=np.int64) * GRID_NS,
-        venues={v: states.pop(v).frames(stop - first) for v in order},
-    )
+    grid_ts = np.arange(first, stop, dtype=np.int64) * GRID_NS
+    frames = {}
+    for v in sorted(states) if discover else list(states):
+        # Each venue's state is dropped as soon as its frames are built.
+        vf = frames[v] = states.pop(v).frames(len(grid_ts))
+        # Trade qtys are finite, so only a sum can overflow, and only to +inf.
+        overflow = np.maximum(vf.buy_volume, vf.sell_volume) == np.inf
+        if overflow.any():
+            raise VolumeOverflow(f"venue {v}: taker volume at grid_ts {grid_ts[overflow.argmax()]} overflows")
+    return FrameSet(grid_ts=grid_ts, venues=frames)
 
 
 def _format_column(col: np.ndarray) -> list[str]:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .capture.resample import FrameSet
-from .config import FILL_BOOK_WALK, FILL_MODELS, FILL_QUOTE, ProblemSpec  # noqa: F401  FILL_MODELS is imported from here
+from .config import FILL_BOOK_WALK, FILL_QUOTE, ProblemSpec
 from .errors import CaptureTooShort, OversellError
 from .lob import fill_market_sell  # noqa: F401  perfbench/tracing.py patches this name; no caller here
 

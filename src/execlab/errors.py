@@ -22,9 +22,8 @@ class MalformedLine(ExecLabError):
 
 
 class UnknownKind(ExecLabError):
-    def __init__(self, kind: str, line_no: int | None = None):
-        where = f" at line {line_no}" if line_no is not None else ""
-        super().__init__(f"unknown record kind {kind!r}{where}")
+    def __init__(self, kind: str, line_no: int):
+        super().__init__(f"unknown record kind {kind!r} at line {line_no}")
         self.kind = kind
         self.line_no = line_no
 
@@ -35,6 +34,10 @@ class FewerThanTwoKnots(ExecLabError):
 
 class CrossedTicker(ExecLabError):
     """Ticker with bid >= ask; the record is rejected and the book unchanged."""
+
+
+class VolumeOverflow(ExecLabError):
+    """A frame's summed taker volume is not a finite number."""
 
 
 class UnsortedInput(ExecLabError):

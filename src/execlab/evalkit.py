@@ -36,11 +36,6 @@ def implementation_shortfall(cash_value: float, total_units: float, start_price:
     return (cash_value - benchmark) / benchmark
 
 
-def gain(is_model: float, is_twap: float) -> float:
-    """Gain over TWAP in bps from shortfall fractions."""
-    return (is_model - is_twap) * 1e4
-
-
 # ---------------------------------------------------------------------------
 # Policies
 # ---------------------------------------------------------------------------
@@ -101,16 +96,6 @@ class SampledPolicy(GreedyPolicy):
         u = self._draws[np.arange(len(step)), step]
         # the categorical rule of sample_actions, with the pre-drawn uniforms
         return (u[:, None] > np.cumsum(self._probs(states), axis=-1)).sum(axis=-1)
-
-
-class RandomPolicy:
-    """Uniform over legal actions; useful as an arbitrary-policy oracle."""
-
-    def __init__(self, seed: int):
-        self.rng = default_rng(seed)
-
-    def __call__(self, states: States) -> np.ndarray:
-        return self.rng.integers(0, states.inventory + 1)
 
 
 # ---------------------------------------------------------------------------

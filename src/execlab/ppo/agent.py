@@ -11,8 +11,12 @@ surrogate, value loss and entropy term follow the standard form
            - entropy_coef * E[H(pi(.|s))]
 
 with r the new/old probability ratio and advantages normalized per
-minibatch.  Gradients are assembled by hand and verified against central
-finite differences by the tests (tests/gradcheck.py).
+minibatch.  The two networks share no parameter, so each takes its own
+minibatch steps through one loop, `_steps`: the actor on `ppo_loss`, its
+clipped surrogate and entropy terms, and the critic on `value_loss`;
+`_joined` adds the two into the loss above.  Gradients are assembled by
+hand and verified against central finite differences by the tests
+(tests/gradcheck.py, where `full_ppo_loss` joins the two in one call).
 """
 
 from __future__ import annotations
@@ -170,20 +174,14 @@ def ppo_loss(
     batch: dict[str, np.ndarray],
     config: PpoConfig,
     *,
-    out: tuple[MlpParams, MlpParams | None] | None = None,
-    critic: bool = True,
-) -> tuple[LossStats, MlpParams | None, MlpParams | None]:
-    """Loss statistics and analytic gradients for one minibatch.
+    out: MlpParams | None = None,
+) -> tuple[LossStats, MlpParams | None]:
+    """The actor's loss statistics and analytic gradient for one minibatch.
 
-    Returns (stats, actor gradients, critic gradients); the gradients are
-    written into `out`'s (actor, critic) pair when given.  Raises
-    NonFiniteLossError when the loss stops being finite.
-
-    The actor's terms are computed here and the critic's by `value_loss`.
-    critic=False leaves the critic out, for `update`, which takes the two
-    networks' steps apart: the stats' total and value_loss are NaN, the
-    critic gradients are None, nothing is raised, and the actor gradients are
-    None where the actor's terms or gradient are not finite.
+    The gradient is written into `out` when given, and is None where the
+    actor's terms or gradient are not finite; nothing is raised.  The
+    critic's term is `value_loss`'s, so the stats' total and value_loss are
+    NaN until `_joined` adds it.
     """
     states = batch["states"]
     actions = batch["actions"]
@@ -221,33 +219,27 @@ def ppo_loss(
         approx_kl=float(np.mean(old_logp - logp)),
         clip_fraction=float(np.mean(np.abs(ratio - 1.0) > eps)),
     )
-    actor_out, critic_out = out if out is not None else (None, None)
-    actor_grads = None
-    if np.isfinite(stats.clip_objective) and np.isfinite(stats.entropy):
-        # Actor gradient.  The min() gates the ratio path: gradient flows only
-        # where the unclipped branch attains the minimum.
-        active = (unclipped <= clipped).astype(float)
-        coef = active * ratio * adv  # d objective / d logp(a)
-        # one_hot - probs: 0.0 - p rounds (and signs zeros) as the one-hot would
-        grad_logits = np.subtract(0.0, probs)
-        grad_logits[rows, actions] += 1.0
-        grad_logits *= coef[:, None]
-        np.negative(grad_logits, out=grad_logits)
-        grad_logits /= n
-        # Entropy term: dH/dz_k = -p_k (log p_k + H); loss carries -entropy_coef * H.
-        logp_full += entropy[:, None]
-        ent_term = np.multiply(probs, config.entropy_coef, out=plogp)
-        ent_term *= logp_full
-        ent_term /= n
-        grad_logits += ent_term
-        np.copyto(grad_logits, 0.0, where=~masks)
-        actor_grads = mlp_backward(params.actor, actor_cache, grad_logits, out=actor_out)
-        if not np.isfinite(actor_grads.flat).all():
-            actor_grads = None
-    if not critic:
-        return stats, actor_grads, None
-    value, critic_grads = value_loss(params.critic, states, batch["value_targets"], config, out=critic_out)
-    return _joined(stats, actor_grads is not None, value, critic_grads is not None, config), actor_grads, critic_grads
+    if not (np.isfinite(stats.clip_objective) and np.isfinite(stats.entropy)):
+        return stats, None
+    # Actor gradient.  The min() gates the ratio path: gradient flows only
+    # where the unclipped branch attains the minimum.
+    active = (unclipped <= clipped).astype(float)
+    coef = active * ratio * adv  # d objective / d logp(a)
+    # one_hot - probs: 0.0 - p rounds (and signs zeros) as the one-hot would
+    grad_logits = np.subtract(0.0, probs)
+    grad_logits[rows, actions] += 1.0
+    grad_logits *= coef[:, None]
+    np.negative(grad_logits, out=grad_logits)
+    grad_logits /= n
+    # Entropy term: dH/dz_k = -p_k (log p_k + H); loss carries -entropy_coef * H.
+    logp_full += entropy[:, None]
+    ent_term = np.multiply(probs, config.entropy_coef, out=plogp)
+    ent_term *= logp_full
+    ent_term /= n
+    grad_logits += ent_term
+    np.copyto(grad_logits, 0.0, where=~masks)
+    grads = mlp_backward(params.actor, actor_cache, grad_logits, out=out)
+    return stats, grads if np.isfinite(grads.flat).all() else None
 
 
 def value_loss(
@@ -310,9 +302,10 @@ def update(
     """Several epochs of minibatch Adam steps over one rollout; returns means.
 
     Every epoch's permutation is drawn first.  The actor's steps
-    (`_actor_steps`) and the critic's (`critic_steps`) share no parameter,
-    so they are taken one network after the other, and each minibatch's
-    stats and errors are joined afterwards in minibatch order.  A
+    (`_actor_steps`) and the critic's (`critic_steps`) are the one loop
+    `_steps` run on each network; the networks share no parameter, so they
+    are taken one after the other, and each minibatch's stats and errors are
+    joined afterwards by `_joined`, in minibatch order.  A
     `critic_helper` (see ppo.trainer) takes the critic's steps elsewhere
     while this process takes the actor's: `send(states, value_targets,
     orders)` starts them, and `receive()` returns the critic's parameter
@@ -338,30 +331,11 @@ def update(
     return {f.name: float(np.mean([getattr(s, f.name) for s in stats])) for f in fields(LossStats)}
 
 
-def _actor_steps(
-    params: PolicyParams, buffer: RolloutBuffer, config: PpoConfig, orders: list[np.ndarray]
-) -> list[tuple[LossStats, bool]]:
-    """The actor's minibatch steps over the epoch permutations `orders`:
-    each minibatch's stats without the critic's terms and whether its
-    gradient is finite, up to the first where it is not."""
-    # ppo_loss writes every minibatch's gradient into this
-    grads = (MlpParams(params.n_inputs, params.n_actions), None)
-    steps: list[tuple[LossStats, bool]] = []
-    for order in orders:
-        # one gather per epoch; minibatches are slices of the shuffled arrays
-        shuffled = {
-            key: getattr(buffer, key)[order] for key in ("states", "actions", "masks", "log_probs", "advantages")
-        }
-        for lo, hi in _minibatches(len(buffer), config.minibatch_size):
-            batch = {key: column[lo:hi] for key, column in shuffled.items()}
-            minibatch, actor_grads, _ = ppo_loss(params, batch, config, out=grads, critic=False)
-            steps.append((minibatch, actor_grads is not None))
-            if actor_grads is None:
-                return steps
-            if config.max_grad_norm > 0:
-                _clip_grad_norm(actor_grads, config.max_grad_norm)
-            adam_step(params.actor, actor_grads, params.actor_opt, config.actor_lr)
-    return steps
+def _actor_steps(params: PolicyParams, buffer: RolloutBuffer, config: PpoConfig, orders: list) -> list:
+    """`_steps` of the actor, with each minibatch's stats without the critic's terms."""
+    columns = {key: getattr(buffer, key) for key in ("states", "actions", "masks", "log_probs", "advantages")}
+    loss = lambda batch, out: ppo_loss(params, batch, config, out=out)  # noqa: E731
+    return _steps(params.actor, params.actor_opt, config.actor_lr, loss, columns, orders, config)
 
 
 def critic_steps(
@@ -372,21 +346,31 @@ def critic_steps(
     orders: list[np.ndarray],
     config: PpoConfig,
 ) -> list[tuple[float, bool]]:
-    """The critic's minibatch steps over the epoch permutations `orders`, on
-    `critic` and `opt` in place: each minibatch's value loss and whether its
-    gradient is finite, up to the first where it is not."""
-    grads = MlpParams(states.shape[1], 1)
-    steps: list[tuple[float, bool]] = []
+    """`_steps` of the critic, on `critic` and `opt`, with each minibatch's value loss."""
+    loss = lambda batch, out: value_loss(critic, batch["states"], batch["value_targets"], config, out=out)  # noqa: E731
+    columns = {"states": states, "value_targets": value_targets}
+    return _steps(critic, opt, config.critic_lr, loss, columns, orders, config)
+
+
+def _steps(net: MlpParams, opt: AdamState, lr: float, loss, columns: dict, orders: list, config: PpoConfig) -> list:
+    """One network's minibatch Adam steps over the epoch permutations
+    `orders`, on `net` and `opt` in place.  `loss(batch, out)` gives a
+    minibatch's (statistic, gradient written into `out`, or None where it is
+    not finite).  Returns each minibatch's (statistic, whether its gradient
+    is finite), up to the first where it is not."""
+    grads = MlpParams(len(net.w1), len(net.b3))  # every minibatch's loss writes into it
+    steps = []
     for order in orders:
-        shuffled_states, shuffled_targets = states[order], value_targets[order]
-        for lo, hi in _minibatches(len(value_targets), config.minibatch_size):
-            loss, critic_grads = value_loss(critic, shuffled_states[lo:hi], shuffled_targets[lo:hi], config, out=grads)
-            steps.append((loss, critic_grads is not None))
-            if critic_grads is None:
+        # one gather per epoch; minibatches are slices of the shuffled columns
+        shuffled = {key: column[order] for key, column in columns.items()}
+        for lo, hi in _minibatches(len(order), config.minibatch_size):
+            statistic, step_grads = loss({key: column[lo:hi] for key, column in shuffled.items()}, grads)
+            steps.append((statistic, step_grads is not None))
+            if step_grads is None:
                 return steps
             if config.max_grad_norm > 0:
-                _clip_grad_norm(critic_grads, config.max_grad_norm)
-            adam_step(critic, critic_grads, opt, config.critic_lr)
+                _clip_grad_norm(step_grads, config.max_grad_norm)
+            adam_step(net, step_grads, opt, lr)
     return steps
 
 

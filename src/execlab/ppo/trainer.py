@@ -64,10 +64,11 @@ def collect_rollout(
     starts: np.ndarray,
     params: PolicyParams,
     rng: np.random.Generator,
-    inventories: np.ndarray | None = None,
-    steps_left: np.ndarray | None = None,
+    inventories: np.ndarray,
+    steps_left: np.ndarray,
 ) -> tuple[RolloutBuffer, np.ndarray]:
-    """Run one episode per start in lockstep; returns (buffer, per-episode rewards).
+    """Run one episode per start in lockstep, from the given inventories and
+    decisions left; returns (buffer, per-episode rewards).
 
     Episodes may start mid-horizon (exploring starts); finished episodes drop
     out of the forward pass.  The buffer holds each episode's steps in order,
@@ -274,17 +275,17 @@ def train_policy(
     params = PolicyParams.init(rng, *policy_dims(spec, features))
     episodes_per_rollout = max(1, config.rollout_steps // spec.n_decisions)
     log = TrainLog()
-    full_rewards_slice = slice(0, None)
+    # The tail episodes explore; the head stays full episodes so the logged
+    # mean episode reward remains comparable across updates.
+    n_explore = int(round(EXPLORE_STARTS * episodes_per_rollout))
+    full_episodes = slice(0, episodes_per_rollout - n_explore)
     with one_blas_thread() as single_thread, _critic_helper(params, config, single_thread) as helper:
         env = ExecutionEnv(frames, spec, features, target_venue)
         for upd in range(n_updates):
             starts = env.sample_starts(episodes_per_rollout, rng)
             inventories = np.full(episodes_per_rollout, spec.total_units)
             steps = np.full(episodes_per_rollout, spec.n_decisions)
-            n_explore = int(round(EXPLORE_STARTS * episodes_per_rollout))
             if n_explore:
-                # The tail indices explore; the head stays full episodes so the
-                # logged mean episode reward remains comparable across updates.
                 # Explored inventories sit near the natural q ~ V * m/H manifold:
                 # that is where stranding failures actually happen, and staying
                 # near it keeps the explored episodes' penalty advantages from
@@ -294,16 +295,13 @@ def train_policy(
                 q_exp = np.clip(np.round(spec.total_units * frac), 1, spec.total_units)
                 inventories[-n_explore:] = q_exp.astype(int)
                 steps[-n_explore:] = m_exp
-                full_rewards_slice = slice(0, episodes_per_rollout - n_explore)
-            buffer, episode_rewards = collect_rollout(
-                env, starts, params, rng, inventories=inventories, steps_left=steps
-            )
+            buffer, episode_rewards = collect_rollout(env, starts, params, rng, inventories, steps)
             buffer.finalize(config)
             stats = update(params, buffer, config, rng, critic_helper=helper)
             log.append(
                 update=upd,
                 episodes=episodes_per_rollout,
-                mean_episode_reward_bps=float(episode_rewards[full_rewards_slice].mean() * 1e4),
+                mean_episode_reward_bps=float(episode_rewards[full_episodes].mean() * 1e4),
                 **stats,
             )
     return params, log

@@ -1,4 +1,10 @@
-"""Central finite-difference verification of the analytic PPO gradients, for the tests."""
+"""Central finite-difference verification of the analytic PPO gradients, for the tests.
+
+The package takes each network's minibatch steps apart (see
+execlab.ppo.agent); `full_ppo_loss` joins the actor's terms and the
+critic's into the full loss in one call, for the gradient checks and the
+bit-for-bit tests.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,25 @@ from typing import Callable
 
 import numpy as np
 
-from execlab.ppo.agent import PolicyParams, PpoConfig, ppo_loss
+from execlab.ppo.agent import LossStats, MlpParams, PolicyParams, PpoConfig, _joined, ppo_loss, value_loss
+
+
+def full_ppo_loss(
+    params: PolicyParams,
+    batch: dict[str, np.ndarray],
+    config: PpoConfig,
+    *,
+    out: tuple[MlpParams, MlpParams] | None = None,
+) -> tuple[LossStats, MlpParams, MlpParams]:
+    """The full PPO loss of one minibatch as `update` forms it: the
+    actor's terms (`ppo_loss`) and the critic's (`value_loss`) joined by
+    `_joined`, which raises NonFiniteLossError where the loss or a gradient
+    is not finite.  Returns (stats, actor gradients, critic gradients), the
+    gradients written into `out`'s (actor, critic) pair when given."""
+    actor_out, critic_out = out if out is not None else (None, None)
+    stats, actor_grads = ppo_loss(params, batch, config, out=actor_out)
+    value, critic_grads = value_loss(params.critic, batch["states"], batch["value_targets"], config, out=critic_out)
+    return _joined(stats, actor_grads is not None, value, critic_grads is not None, config), actor_grads, critic_grads
 
 
 def gradient_check(
@@ -52,7 +76,7 @@ def gradient_check_ppo(
     def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         work.actor.flat[:] = theta[:n_actor]
         work.critic.flat[:] = theta[n_actor:]
-        stats, actor_grads, critic_grads = ppo_loss(work, batch, config)
+        stats, actor_grads, critic_grads = full_ppo_loss(work, batch, config)
         return stats.total, np.concatenate([actor_grads.flat, critic_grads.flat])
 
     theta = np.concatenate([params.actor.flat, params.critic.flat])

@@ -15,7 +15,6 @@ from execlab.env import ExecutionEnv, ProblemSpec, run_episode, run_episodes
 from execlab.evalkit import (
     SIGNAL_BUCKETS,
     Arm,
-    RandomPolicy,
     SampledPolicy,
     TwapPolicy,
     action_heatmap,
@@ -49,6 +48,7 @@ from execlab.signals import (
 from execlab.synth import SynthConfig, generate, generate_frames
 from gradcheck import gradient_check_ppo
 from markets import flat_market
+from reference import RandomPolicy
 
 # Pinned experiment constants: the planted-signal market of criteria 3-6 and 9.
 MARKET = SynthConfig(

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import execlab.cli
 import execlab.synth
 from execlab.capture import VenueFrames, read_capture, resample
+from execlab.capture.records import GRID_NS
 from execlab.cli import main, read_frames_npz, write_frames_npz
 from execlab.config import ExperimentConfig, load_config, parse_config
 from execlab.errors import ConfigError, UnwritableOutput, open_output
@@ -790,6 +791,33 @@ def test_cli_timestamp_past_int64_grid_rejected(pipeline, tmp_path, capsys, comm
         "[-9223372036854775808, 9223372036850000000]\n",
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["capture", "resample"], ["signals", "report"], ["train"]], ids=["resample", "report", "train"]
+)
+def test_cli_overflowing_taker_volume_rejected(pipeline, tmp_path, capsys, recwarn, command):
+    # Two buys and two sells of 1e308 in one frame: each side sums to inf,
+    # and their difference, the flow imbalance, used to be NaN with a warning.
+    lines = pipeline[2].read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    at = next(i for i in range(middle, len(lines)) if lines[i].startswith(b'{"venue":"v1","kind":"trade"'))
+    record = json.loads(lines[at])
+    extra = [
+        json.dumps({**record, "payload": {**record["payload"], "qty": 1e308, "side": side}}).encode() + b"\n"
+        for side in ("buy", "buy", "sell", "sell")
+    ]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(b"".join(lines[: at + 1] + extra + lines[at + 1 :]))
+    out = tmp_path / "out"
+    if command[0] == "capture":
+        argv = command + [str(bad), str(out)]
+    else:
+        argv = command + ["--config", str(write_config(tmp_path / "cfg.json", paths={"capture": str(bad), "out_dir": str(out)}))]
+    code, err = run_cli(argv, capsys)
+    grid_ts = -(-record["local_ts"] // GRID_NS) * GRID_NS
+    assert (code, err) == (1, f"error: VolumeOverflow: venue v1: taker volume at grid_ts {grid_ts} overflows\n")
+    assert not out.exists() and not recwarn.list
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,11 @@ from execlab.env import (
     settle_terminal,
 )
 from execlab.errors import CaptureTooShort, OversellError
-from execlab.evalkit import RandomPolicy, implementation_shortfall
+from execlab.evalkit import implementation_shortfall
 from execlab.signals import feature_bundle
 from execlab.synth import SynthConfig, generate_frames
 from markets import flat_market_frames
+from reference import RandomPolicy
 
 
 @pytest.fixture(scope="module")

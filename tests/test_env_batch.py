@@ -10,7 +10,8 @@ bit.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from execlab.env import FILL_BOOK_WALK, FILL_MODELS, FILL_QUOTE, ExecutionEnv, ProblemSpec
+from execlab.config import FILL_MODELS
+from execlab.env import FILL_BOOK_WALK, FILL_QUOTE, ExecutionEnv, ProblemSpec
 from execlab.lob import BookView, fill_market_sell
 from execlab.signals import feature_bundle
 from execlab.synth import SynthConfig, generate_frames

@@ -5,12 +5,10 @@ from execlab.env import ExecutionEnv, ProblemSpec, policy_dims, run_episode, run
 from execlab.evalkit import (
     Arm,
     GreedyPolicy,
-    RandomPolicy,
     SampledPolicy,
     TwapPolicy,
     action_heatmap,
     compare,
-    gain,
     implementation_shortfall,
     trace_csv_lines,
     twap_schedule,
@@ -20,6 +18,7 @@ from execlab.ppo import PolicyParams
 from execlab.signals import feature_bundle
 from execlab.synth import SynthConfig, generate_frames
 from markets import flat_market_frames
+from reference import RandomPolicy
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +76,6 @@ def test_terminal_contribution_hand_example():
 def test_implementation_shortfall_examples():
     assert implementation_shortfall(5000.0, 50, 100.0) == 0.0
     assert implementation_shortfall(0.999 * 5000.0, 50, 100.0) * 1e4 == pytest.approx(-10.0)
-
-
-def test_gain_examples():
-    assert gain(-3.10e-4, -3.10e-4) == 0.0
-    assert gain(-2.42e-4, -3.10e-4) == pytest.approx(0.68)
-    assert gain(-2.78e-4, -3.10e-4) == pytest.approx(0.32)
 
 
 # -- compare ---------------------------------------------------------------------

@@ -8,8 +8,12 @@ loads only the modules it runs.
 Nor may an import change the environment: only the console script's entry
 point sets its one-BLAS-thread default.  Each check runs in a fresh
 interpreter so modules imported by other tests cannot mask it.
+An import kept without a caller (`# noqa: F401`) is kept only for the
+benchmark's tracing to patch.
 """
 
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -159,3 +163,25 @@ def test_console_script_runs_one_blas_thread_unless_told_otherwise():
     user = min(2, os.cpu_count() or 1)
     assert console_blas_threads(OPENBLAS_NUM_THREADS="2") == user
     assert console_blas_threads(OMP_NUM_THREADS="2") == user
+
+
+TRACING = SRC.parent / "perfbench" / "tracing.py"
+
+
+def test_unused_imports_are_only_the_names_tracing_patches():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patched = {(module, attr) for module, attr, _ in tracing.PATCHES}
+    unpatched = []
+    for path in sorted((SRC / "execlab").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unpatched += [f"{module}.{name}" for name in names if (module, name) not in patched]
+    assert unpatched == []

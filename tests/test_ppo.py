@@ -19,14 +19,13 @@ from execlab.ppo import (
     mlp_backward,
     mlp_forward,
     policy_forward,
-    ppo_loss,
     sample_actions,
     save_checkpoint,
     update,
 )
 from execlab.ppo import agent
 from execlab.ppo.net import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIELDS, ForwardCache, init_mlp
-from gradcheck import gradient_check, gradient_check_ppo
+from gradcheck import full_ppo_loss, gradient_check, gradient_check_ppo
 
 
 def make_params(n_inputs=7, n_actions=51, seed=0):
@@ -209,7 +208,7 @@ def test_identity_ratio_clip_objective_is_mean_advantage():
     params = make_params()
     batch = random_batch(params, n=128, seed=3)
     config = PpoConfig(normalize_advantages=False, entropy_coef=0.0, value_coef=0.0)
-    stats, _, _ = ppo_loss(params, batch, config)
+    stats, _, _ = full_ppo_loss(params, batch, config)
     # behavior probs were recorded from the same params, so the ratio is 1
     assert stats.clip_objective == pytest.approx(batch["advantages"].mean(), rel=1e-9)
     assert stats.clip_fraction == 0.0
@@ -221,7 +220,7 @@ def test_nonfinite_loss_raises():
     batch = random_batch(params)
     batch["advantages"] = np.full_like(batch["advantages"], np.nan)
     with pytest.raises(NonFiniteLossError):
-        ppo_loss(params, batch, PpoConfig())
+        full_ppo_loss(params, batch, PpoConfig())
 
 
 # -- gradients -------------------------------------------------------------------
@@ -255,7 +254,7 @@ def test_gradient_check_critic_only():
     def critic_loss(theta):
         work = params.copy()
         work.critic.flat[:] = theta
-        stats, _, critic_grads = ppo_loss(work, batch, config)
+        stats, _, critic_grads = full_ppo_loss(work, batch, config)
         # isolate the value term: actor part of the loss is theta-independent
         return stats.total, critic_grads.flat
 
@@ -327,11 +326,11 @@ def test_zero_advantages_move_actor_only_via_entropy():
     params = make_params()
     batch = random_batch(params, n=64, seed=9, adv_scale=0.0)
     config = PpoConfig(entropy_coef=0.0, normalize_advantages=False)
-    _, actor_grads, _ = ppo_loss(params, batch, config)
+    _, actor_grads, _ = full_ppo_loss(params, batch, config)
     for g in actor_grads.arrays:
         assert np.allclose(g, 0.0)
     config_ent = PpoConfig(entropy_coef=0.01, normalize_advantages=False)
-    _, actor_grads_ent, _ = ppo_loss(params, batch, config_ent)
+    _, actor_grads_ent, _ = full_ppo_loss(params, batch, config_ent)
     assert any(np.abs(g).max() > 0 for g in actor_grads_ent.arrays)
 
 
@@ -664,7 +663,7 @@ def test_lean_minibatch_matches_previous(seed, n, normalize, max_grad_norm, entr
     # the gradients land in `out`, which may hold the last minibatch's
     out = (MlpParams(params.n_inputs, params.n_actions), MlpParams(params.n_inputs, 1))
     out[0].flat[:] = rng.standard_normal(out[0].size)
-    stats, actor_grads, critic_grads = ppo_loss(params, batch, config, out=out)
+    stats, actor_grads, critic_grads = full_ppo_loss(params, batch, config, out=out)
     assert actor_grads is out[0] and critic_grads is out[1]
     ref_stats, ref_actor, ref_critic = previous_ppo_loss(params, batch, config)
     assert stats_bytes(stats) == stats_bytes(ref_stats)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from execlab.signals import (
     cross_sum,
     depth_imbalance,
     feature_bundle,
+    feature_series,
     fit_line,
     flow_imbalance,
     flow_imbalance_norm,
@@ -352,6 +355,23 @@ def test_feature_bundle_scopes():
     ]
     with pytest.raises(ValueError):
         feature_bundle(frames, "v1", "both")
+
+
+@pytest.mark.parametrize("target", ["v0", "v1", "v2"])
+def test_features_without_peers_are_the_targets_own(target):
+    # With every peer absent, the cross arm holds the single arm's signals
+    # and no peer spread: no feature reads an absent venue.
+    frames = generate_frames(SynthConfig(seed=2), 20.0)
+    venues = {
+        name: vf if name == target else replace(vf, present=np.zeros_like(vf.present))
+        for name, vf in frames.venues.items()
+    }
+    values = feature_series(FrameSet(frames.grid_ts, venues), target, 2000)
+    assert np.isfinite(values["flow_imbalance_norm"]).any() and np.isfinite(values["depth_imbalance"]).any()
+    np.testing.assert_array_equal(values["cross_flow_imbalance_norm"], values["flow_imbalance_norm"])
+    np.testing.assert_array_equal(values["cross_depth_imbalance"], values["depth_imbalance"])
+    assert np.isnan(values["peer_spread_centered"]).all()
+    assert np.isnan(values["peer_spread_centered_bps"]).all()
 
 
 def test_anti_lookahead_under_future_permutation():
