@@ -194,7 +194,8 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
     position of the first violation, is raised before any later record is
     read.  The venues framed are `venues`, or every venue of the stream;
     records of other venues still extend the grid.  VolumeOverflow names a
-    venue's first frame whose taker volumes sum past the float range.
+    venue's first frame whose taker volumes, or book depth (both sides' level
+    quantities, as signals.depth_imbalance sums them), sum past the float range.
     """
     discover = venues is None
     states = {} if discover else {v: _VenueState() for v in venues}
@@ -226,10 +227,12 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
     for v in sorted(states) if discover else list(states):
         # Each venue's state is dropped as soon as its frames are built.
         vf = frames[v] = states.pop(v).frames(len(grid_ts))
-        # Trade qtys are finite, so only a sum can overflow, and only to +inf.
-        overflow = np.maximum(vf.buy_volume, vf.sell_volume) == np.inf
-        if overflow.any():
-            raise VolumeOverflow(f"venue {v}: taker volume at grid_ts {grid_ts[overflow.argmax()]} overflows")
+        # Trade and level qtys are finite, so only a sum can overflow, and only to +inf.
+        with np.errstate(over="ignore"):
+            depth = vf.bid_qty.sum(axis=1) + vf.ask_qty.sum(axis=1)
+        for what, total in (("taker volume", np.maximum(vf.buy_volume, vf.sell_volume)), ("book depth", depth)):
+            if (total == np.inf).any():
+                raise VolumeOverflow(f"venue {v}: {what} at grid_ts {grid_ts[(total == np.inf).argmax()]} overflows")
     return FrameSet(grid_ts=grid_ts, venues=frames)
 
 

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blas import one_blas_thread
 from .capture import (
     BOOK_DEPTH, ClockMap, FrameSet, VenueFrames, align_clocks, read_capture, resample, write_frames_csv,
 )
@@ -581,7 +582,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _bind(args.modules)
     try:
-        return args.func(args)
+        with one_blas_thread():  # the BLAS rule holds for every command, however entered
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: ConfigParse: {exc}", file=sys.stderr)
         return 2

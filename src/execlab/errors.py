@@ -37,7 +37,7 @@ class CrossedTicker(ExecLabError):
 
 
 class VolumeOverflow(ExecLabError):
-    """A frame's summed taker volume is not a finite number."""
+    """A frame's summed taker volume or book depth is not a finite number."""
 
 
 class UnsortedInput(ExecLabError):

@@ -4,27 +4,25 @@ A rollout runs a batch of episodes in lockstep: one batched forward pass and
 one batched env.step per decision level; episodes that finish early drop out
 of the forward pass.
 
-Training runs with one OpenBLAS thread (`one_blas_thread`) and, where it
-can, forks a helper process that takes the critic's minibatch steps while
-this one takes the actor's (`_CriticHelper`); the two networks share no
-parameter, so the result has the same bits as without a helper.
+Training runs under the BLAS rule (`blas.one_blas_thread`) and, where one
+thread is in force, forks a helper process that takes the critic's minibatch
+steps while this one takes the actor's (`_CriticHelper`); the two networks
+share no parameter, so the result has the same bits as without a helper.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import os
 import pickle
 import signal
 import threading
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
 
+from ..blas import one_blas_thread
 from ..capture.resample import FrameSet
 from ..env import ExecutionEnv, ProblemSpec, policy_dims
 from .agent import (
@@ -96,58 +94,6 @@ def collect_rollout(
     # a stable sort keeps each episode's steps in time order
     order = np.argsort(episode, kind="stable")
     return RolloutBuffer(*(column[order] for column in columns)), episode_reward
-
-
-# (get, set) names of the thread count in the builds of OpenBLAS numpy ships with.
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
-    None when no loaded library has both."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREADS:
-            getter, setter = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """The console script's BLAS rule for the length of the block: one
-    OpenBLAS thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
-    The caller's count is restored on exit; without a setter nothing
-    changes.  Yields whether one thread is in force."""
-    control = openblas_threads()
-    if control is None:
-        yield False
-        return
-    get, set_threads = control
-    before = get()
-    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
-        set_threads(1)
-    try:
-        yield get() == 1
-    finally:
-        if get() != before:
-            set_threads(before)
 
 
 def _usable_cpus() -> int:

@@ -47,6 +47,8 @@ def _trailing_min(x: np.ndarray, window: int) -> np.ndarray:
     returned is unspecified.
     """
     n = len(x)
+    # Any window of n or more points is the expanding window.
+    window = max(1, min(window, n))
     pad = window - 1
     n_blocks = -(-(n + pad) // window)
     buf = np.full(n_blocks * window, np.inf)
@@ -245,10 +247,12 @@ def bin_curve(
     The support is the 0.5-99.5 percentile range so a handful of outliers
     cannot stretch the bins and starve them; samples beyond it count toward
     the edge bins.  For factors normalized into [-1, 1] this is the nominal
-    range.
+    range.  Fewer than three paired points raise TooFewPointsError.
     """
     mask = np.isfinite(x) & np.isfinite(y)
     xs, ys = x[mask], y[mask]
+    if len(xs) < 3:
+        raise TooFewPointsError(f"{len(xs)} paired points")
     lo, hi = (float(q) for q in np.percentile(xs, [0.5, 99.5]))
     if lo == hi:
         lo, hi = float(xs.min()), float(xs.max())
@@ -276,7 +280,8 @@ def horizon_report(
     """One regression of the feature `name` per horizon plus the bin curve at
     the designated horizon.  A feature with no variance over a horizon's
     paired points, such as the peer spread of venues that quote alike, gets
-    a degenerate fit there instead of an error."""
+    a degenerate fit there instead of an error.  Too few paired points at
+    any horizon raise TooFewPointsError naming the feature and the horizon."""
     fits = []
     for h_ms in horizons_ms:
         y = future_return_bps(frames, target_venue, horizon_steps(h_ms))
@@ -285,8 +290,13 @@ def horizon_report(
         except DegenerateXError:
             n = int(np.count_nonzero(np.isfinite(values) & np.isfinite(y)))
             fits.append(LinearFit(np.nan, np.nan, np.nan, n, degenerate=True))
+        except TooFewPointsError as exc:
+            raise TooFewPointsError(f"feature {name} at horizon {h_ms} ms: {exc}") from None
     y_bin = future_return_bps(frames, target_venue, horizon_steps(bin_horizon_ms))
-    centers, means, counts = bin_curve(values, y_bin, BIN_CURVE_BINS)
+    try:
+        centers, means, counts = bin_curve(values, y_bin, BIN_CURVE_BINS)
+    except TooFewPointsError as exc:
+        raise TooFewPointsError(f"feature {name} at bin horizon {bin_horizon_ms} ms: {exc}") from None
     return RegressionReport(
         feature=name,
         target_venue=target_venue,

@@ -249,10 +249,11 @@ def duration_steps(duration_s: float) -> int:
 def _draws(config: SynthConfig, n_steps: int) -> _Draws:
     """_materialize's draws, unless a capture of them would not read back as
     their frames: a price in them is not a finite number > 0, a level
-    quantity or a step's taker volume is not finite, or a book's prices do
-    not strictly fall on the bid side, rise on the ask side and put the best
-    bid below the best ask (the resampler keys levels by price, and a tick
-    below the float spacing of the prices merges them)."""
+    quantity, a book's depth (both sides' level quantities summed) or a
+    step's taker volume is not finite, or a book's prices do not strictly
+    fall on the bid side, rise on the ask side and put the best bid below the
+    best ask (the resampler keys levels by price, and a tick below the float
+    spacing of the prices merges them)."""
     book_steps = config.book_update_ms // _GRID_MS
     # Such an overflow is refused below, so numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,6 +265,8 @@ def _draws(config: SynthConfig, n_steps: int) -> _Draws:
             if not all(qty.max() < np.inf for qty in (vd.bid_qty, vd.ask_qty)):
                 raise InvalidConfig(f"venue {name} draws a book quantity that is not finite")
             # Steps repeat their book row's levels: each row's first step stands for it.
+            if not (vd.bid_qty[::book_steps].sum(axis=1) + vd.ask_qty[::book_steps].sum(axis=1)).max() < np.inf:
+                raise InvalidConfig(f"venue {name} draws a book depth that sums past the float range")
             bids, asks = vd.bid_px[::book_steps], vd.ask_px[::book_steps]
             if not (
                 (bids[:, 1:] < bids[:, :-1]).all()

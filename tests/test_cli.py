@@ -821,6 +821,63 @@ def test_cli_overflowing_taker_volume_rejected(pipeline, tmp_path, capsys, recwa
 
 
 @pytest.mark.parametrize(
+    "command", [["capture", "resample"], ["signals", "report"], ["train"]], ids=["resample", "report", "train"]
+)
+def test_cli_overflowing_book_depth_rejected(pipeline, tmp_path, capsys, recwarn, command):
+    # Five bid levels of 1e308 in one v0 snapshot: each is finite, their sum
+    # is inf, and the depth imbalance used to be NaN with a warning, dropped
+    # without a word from the cross-venue sum.
+    lines = pipeline[2].read_bytes().splitlines(keepends=True)
+    at = next(
+        i for i, line in enumerate(lines)
+        if line.startswith(b'{"venue":"v0","kind":"book_snapshot"') and json.loads(line)["local_ts"] > 10**10
+    )
+    record = json.loads(lines[at])
+    record["payload"]["bids"] = [[price, 1e308] for price, _ in record["payload"]["bids"]]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(b"".join(lines[:at] + [json.dumps(record).encode() + b"\n"] + lines[at + 1 :]))
+    out = tmp_path / "out"
+    if command[0] == "capture":
+        argv = command + [str(bad), str(out)]
+    else:
+        argv = command + ["--config", str(write_config(tmp_path / "cfg.json", paths={"capture": str(bad), "out_dir": str(out)}))]
+    code, err = run_cli(argv, capsys)
+    grid_ts = -(-record["local_ts"] // GRID_NS) * GRID_NS
+    assert (code, err) == (1, f"error: VolumeOverflow: venue v0: book depth at grid_ts {grid_ts} overflows\n")
+    assert not out.exists() and not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "signals, horizon",
+    [({"bin_horizon_ms": 80_000}, "bin horizon 80000 ms"), ({"horizons_ms": [100, 80_000]}, "horizon 80000 ms")],
+    ids=["bin_horizon_ms", "horizons_ms"],
+)
+def test_cli_signals_report_names_a_horizon_without_paired_points(pipeline, tmp_path, capsys, signals, horizon):
+    # The 80 s market has no mid 80 s after any grid point; an empty bin
+    # curve used to end in a traceback from np.percentile.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(pipeline[2]), "out_dir": str(out)}, signals=signals)
+    code, err = run_cli(["signals", "report", "--config", str(cfg)], capsys)
+    assert (code, err) == (1, f"error: TooFewPointsError: feature flow_imbalance_norm at {horizon}: 0 paired points\n")
+    assert not list(out.glob("report_*"))
+
+
+def test_cli_window_longer_than_the_capture_is_the_expanding_window(pipeline, tmp_path):
+    # 10**13 ms used to end in `error: OutOfMemory`; 100 s already spans the
+    # 80 s market, so both windows are the expanding window.
+    outputs = []
+    for window_ms in (10**13, 100_000):
+        out = tmp_path / str(window_ms)
+        cfg = write_config(
+            tmp_path / "cfg.json", paths={"capture": str(pipeline[2]), "out_dir": str(out)}, signals={"window_ms": window_ms}
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["signals", "report", "--config", str(cfg)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("horizon_r2.csv", "bin_curves.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
     "capture, expected",
     [("missing", (3, "error: MissingInput: ")), ("malformed", (1, "error: MalformedLine: "))],
     ids=["missing", "malformed"],

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from execlab import signals
+from execlab import blas, signals
 from execlab.env import ProblemSpec
 from execlab.errors import NonFiniteLossError
 from execlab.ppo import PpoConfig, RolloutBuffer, agent, trainer, update
 from execlab.synth import SynthConfig, generate_frames
 from test_ppo import off_policy_batch, previous_update, trained_params
 
-CONTROL = trainer.openblas_threads()
+CONTROL = blas.openblas_threads()
 needs_helper = pytest.mark.skipif(
     CONTROL is None or not hasattr(os, "fork") or trainer._usable_cpus() < 2,
     reason="the helper needs OpenBLAS, os.fork and two usable CPUs",
@@ -225,7 +225,7 @@ def test_without_the_helper_the_serial_path_runs(market, rule_sets_the_count, mo
         other = threading.Thread(target=done.wait)
         other.start()
     if away == "setter":
-        monkeypatch.setattr(trainer, "openblas_threads", lambda: None)
+        monkeypatch.setattr(blas, "openblas_threads", lambda: None)
     elif away == "fork":
         monkeypatch.delattr(os, "fork")
     elif away == "fork_fails":

@@ -5,9 +5,11 @@ loading it would cost every CLI process a few tenths of a second and about
 20 MB.  The capture layer needs neither the environment nor the signals,
 the config neither the environment nor the agent, and each CLI command
 loads only the modules it runs.
-Nor may an import change the environment: only the console script's entry
-point sets its one-BLAS-thread default.  Each check runs in a fresh
-interpreter so modules imported by other tests cannot mask it.
+Nor may an import change the environment: the one-BLAS-thread rule lives in
+`execlab.blas` alone, sets the count through the library for the length of
+each command, however the command is entered, and writes no environment
+variable.  Each check runs in a fresh interpreter so modules imported by
+other tests cannot mask it.
 An import kept without a caller (`# noqa: F401`) is kept only for the
 benchmark's tracing to patch.
 """
@@ -16,6 +18,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,40 +132,89 @@ def test_import_leaves_the_environment_alone():
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-RUN = SRC.parent / "perfbench" / "run.py"
+
+# Runs `capture align` through one entry point in a fresh interpreter, with
+# the capture reader wrapped so that it reads OpenBLAS's thread count inside
+# the command; prints the count before the call, inside the command and after
+# the call, and how the call ended.
+THREADS_IN_A_COMMAND = """
+import contextlib, io, json, runpy, sys
+import execlab.cli as cli
+from execlab import blas
+
+control = blas.openblas_threads()
+if control is None:
+    print("null")
+    sys.exit()
+get, _ = control
+inside = []
+read_capture = cli.read_capture
+
+def reading(*args, **kwargs):
+    inside.append(get())
+    if FAILS:
+        raise RuntimeError("the command fails")
+    return read_capture(*args, **kwargs)
+
+cli.read_capture = reading
+before = get()
+argv = ["capture", "align", CAPTURE, OUT]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if ENTRY == "python -m execlab":
+            sys.argv = ["execlab", *argv]
+            runpy.run_module("execlab", run_name="__main__", alter_sys=True)
+        else:
+            ended = cli.main(argv)
+except SystemExit as exc:
+    ended = exc.code
+except RuntimeError:
+    ended = "raised"
+print(json.dumps([before, inside, get(), ended]))
+"""
 
 
-def console_blas_threads(**user_env) -> int | None:
-    """OpenBLAS's thread count in a process that entered through the console
-    script's entry point, read as the benchmark reads it."""
-    code = (
-        "import contextlib, importlib.util, io, json, sys\n"
-        "from execlab.__main__ import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
-        "    main(['--help'])\n"
-        "assert 'numpy' in sys.modules\n"
-        f"spec = importlib.util.spec_from_file_location('perfbench_run', {str(RUN)!r})\n"
-        "run = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(run)\n"
-        "print(json.dumps(run.blas_threads()))"
-    )
+def threads_in_a_command(capture, out, entry, fails=False, **user_env):
+    """(count before, counts inside the command, count after, exit code or
+    "raised") for `capture align` entered through `entry`, or None where
+    numpy does not load OpenBLAS."""
+    code = f"ENTRY, CAPTURE, OUT, FAILS = {entry!r}, {str(capture)!r}, {str(out)!r}, {fails!r}\n"
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(user_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", code + THREADS_IN_A_COMMAND], capture_output=True, text=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_console_script_runs_one_blas_thread_unless_told_otherwise():
-    default = console_blas_threads()
-    if default is None:
+@pytest.mark.parametrize("entry", ["python -m execlab", "execlab.cli.main"])
+def test_a_command_runs_one_blas_thread_unless_told_otherwise(tiny_market, tmp_path, entry):
+    capture, _ = tiny_market
+    out = tmp_path / "clock.json"
+    seen = threads_in_a_command(capture, out, entry)
+    if seen is None:
         pytest.skip("numpy does not load OpenBLAS here")
-    assert default == 1
+    before, inside, after, ended = seen
+    assert (inside, after, ended) == ([1], before, 0)
+    assert out.exists()
+    # the caller's count, restored when the command raises too
+    assert threads_in_a_command(capture, out, entry, fails=True) == [before, [1], before, "raised"]
     # OpenBLAS never runs more threads than the host has CPUs
     user = min(2, os.cpu_count() or 1)
-    assert console_blas_threads(OPENBLAS_NUM_THREADS="2") == user
-    assert console_blas_threads(OMP_NUM_THREADS="2") == user
+    for var in BLAS_VARS:
+        assert threads_in_a_command(capture, out, entry, **{var: "2"}) == [user, [user], user, 0]
+
+
+def test_only_the_blas_module_names_the_thread_rule():
+    rule = re.compile(r"OPENBLAS_NUM_THREADS|OMP_NUM_THREADS|openblas_\w*num_threads", re.IGNORECASE)
+    named = []
+    for path in sorted((SRC / "execlab").rglob("*.py")):
+        if path != SRC / "execlab" / "blas.py":
+            text = path.read_text(encoding="utf-8")
+            named += [f"{path.relative_to(SRC)}: {m.group()}" for m in rule.finditer(text)]
+    assert named == []
 
 
 TRACING = SRC.parent / "perfbench" / "tracing.py"

@@ -164,6 +164,14 @@ def test_trailing_extrema_of_mixed_zeros_compare_equal():
     assert not np.signbit(lo_abs).any() and not np.signbit(hi_abs).any()
 
 
+def test_a_window_longer_than_the_series_is_the_expanding_window():
+    # a window of 10**12 points used to allocate that many cells
+    x = np.random.default_rng(9).standard_normal(500)
+    x[[3, 70]] = np.nan
+    for got, want in zip(trailing_min_max(x, 10**12), trailing_min_max(x, len(x))):
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(
@@ -301,6 +309,14 @@ def test_fit_line_errors():
         fit_line(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(DegenerateXError):
         fit_line(np.full(10, 2.0), np.arange(10.0))
+
+
+def test_bin_curve_of_too_few_paired_points_raises():
+    # an empty curve used to end in an IndexError from np.percentile
+    y = np.array([1.0, np.nan, 2.0, np.nan])
+    for x in (np.full(4, np.nan), np.arange(4.0)):
+        with pytest.raises(TooFewPointsError, match=f"^{np.count_nonzero(np.isfinite(x + y))} paired points$"):
+            bin_curve(x, y)
 
 
 def test_bin_curve_self_prediction_slope_one():

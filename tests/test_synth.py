@@ -329,6 +329,22 @@ def test_draws_with_an_infinite_book_quantity_are_refused():
         generate_frames(SynthConfig(depth_profile=(1.7e308,) * 5), 1.0)
 
 
+def test_draws_whose_book_depth_overflows_are_refused(tmp_path, capsys):
+    # Levels of 4e307 are finite, their depth is not; resample refuses such a
+    # capture, so neither path may make its frames.
+    config = SynthConfig(seed=3, depth_profile=(4e307,) * 5, tilt_noise=0, signal_strength=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig, match="^venue v0 draws a book depth that sums past the float range$"):
+            generate_frames(config, 5.0)
+    code, out = synth_gen(tmp_path, {"seed": 3, "depth_profile": [4e307] * 5, "tilt_noise": 0, "signal_strength": 0})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigParse: synth: venue v0 draws a book depth that sums past the float range\n"
+    )
+    assert not out.exists()
+
+
 def synth_gen(tmp_path, synth: dict) -> tuple[int, Path]:
     """`synth gen` of a 3 s market, with warnings turned into errors."""
     (tmp_path / "cfg.json").write_text(json.dumps({"synth": synth, "synth_duration_s": 3.0}))
