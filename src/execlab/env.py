@@ -88,12 +88,16 @@ class ExecutionEnv:
         self.spec = spec
         self.target_venue = target_venue
         self.feature_names = tuple(features)
-        raw = (
+        signals = (
             np.column_stack([features[k] for k in self.feature_names])
             if features
             else np.zeros((frames.n_frames, 0))
         )
-        self._signals = np.where(np.isfinite(raw), raw, 0.0)
+        # column_stack made a fresh array: its missing values are zeroed in place
+        missing = np.isfinite(signals)
+        np.logical_not(missing, out=missing)
+        np.copyto(signals, 0.0, where=missing)
+        self._signals = signals
         self._venue = frames.venues[target_venue]
         self._ref_price = self._venue.best_bid
         self._step_rows = spec.decision_steps()
@@ -109,17 +113,24 @@ class ExecutionEnv:
         if self._starts is not None:
             return self._starts
         n = self.frames.n_frames
-        last_start = n - 1 - self._span
-        if last_start < 0:
+        n_starts = n - self._span
+        if n_starts < 1:
             raise CaptureTooShort(
                 f"need {self._span + 1} frames for one episode, have {n}"
             )
-        starts = np.arange(last_start + 1)
-        rows = starts[:, None] + np.arange(self.spec.n_decisions + 1)[None, :] * self._step_rows
-        ok = self._venue.present[rows].all(axis=1)
-        starts = starts[ok]
+        # start i is admissible when present[i + k * step_rows] for every
+        # decision row k: one AND per k over a shifted slice
+        present = self._venue.present
+        ok = present[:n_starts].astype(bool)
+        for lo in range(self._step_rows, self._span + 1, self._step_rows):
+            np.logical_and(ok, present[lo : lo + n_starts], out=ok)
+        starts = np.flatnonzero(ok)
         if len(starts) == 0:
-            raise CaptureTooShort("no start with the target venue present throughout")
+            raise CaptureTooShort(
+                f"no start with the target venue {self.target_venue} present at all "
+                f"{self.spec.n_decisions + 1} decision rows "
+                f"(present in {np.count_nonzero(present)} of {n} frames)"
+            )
         self._starts = starts
         return starts
 

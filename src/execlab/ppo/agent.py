@@ -191,8 +191,12 @@ def ppo_loss(
     n = len(actions)
     eps = config.clip_ratio
 
+    # Means and the std as numpy's mean() and std() compute them (sum / n,
+    # then the root of the squared deviations' sum / n), without their
+    # per-call overhead; the bits are the same.
     if config.normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        adv = adv - adv.sum() / n
+        adv /= math.sqrt(np.square(adv).sum() / n) + 1e-8
 
     actor_cache = mlp_forward(params.actor, states)
     probs = masked_probs(actor_cache.out, masks)
@@ -213,11 +217,11 @@ def ppo_loss(
 
     stats = LossStats(
         total=math.nan,
-        clip_objective=float(objective.mean()),
+        clip_objective=float(objective.sum() / n),
         value_loss=math.nan,
-        entropy=float(entropy.mean()),
-        approx_kl=float(np.mean(old_logp - logp)),
-        clip_fraction=float(np.mean(np.abs(ratio - 1.0) > eps)),
+        entropy=float(entropy.sum() / n),
+        approx_kl=float((old_logp - logp).sum() / n),
+        clip_fraction=np.count_nonzero(np.abs(ratio - 1.0) > eps) / n,
     )
     if not (np.isfinite(stats.clip_objective) and np.isfinite(stats.entropy)):
         return stats, None
@@ -255,7 +259,7 @@ def value_loss(
     where the error or the gradient is not finite."""
     cache = mlp_forward(critic, states)
     value_err = cache.out[:, 0] - value_targets
-    loss = float(np.mean(value_err**2))
+    loss = float(np.square(value_err).sum() / len(value_err))  # np.mean's sum / n
     if not np.isfinite(loss):
         return loss, None
     grad_value = (config.value_coef * 2.0 * value_err / len(value_err))[:, None]
@@ -276,9 +280,15 @@ def _joined(actor: LossStats, actor_finite: bool, value: float, critic_finite: b
 
 
 def _clip_grad_norm(grads: MlpParams, max_norm: float) -> None:
-    # Summed layer by layer: one dot product over the whole vector adds in a
-    # different order and changes the trained parameters' bits.
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.arrays)))
+    # Squared once, summed layer by layer: one sum or dot product over the
+    # whole vector adds in a different order and changes the trained
+    # parameters' bits.
+    squares = np.square(grads.flat)
+    total, lo = 0.0, 0
+    for g in grads.arrays:
+        total += float(squares[lo : lo + g.size].sum())
+        lo += g.size
+    total = math.sqrt(total)
     if total > max_norm:
         grads.flat *= max_norm / total
 

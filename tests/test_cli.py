@@ -511,6 +511,28 @@ def test_cli_unknown_target_venue_exit_code(pipeline, tmp_path, capsys, command)
     assert "Traceback" not in err
 
 
+def test_cli_one_sided_target_book_has_no_start(pipeline, tmp_path, capsys):
+    # v1 quotes bids only: it is present in no frame, so no episode can start
+    lines = []
+    for line in pipeline[2].read_bytes().splitlines(keepends=True):
+        record = json.loads(line)
+        if record["venue"] == "v1" and record["kind"] == "ticker":
+            continue
+        if record["venue"] == "v1" and record["kind"] in ("book_snapshot", "book_delta"):
+            line = json.dumps({**record, "payload": {**record["payload"], "asks": []}}).encode() + b"\n"
+        lines.append(line)
+    bad = tmp_path / "one_sided.ndjson"
+    bad.write_bytes(b"".join(lines))
+    n_frames = resample(read_capture(bad)).n_frames
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(bad), "out_dir": str(tmp_path / "out")})
+    code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert (code, err) == (
+        1,
+        "error: CaptureTooShort: no start with the target venue v1 present at all 11 decision rows "
+        f"(present in 0 of {n_frames} frames)\n",
+    )
+
+
 @pytest.mark.parametrize(
     "section, value, field",
     [

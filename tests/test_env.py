@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+import reference
+from execlab.capture import BOOK_DEPTH, FrameSet, VenueFrames
+from execlab.capture.records import GRID_NS
 from execlab.env import (
     ExecutionEnv,
     ProblemSpec,
@@ -172,6 +178,120 @@ def test_capture_too_short(flat):
     tiny = flat_market_frames(100.0, 10.0)
     with pytest.raises(CaptureTooShort):
         make_env(tiny).admissible_starts()
+
+
+def presence_market(present) -> FrameSet:
+    """A flat one-venue market, venue v0, present where `present` is."""
+    present = np.asarray(present, dtype=bool)
+    n = len(present)
+    price, levels, zeros = np.full(n, 100.0), np.full((n, BOOK_DEPTH), 100.0), np.zeros(n)
+    venue = VenueFrames(present, price, price, price, zeros, zeros, levels, levels, levels, levels)
+    return FrameSet(np.arange(n, dtype=np.int64) * GRID_NS, {"v0": venue})
+
+
+def decision_spec(step_rows: int, n_decisions: int) -> ProblemSpec:
+    return ProblemSpec(horizon_s=step_rows * n_decisions * GRID_NS / 1e9, n_decisions=n_decisions)
+
+
+@st.composite
+def presence_patterns(draw):
+    """(present, step_rows, n_decisions): a market at least one episode long
+    whose venue is absent at the start, at the end, at one row, in
+    alternating blocks, or anywhere."""
+    step_rows, n_decisions = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    n = step_rows * n_decisions + 1 + draw(st.integers(0, 40))
+    present = np.ones(n, dtype=bool)
+    kind = draw(st.sampled_from(["start", "end", "one row", "blocks", "any"]))
+    if kind == "start":
+        present[: draw(st.integers(1, n))] = False
+    elif kind == "end":
+        present[n - draw(st.integers(1, n)) :] = False
+    elif kind == "one row":
+        present[draw(st.integers(0, n - 1))] = False
+    elif kind == "blocks":
+        block = draw(st.integers(1, 2 * step_rows + 1))
+        present = (np.arange(n) // block) % 2 == draw(st.integers(0, 1))
+    else:
+        present = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return present, step_rows, n_decisions
+
+
+ONE_EPISODE = np.ones(2 * 3 + 1, dtype=bool)  # 3 decisions 2 rows apart: exactly one start
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=presence_patterns())
+@example(case=(ONE_EPISODE, 2, 3))
+@example(case=(np.r_[ONE_EPISODE[:4], False, ONE_EPISODE[5:]], 2, 3))  # absent at one decision row only
+@example(case=(np.r_[ONE_EPISODE[:3], False, ONE_EPISODE[4:]], 2, 3))  # absent between two decision rows
+@example(case=(np.zeros(40, dtype=bool), 1, 10))
+def test_admissible_starts_equal_the_row_matrix_reference(case):
+    present, step_rows, n_decisions = case
+    env = make_env(presence_market(present), decision_spec(step_rows, n_decisions))
+    expected = reference.admissible_starts(present, step_rows, n_decisions)
+    if len(expected) == 0:
+        with pytest.raises(CaptureTooShort) as exc:
+            env.admissible_starts()
+        assert str(exc.value) == (
+            f"no start with the target venue v0 present at all {n_decisions + 1} decision rows "
+            f"(present in {np.count_nonzero(present)} of {len(present)} frames)"
+        )
+        return
+    starts = env.admissible_starts()
+    assert starts.dtype == expected.dtype and starts.tolist() == expected.tolist()
+    assert env.admissible_starts() is starts
+
+
+@pytest.mark.parametrize("n_frames", [0, 1, 6])
+def test_market_shorter_than_one_episode_has_no_start(n_frames):
+    # 3 decisions 2 rows apart span 7 frames
+    env = make_env(presence_market(np.ones(n_frames, dtype=bool)), decision_spec(2, 3))
+    assert len(reference.admissible_starts(np.ones(n_frames, dtype=bool), 2, 3)) == 0
+    with pytest.raises(CaptureTooShort, match=f"need 7 frames for one episode, have {n_frames}$"):
+        env.admissible_starts()
+
+
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308, 1.5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.integers(0, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=k, max_size=k),
+            min_size=1,
+            max_size=30,
+        )
+    )
+)
+def test_state_signals_equal_the_where_copy_bit_for_bit(columns):
+    raw = np.array(columns, dtype=np.float64).reshape(len(columns), -1)
+    n = len(raw)
+    features = {f"f{j}": raw[:, j].copy() for j in range(raw.shape[1])}
+    before = {name: column.copy() for name, column in features.items()}
+    env = make_env(presence_market(np.ones(n, dtype=bool)), decision_spec(1, 1), features)
+    signals = env.reset(np.arange(n)).signals
+    expected = reference.state_signals(features, n)
+    assert signals.dtype == expected.dtype == np.float64 and signals.shape == expected.shape
+    assert signals.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    # the caller's arrays are not the ones sanitised
+    assert all(features[name].view(np.uint64).tolist() == before[name].view(np.uint64).tolist() for name in features)
+
+
+def test_env_build_allocates_nothing_per_frame_and_decision():
+    # the train benchmark's 300 s market: building the env and finding its
+    # starts may allocate, beyond what the env then holds, less than one
+    # float per frame (an (n, H + 1) row matrix is 88 bytes per frame)
+    frames = generate_frames(SynthConfig(seed=1234, signal_strength=0.5, lag_ms=(0, 200, 300), tilt_noise=0.6), 300.0)
+    features = feature_bundle(frames, "v1", "cross")
+    tracemalloc.start()
+    try:
+        env = make_env(frames, ProblemSpec(), features, "v1")
+        env.admissible_starts()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < frames.n_frames * 8, (peak - held, frames.n_frames)
 
 
 def test_sampled_starts_deterministic(flat):
