@@ -26,13 +26,11 @@ from typing import get_args, get_origin, get_type_hints
 
 from .capture.resample import GRID_NS
 from .errors import ConfigError, InvalidConfig
-from .signals import CROSS_FEATURES, DEFAULT_WINDOW_MS, REPORT_SERIES
+from .signals import CROSS_FEATURES, DEFAULT_WINDOW_MS, REPORT_SERIES, SCOPES
 from .signals import horizon_steps, window_steps
 from .synth import SynthConfig, duration_steps
 
 CONFIG_VERSION = 1
-
-SCOPES = ("single", "cross")
 
 INT_MAX = 2**63 - 1  # every int field, seeds too, holds an int64, as numpy sizes and counts do
 FLOAT_MAX = sys.float_info.max  # a larger int has no float

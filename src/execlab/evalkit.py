@@ -288,7 +288,9 @@ def action_heatmap(
     env = ExecutionEnv(frames, spec, features, target_venue)
     starts = env.sample_starts(n_episodes, default_rng(seed))
     sig_idx = env.feature_names.index(signal_name)
-    sigma = float(np.nanstd(features[signal_name]))
+    signal_values = features[signal_name]
+    # A signal NaN on every frame puts every visit in "unchanged"; np.nanstd would warn of it.
+    sigma = 0.0 if np.isnan(signal_values).all() else float(np.nanstd(signal_values))
     expected = getattr(policy, "expected_action", None)
 
     visits = []  # (inventory, steps_left, signal, recorded action) per decision

@@ -17,6 +17,7 @@ from .capture.resample import GRID_NS, FrameSet
 from .errors import DegenerateXError, TooFewPointsError
 
 DEFAULT_WINDOW_MS = 30_000
+SCOPES = ("single", "cross")  # the experiment arms: the target venue alone, or with its peers
 BIN_CURVE_BINS = 20  # bins of a horizon report's bin curve
 
 
@@ -368,7 +369,7 @@ def feature_bundle(
     cross-venue sums and the centered peer spread (scaled to bps of the
     target mid so every entry is O(1)).
     """
-    if scope not in ("single", "cross"):
-        raise ValueError(f"scope must be 'single' or 'cross', got {scope!r}")
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     values = feature_series(frames, target_venue, window_ms)
     return {name: values[name] for name in (SINGLE_FEATURES if scope == "single" else CROSS_FEATURES)}

@@ -15,7 +15,9 @@ Generative model, per 10ms grid step:
   with a bid/ask tilt equal to the same revealed signal plus per-venue
   noise, so book imbalance carries the signal too.
 
-``generate_frames`` materializes resampled frames directly from the draws;
+The draws hold each venue's book once per refresh, and each step's trade
+counts.  ``generate_frames`` materializes resampled frames directly from the
+draws, repeating each book over the grid steps it covers;
 ``generate`` serializes the identical draws as a capture file, so
 ``resample(generate(...)) == generate_frames(...)`` bit for bit: the frames
 end, as the resampler's grid does, at the last step that holds a record, and
@@ -24,7 +26,7 @@ the draws column-wise, one block of ``_BLOCK_STEPS`` grid steps at a time:
 numpy computes every record's step, timestamp, venue and rank, one sort puts
 them in capture order, and each line, trade or book snapshot, is formatted
 from the columns in the bytes the JSON encoder would write for its record.
-Both refuse draws that a capture cannot carry (see ``_draws``).
+Both refuse draws that a capture cannot carry (see ``_materialize``).
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class SynthConfig:
 
 @dataclass
 class _VenueDraws:
-    mid: np.ndarray  # frame mid per step (book-cadence staircase)
-    bid_px: np.ndarray  # (n, BOOK_DEPTH)
+    mid: np.ndarray  # per book refresh
+    bid_px: np.ndarray  # (refreshes, BOOK_DEPTH)
     ask_px: np.ndarray
     bid_qty: np.ndarray
     ask_qty: np.ndarray
@@ -136,54 +138,72 @@ def _ou_path(rng: np.random.Generator, n: int, tau_steps: float, stat_std: float
 
 
 def _materialize(config: SynthConfig, n_steps: int) -> _Draws:
+    """The market's draws, one book per refresh, unless a capture of them
+    would not read back as their frames: a price in them is not a finite
+    number > 0, a level quantity, a book's depth (both sides' level quantities
+    summed) or a step's taker volume is not finite, or a book's prices do not
+    strictly fall on the bid side, rise on the ask side and put the best bid
+    below the best ask (the resampler keys levels by price, and a tick below
+    the float spacing of the prices merges them)."""
     rng = default_rng(config.seed)
     n = n_steps
-    z = rng.standard_normal(n)
-    drift = _ou_path(rng, n, config.drift_tau_s * _STEPS_PER_S, config.drift_vol)
-    increments = config.mid0 * (config.vol * z + drift)
-    latent = config.mid0 + np.cumsum(increments)
+    # A draw that overflows or is NaN is refused below, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = rng.standard_normal(n)
+        drift = _ou_path(rng, n, config.drift_tau_s * _STEPS_PER_S, config.drift_vol)
+        increments = config.mid0 * (config.vol * z + drift)
+        latent = config.mid0 + np.cumsum(increments)
 
-    if config.drift_vol > 0:
-        revealed = config.signal_strength * np.clip(drift / config.drift_vol, -1.0, 1.0)
-    else:
-        revealed = np.zeros(n)
+        if config.drift_vol > 0:
+            revealed = config.signal_strength * np.clip(drift / config.drift_vol, -1.0, 1.0)
+        else:
+            revealed = np.zeros(n)
 
-    update_steps = config.book_update_ms // _GRID_MS
-    book_rows = np.arange(0, n, update_steps)
-    hold = np.repeat(np.arange(len(book_rows)), update_steps)[:n]
+        update_steps = config.book_update_ms // _GRID_MS
+        book_rows = np.arange(0, n, update_steps)
 
-    half_spread = config.half_spread_ticks * config.tick
-    depth = np.asarray(config.depth_profile)
-    level_off = np.arange(BOOK_DEPTH) * config.tick
+        half_spread = config.half_spread_ticks * config.tick
+        depth = np.asarray(config.depth_profile)
+        level_off = np.arange(BOOK_DEPTH) * config.tick
 
-    draws = _Draws(n_steps=n)
-    for idx, name in enumerate(config.venue_names):
-        lag = config.lag_steps(idx)
-        lagged = latent[np.maximum(np.arange(n) - lag, 0)]
-        level_eps = rng.standard_normal(len(book_rows)) * config.level_noise
-        venue_latent = lagged[book_rows] + config.basis[idx] + level_eps
-        tilt_eps = rng.standard_normal(len(book_rows)) * config.tilt_noise
-        tilt = np.clip(revealed[book_rows] + tilt_eps, -0.95, 0.95)
+        draws = _Draws(n_steps=n)
+        for idx, name in enumerate(config.venue_names):
+            lagged = latent[np.maximum(book_rows - config.lag_steps(idx), 0)]
+            level_eps = rng.standard_normal(len(book_rows)) * config.level_noise
+            mid = lagged + config.basis[idx] + level_eps
+            tilt_eps = rng.standard_normal(len(book_rows)) * config.tilt_noise
+            tilt = np.clip(revealed[book_rows] + tilt_eps, -0.95, 0.95)
+            bid_qty = depth[None, :] * (1.0 + tilt)[:, None]
+            ask_qty = depth[None, :] * (1.0 - tilt)[:, None]
+            bid_px = (mid - half_spread)[:, None] - level_off[None, :]
+            ask_px = (mid + half_spread)[:, None] + level_off[None, :]
 
-        mid_b = venue_latent
-        bid_qty_b = depth[None, :] * (1.0 + tilt)[:, None]
-        ask_qty_b = depth[None, :] * (1.0 - tilt)[:, None]
-        bid_px_b = (mid_b - half_spread)[:, None] - level_off[None, :]
-        ask_px_b = (mid_b + half_spread)[:, None] + level_off[None, :]
+            n_trades = rng.poisson(config.trade_intensity, size=n)
+            buys = rng.binomial(n_trades, 0.5 * (1.0 + revealed))
 
-        n_trades = rng.poisson(config.trade_intensity, size=n)
-        p_buy = 0.5 * (1.0 + revealed)
-        buys = rng.binomial(n_trades, p_buy)
-
-        draws.venues[name] = _VenueDraws(
-            mid=mid_b[hold],
-            bid_px=bid_px_b[hold],
-            ask_px=ask_px_b[hold],
-            bid_qty=bid_qty_b[hold],
-            ask_qty=ask_qty_b[hold],
-            n_trades=n_trades,
-            buys=buys,
-        )
+            # NaN fails every comparison.
+            if not all(px.min() > 0 and px.max() < np.inf for px in (mid, bid_px, ask_px)):
+                raise InvalidConfig(f"venue {name} draws a price that is not a finite number > 0")
+            if not all(qty.max() < np.inf for qty in (bid_qty, ask_qty)):
+                raise InvalidConfig(f"venue {name} draws a book quantity that is not finite")
+            if not (bid_qty.sum(axis=1) + ask_qty.sum(axis=1)).max() < np.inf:
+                raise InvalidConfig(f"venue {name} draws a book depth that sums past the float range")
+            if not (
+                (bid_px[:, 1:] < bid_px[:, :-1]).all()
+                and (ask_px[:, 1:] > ask_px[:, :-1]).all()
+                and (bid_px[:, 0] < ask_px[:, 0]).all()
+            ):
+                raise InvalidConfig(
+                    f"venue {name} draws a book whose price levels are not strictly ordered: "
+                    f"a tick of {config.tick} is too fine for the float spacing of its prices"
+                )
+            max_trades = int(n_trades.max())
+            if not _taker_volumes(config.trade_qty, max_trades)[-1] < np.inf:
+                raise InvalidConfig(
+                    f"venue {name} draws a taker volume that is not finite: "
+                    f"{max_trades} trades of {config.trade_qty} in a step"
+                )
+            draws.venues[name] = _VenueDraws(mid, bid_px, ask_px, bid_qty, ask_qty, n_trades, buys)
     return draws
 
 
@@ -208,14 +228,21 @@ def _framed_steps(config: SynthConfig, draws: _Draws) -> int:
 
 
 def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
+    """The frames of `draws`, which it empties."""
     n = _framed_steps(config, draws)
     grid_ts = (np.arange(1, n + 1, dtype=np.int64)) * GRID_NS
     venues: dict[str, VenueFrames] = {}
     half_spread = config.half_spread_ticks * config.tick
     volumes = _taker_volumes(config.trade_qty, max(int(vd.n_trades.max()) for vd in draws.venues.values()))
-    for name, vd in draws.venues.items():
-        best_bid = vd.mid[:n] - half_spread
-        best_ask = vd.mid[:n] + half_spread
+    hold = np.arange(n) // (config.book_update_ms // _GRID_MS)  # each step's book refresh
+    # Each venue's draws are dropped once its frames are made, so the next
+    # venue's frames reuse their heap memory: freed all at the end, that
+    # memory would stay resident (about 0.5 MB of a 300 s market's train run).
+    for name in list(draws.venues):
+        vd = draws.venues.pop(name)
+        mid = vd.mid[hold]
+        best_bid = mid - half_spread
+        best_ask = mid + half_spread
         n_trades, buys = vd.n_trades[:n], vd.buys[:n]
         venues[name] = VenueFrames(
             present=np.ones(n, dtype=bool),
@@ -226,10 +253,10 @@ def _frames_from_draws(config: SynthConfig, draws: _Draws) -> FrameSet:
             mid=(best_bid + best_ask) / 2.0,
             buy_volume=volumes[buys],
             sell_volume=volumes[n_trades - buys],
-            bid_price=vd.bid_px[:n],
-            bid_qty=vd.bid_qty[:n],
-            ask_price=vd.ask_px[:n],
-            ask_qty=vd.ask_qty[:n],
+            bid_price=vd.bid_px[hold],
+            bid_qty=vd.bid_qty[hold],
+            ask_price=vd.ask_px[hold],
+            ask_qty=vd.ask_qty[hold],
         )
     return FrameSet(grid_ts=grid_ts, venues=venues)
 
@@ -246,49 +273,9 @@ def duration_steps(duration_s: float) -> int:
     return int(round(steps))
 
 
-def _draws(config: SynthConfig, n_steps: int) -> _Draws:
-    """_materialize's draws, unless a capture of them would not read back as
-    their frames: a price in them is not a finite number > 0, a level
-    quantity, a book's depth (both sides' level quantities summed) or a
-    step's taker volume is not finite, or a book's prices do not strictly
-    fall on the bid side, rise on the ask side and put the best bid below the
-    best ask (the resampler keys levels by price, and a tick below the float
-    spacing of the prices merges them)."""
-    book_steps = config.book_update_ms // _GRID_MS
-    # Such an overflow is refused below, so numpy need not warn of it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        draws = _materialize(config, n_steps)
-        for name, vd in draws.venues.items():
-            # NaN fails every comparison.
-            if not all(px.min() > 0 and px.max() < np.inf for px in (vd.mid, vd.bid_px, vd.ask_px)):
-                raise InvalidConfig(f"venue {name} draws a price that is not a finite number > 0")
-            if not all(qty.max() < np.inf for qty in (vd.bid_qty, vd.ask_qty)):
-                raise InvalidConfig(f"venue {name} draws a book quantity that is not finite")
-            # Steps repeat their book row's levels: each row's first step stands for it.
-            if not (vd.bid_qty[::book_steps].sum(axis=1) + vd.ask_qty[::book_steps].sum(axis=1)).max() < np.inf:
-                raise InvalidConfig(f"venue {name} draws a book depth that sums past the float range")
-            bids, asks = vd.bid_px[::book_steps], vd.ask_px[::book_steps]
-            if not (
-                (bids[:, 1:] < bids[:, :-1]).all()
-                and (asks[:, 1:] > asks[:, :-1]).all()
-                and (bids[:, 0] < asks[:, 0]).all()
-            ):
-                raise InvalidConfig(
-                    f"venue {name} draws a book whose price levels are not strictly ordered: "
-                    f"a tick of {config.tick} is too fine for the float spacing of its prices"
-                )
-            max_trades = int(vd.n_trades.max())
-            if not _taker_volumes(config.trade_qty, max_trades)[-1] < np.inf:
-                raise InvalidConfig(
-                    f"venue {name} draws a taker volume that is not finite: "
-                    f"{max_trades} trades of {config.trade_qty} in a step"
-                )
-    return draws
-
-
 def generate_frames(config: SynthConfig, duration_s: float) -> FrameSet:
     """Resampled frames of the synthetic market, bypassing serialization."""
-    return _frames_from_draws(config, _draws(config, duration_steps(duration_s)))
+    return _frames_from_draws(config, _materialize(config, duration_steps(duration_s)))
 
 
 _SNAP_OFF = 1_000_000  # snapshot offset into the window, ns
@@ -305,7 +292,7 @@ def generate(config: SynthConfig, duration_s: float, path: str | Path) -> int:
     at _SNAP_OFF into the step, then its trades from _TRADE_OFF on, spread
     over 7 ms across the venues and ordered by (local_ts, venue, trade).
     """
-    draws = _draws(config, duration_steps(duration_s))  # both may refuse: before the file is created
+    draws = _materialize(config, duration_steps(duration_s))  # both may refuse: before the file is created
     written = 0
     with open_output(path) as fh:
         for text, count in _capture_blocks(config, draws):
@@ -338,16 +325,18 @@ def _capture_blocks(config: SynthConfig, draws: _Draws) -> Iterator[tuple[str, i
     snapshot_formats = [_snapshot_format(name).format for name in names]
     for k0 in range(0, draws.n_steps, _BLOCK_STEPS):
         k1 = min(k0 + _BLOCK_STEPS, draws.n_steps)
+        row0, row1 = k0 // update_steps, (k1 - 1) // update_steps + 1  # the books the block's steps hold
+        snap0 = -(-k0 // update_steps)  # the first book refreshed in the block
+        snap_steps = np.arange(snap0, row1) * update_steps
+        snap_ts = snap_steps * GRID_NS + _SNAP_OFF
         lines: list[str] = []
         keys: list[tuple[np.ndarray, ...]] = []  # (step, local_ts, venue, rank) per record, in `lines` order
         for idx, name in enumerate(names):
             vd = draws.venues[name]
             skew = (idx + 1) * _CLOCK_SKEW
-            snap_steps = np.arange(-(-k0 // update_steps) * update_steps, k1, update_steps)
-            snap_ts = snap_steps * GRID_NS + _SNAP_OFF
             # Per snapshot: each bid level's price and qty in turn, then each ask level's.
-            bids = np.stack((vd.bid_px[snap_steps], vd.bid_qty[snap_steps]), axis=2)
-            asks = np.stack((vd.ask_px[snap_steps], vd.ask_qty[snap_steps]), axis=2)
+            bids = np.stack((vd.bid_px[snap0:row1], vd.bid_qty[snap0:row1]), axis=2)
+            asks = np.stack((vd.ask_px[snap0:row1], vd.ask_qty[snap0:row1]), axis=2)
             levels = np.concatenate((bids, asks), axis=1).reshape(len(snap_steps), 4 * BOOK_DEPTH)
             snapshot = snapshot_formats[idx]
             lines += [
@@ -364,10 +353,9 @@ def _capture_blocks(config: SynthConfig, draws: _Draws) -> Iterator[tuple[str, i
             ts = step * GRID_NS + _TRADE_OFF + (j * nv + idx) * np.repeat(spacing, n_trades)
             # A venue's trades within one book row share its mid as their price,
             # so each (row, side) has one payload; its tail is formatted once.
-            row0 = k0 // update_steps
-            row_prices = vd.mid[np.arange(row0, (k1 - 1) // update_steps + 1) * update_steps].tolist()
             tails = np.array(
-                [_trade_tail(repr(p), qty, side) for p in row_prices for side in (SIDE_BUY, SIDE_SELL)], dtype=object
+                [_trade_tail(repr(p), qty, side) for p in vd.mid[row0:row1].tolist() for side in (SIDE_BUY, SIDE_SELL)],
+                dtype=object,
             )
             sells = j >= np.repeat(vd.buys[k0:k1], n_trades)
             tail = tails[(step // update_steps - row0) * 2 + sells]

@@ -32,14 +32,15 @@ def generate_records(config: SynthConfig, duration_s: float) -> Iterator[MarketR
     update_steps = config.book_update_ms // _GRID_MS
     for k in range(n):
         base = k * GRID_NS
+        row = k // update_steps  # the book step k holds
         step_records: list[tuple[tuple[int, int, int], MarketRecord]] = []
         for idx, name in enumerate(names):
             vd = draws.venues[name]
             if k % update_steps == 0:
                 ts = base + _SNAP_OFF
                 payload = BookPayload(
-                    bids=tuple((float(p), float(q)) for p, q in zip(vd.bid_px[k], vd.bid_qty[k])),
-                    asks=tuple((float(p), float(q)) for p, q in zip(vd.ask_px[k], vd.ask_qty[k])),
+                    bids=tuple((float(p), float(q)) for p, q in zip(vd.bid_px[row], vd.bid_qty[row])),
+                    asks=tuple((float(p), float(q)) for p, q in zip(vd.ask_px[row], vd.ask_qty[row])),
                 )
                 step_records.append(
                     (
@@ -50,7 +51,7 @@ def generate_records(config: SynthConfig, duration_s: float) -> Iterator[MarketR
             n_tr = int(vd.n_trades[k])
             n_buy = int(vd.buys[k])
             if n_tr:
-                price = float(vd.mid[k])
+                price = float(vd.mid[row])
                 spacing = min(_TRADE_SPACING, max(1, 7_000_000 // (n_tr * len(names))))
                 for j in range(n_tr):
                     ts = base + _TRADE_OFF + (j * len(names) + idx) * spacing

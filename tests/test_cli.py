@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 import zipfile
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import execlab.cli
 import execlab.synth
-from execlab.capture import VenueFrames, read_capture, resample
+from execlab.capture import VenueFrames, read_capture, resample, write_capture
 from execlab.capture.records import GRID_NS
 from execlab.cli import main, read_frames_npz, write_frames_npz
 from execlab.config import ExperimentConfig, load_config, parse_config
@@ -1661,3 +1662,57 @@ def test_cli_signals_report_on_a_placebo_market(tmp_path):
         if report.name != "report_peer_spread_centered.json":
             for fit in json.loads(report.read_text())["horizons"]:
                 assert set(fit) == {"horizon_ms", "alpha", "beta", "r2", "n"}, report.name
+
+
+def test_cli_heatmap_of_a_signal_nan_on_every_frame(tmp_path):
+    # One venue has no peer, so its peer spread is NaN on every frame: every
+    # visit falls in "unchanged", and numpy warns of nothing.
+    out = tmp_path / "out"
+    capture = tmp_path / "market.ndjson"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(tmp_path / "cross.npz")},
+        synth={"n_venues": 1, "lag_ms": [0], "basis": [0.0]},
+        synth_duration_s=20.0,
+        problem={"horizon_s": 5.0, "n_decisions": 5},
+        signals={"target_venue": "v0"},
+        train={"updates": 1},
+        evaluate={"heatmap_signal": "peer_spread_centered_bps", "heatmap_episodes": 40},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "gen", "--config", str(cfg), "--out", str(capture)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in (out / "action_heatmap.csv").read_text().splitlines()[1:]]
+    filled = {bucket for _, _, bucket, cell in rows if cell}
+    assert filled == {"unchanged"}
+
+
+def test_cli_runs_with_a_peer_that_goes_silent(tmp_path):
+    # v0 sends nothing after 10 s of a 30 s capture.  resample carries its
+    # last book forward, so it stays present with a stale mid, and every
+    # command runs as on a live peer.  What staleness should mean (absent
+    # after some age, or counted) is still open.
+    full = tmp_path / "full.ndjson"
+    capture = tmp_path / "market.ndjson"
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(tmp_path / "cross.npz")},
+        synth_duration_s=30.0,
+        train={"updates": 1},
+    )
+    assert main(["synth", "gen", "--config", str(cfg), "--out", str(full)]) == 0
+    silent_from = 10 * 10**9
+    write_capture(
+        (rec for rec in read_capture(full) if rec.venue != "v0" or rec.local_ts < silent_from), capture
+    )
+    frames = resample(read_capture(capture))
+    later = frames.grid_ts > silent_from
+    v0 = frames.venues["v0"]
+    assert later.sum() > 1000 and v0.present[later].all()
+    assert len(np.unique(v0.mid[later])) == 1
+    for command in (["signals", "report"], ["train"], ["evaluate"]):
+        assert main(command + ["--config", str(cfg)]) == 0, command
+    assert (out / "comparison.json").is_file()

@@ -254,3 +254,72 @@ def test_venues_renamed_in_the_same_order_give_the_same_outputs(market, untransf
         assert got_header["meta"].pop("target_venue") == RENAMED["v1"], name
         assert want_header["meta"].pop("target_venue") == "v1", name
         assert got_header == want_header, name
+
+
+# -- every price scaled by a power of two -----------------------------------------
+
+
+def scaled_prices(records, factor: float):
+    """The records with every trade, book level and ticker price times `factor`."""
+    for rec in records:
+        p = rec.payload
+        if isinstance(p, TradePayload):
+            p = p._replace(price=p.price * factor)
+        elif isinstance(p, BookPayload):
+            p = BookPayload(
+                bids=tuple((price * factor, qty) for price, qty in p.bids),
+                asks=tuple((price * factor, qty) for price, qty in p.asks),
+            )
+        elif isinstance(p, TickerPayload):
+            p = p._replace(bid_price=p.bid_price * factor, ask_price=p.ask_price * factor)
+        yield rec._replace(payload=p)
+
+
+def price_unit_columns(name: str, row: list[str]) -> dict[str, int]:
+    """The cells of a CSV row of output `name` that are in price units: for
+    each column, the power of the price factor the cell scales by."""
+    if name.startswith("trace_"):
+        return {"mid": 1, "cash": 1}
+    if row[0] == "peer_spread_centered":  # the one feature the report keeps in price units
+        return {"horizon_r2.csv": {"beta": -1}, "bin_curves.csv": {"bin_center": 1}}[name]
+    return {}
+
+
+@pytest.mark.parametrize("k", [2, -1])
+def test_prices_scaled_by_a_power_of_two_scale_only_the_price_unit_outputs(market, untransformed_outputs, tmp_path, k):
+    capture, _ = market
+    factor = 2.0**k
+    scaled = tmp_path / "scaled.ndjson"
+    write_capture(scaled_prices(read_capture(capture), factor), scaled)
+    got = experiment_outputs(scaled, tmp_path / "out")
+    assert list(got) == list(untransformed_outputs)
+    csvs = {"horizon_r2.csv", "bin_curves.csv"} | {name for name in got if name.startswith("trace_")}
+    in_price_units = csvs | {"report_peer_spread_centered.json"}
+    assert {"single.npz", "cross.npz", "comparison.json", "action_heatmap.csv", "trace_TWAP_0.csv"} <= set(got)
+    for name, want in untransformed_outputs.items():
+        if name not in in_price_units:
+            assert got[name] == want, name
+
+    # A power of two scales a float exactly, so the report's values do too.
+    want = json.loads(untransformed_outputs["report_peer_spread_centered.json"])
+    want["bin_curve"]["centers"] = [c * factor for c in want["bin_curve"]["centers"]]
+    for fit in want["horizons"]:
+        fit["beta"] /= factor
+    assert json.loads(got["report_peer_spread_centered.json"]) == want
+
+    for name in sorted(csvs):
+        got_rows = [line.split(",") for line in got[name].decode().splitlines()]
+        want_rows = [line.split(",") for line in untransformed_outputs[name].decode().splitlines()]
+        header = want_rows[0]
+        assert got_rows[0] == header and len(got_rows) == len(want_rows), name
+        n_scaled = 0
+        for got_row, want_row in zip(got_rows[1:], want_rows[1:]):
+            powers = price_unit_columns(name, want_row)
+            for column, got_cell, want_cell in zip(header, got_row, want_row):
+                if column in powers:
+                    # Each side's cell is rounded to 9 digits on its own.
+                    assert float(got_cell) == pytest.approx(float(want_cell) * factor ** powers[column], rel=2e-8)
+                    n_scaled += 1
+                else:
+                    assert got_cell == want_cell, (name, column)
+        assert n_scaled > 0, name

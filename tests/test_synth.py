@@ -308,6 +308,24 @@ def test_generate_holds_a_block_of_lines_not_the_capture(tmp_path):
     assert peak - held_by_draws < 3_000_000
 
 
+def test_draws_hold_each_book_once_per_refresh():
+    config = SynthConfig(seed=1234)
+    n_steps = duration_steps(300.0)
+    tracemalloc.start()
+    try:
+        draws = _materialize(config, n_steps)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    refreshes = -(-n_steps // (config.book_update_ms * 1_000_000 // GRID_NS))
+    vd = draws.venues["v0"]
+    assert len(vd.mid) == len(vd.bid_px) == refreshes and len(vd.n_trades) == n_steps
+    # Per venue: the mid and 4 x 5 levels of each book, and two int64 counts per step.
+    # Books repeated over their 10 steps would hold about 16.6 MB.
+    need = config.n_venues * (refreshes * 21 * 8 + n_steps * 2 * 8)
+    assert held < 1.1 * need
+
+
 @pytest.mark.parametrize("vol", [0.05, 1e306], ids=["negative-prices", "overflow"])
 def test_synth_gen_refuses_draws_its_reader_would_reject(tmp_path, capsys, vol):
     (tmp_path / "cfg.json").write_text(json.dumps({"synth": {"seed": 1, "vol": vol}, "synth_duration_s": 5.0}))
