@@ -70,6 +70,7 @@ _LAZY = {
     "action_heatmap": "evalkit",
     "compare": "evalkit",
     "trace_csv_lines": "evalkit",
+    "write_report_json": "evalkit",
     "load_checkpoint": "ppo.agent",
     "save_checkpoint": "ppo.agent",
     "train_policy": "ppo.trainer",
@@ -495,7 +496,7 @@ def cmd_evaluate(args) -> int:
         n_episodes=cfg.evaluate.episodes,
         seed=cfg.evaluate.seed,
     )
-    _write_json(run.output("comparison.json"), report.to_json_dict())
+    write_report_json(report, run.output("comparison.json"))
     _write_lines(run.output("histogram.csv"), report.histogram_csv_lines())
 
     if "PPO_cross" in arms and cfg.evaluate.heatmap_episodes > 0:

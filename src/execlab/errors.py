@@ -112,6 +112,10 @@ class NonFiniteLossError(ExecLabError):
     """PPO loss or gradient went non-finite; the update is aborted."""
 
 
+class CriticHelperError(ExecLabError):
+    """The critic's helper process took no request or sent no reply that can be read back."""
+
+
 class DegenerateXError(ExecLabError):
     """Regressor has zero variance."""
 

@@ -17,6 +17,7 @@ from numpy.random import default_rng
 from .capture.resample import FrameSet
 from .env import EpisodeTrace, ExecutionEnv, ProblemSpec, States, run_episodes
 from .env import run_episode  # noqa: F401  perfbench/tracing.py patches this name; no caller here
+from .errors import open_output
 from .ppo.agent import PolicyParams, action_mask, policy_forward
 
 BASELINE = "TWAP"  # the arm every gain is measured against
@@ -327,9 +328,9 @@ def action_heatmap(
 # ---------------------------------------------------------------------------
 
 
-# The CLI writes comparison.json itself; perfbench/worker.py calls this.
 def write_report_json(report: RunReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write comparison.json: `evaluate` and the benchmark call this."""
+    with open_output(path) as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

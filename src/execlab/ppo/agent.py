@@ -318,8 +318,8 @@ def update(
     joined afterwards by `_joined`, in minibatch order.  A
     `critic_helper` (see ppo.trainer) takes the critic's steps elsewhere
     while this process takes the actor's: `send(states, value_targets,
-    orders)` starts them, and `receive()` returns the critic's parameter
-    vector, Adam m, v and t and `critic_steps`' result.
+    orders)` starts them, and `receive()` writes the critic and its Adam
+    state into `params` and returns `critic_steps`' result.
     """
     if buffer.advantages is None:
         buffer.finalize(config)
@@ -330,11 +330,7 @@ def update(
     if critic_helper is None:
         critic = critic_steps(params.critic, params.critic_opt, buffer.states, buffer.value_targets, orders, config)
     else:
-        flat, m, v, t, critic = critic_helper.receive()
-        params.critic.flat[...] = flat
-        params.critic_opt.m[...] = m
-        params.critic_opt.v[...] = v
-        params.critic_opt.t = t
+        critic = critic_helper.receive()
     # zip stops at the shorter half, whose last minibatch is then the first that fails
     stats = [_joined(*a, *c, config) for a, c in zip(actor, critic)]
     params.updates_done += 1

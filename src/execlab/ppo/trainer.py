@@ -25,6 +25,7 @@ from numpy.random import default_rng
 from ..blas import one_blas_thread
 from ..capture.resample import FrameSet
 from ..env import ExecutionEnv, ProblemSpec, policy_dims
+from ..errors import CriticHelperError
 from .agent import (
     LossStats,
     PolicyParams,
@@ -105,8 +106,8 @@ class _CriticHelper:
     """A forked process that takes the critic's minibatch steps of every
     update of one train_policy call (see agent.update) on the copy of the
     critic and its Adam state it gets at the fork.  Requests and replies are
-    pickled over two pipes.  Leaving the `with` block reaps the helper,
-    killed first when the block raises."""
+    pickled over two pipes; a helper lost on the way is a CriticHelperError.
+    Leaving the `with` block reaps the helper, killed first when it raises."""
 
     def __init__(self, params: PolicyParams, config: PpoConfig):
         fds: list[int] = []
@@ -120,33 +121,39 @@ class _CriticHelper:
             raise
         request_r, request_w, reply_r, reply_w = fds
         if self.pid == 0:
-            # os._exit: the helper never returns into the caller's code and
-            # runs none of its atexit handlers.
-            status = 1
+            # os._exit: no return into the caller's code, and none of its atexit handlers
             try:
                 os.close(request_w)
                 os.close(reply_r)
-                _serve_critic(params, config, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
-                status = 0
+                with os.fdopen(request_r, "rb") as requests, os.fdopen(reply_w, "wb") as replies:
+                    _serve_critic(params, config, requests, replies)
+                os._exit(0)
             finally:
-                os._exit(status)
+                os._exit(1)
         os.close(request_r)
         os.close(reply_w)
+        self._params = params
         self._requests = os.fdopen(request_w, "wb")
         self._replies = os.fdopen(reply_r, "rb")
 
     def send(self, states: np.ndarray, value_targets: np.ndarray, orders: list[np.ndarray]) -> None:
-        pickle.dump((states, value_targets, orders), self._requests, protocol=pickle.HIGHEST_PROTOCOL)
-        self._requests.flush()
+        try:
+            pickle.dump((states, value_targets, orders), self._requests, protocol=pickle.HIGHEST_PROTOCOL)
+            self._requests.flush()
+        except OSError as exc:  # a helper that has ended leaves the pipe broken
+            raise CriticHelperError(f"cannot send a request to the critic's helper process ({type(exc).__name__}: {exc})") from exc
 
-    def receive(self):
+    def receive(self) -> list[tuple[float, bool]]:
+        """`critic_steps`' result, once the helper's critic and Adam state are written into the params."""
         try:
             reply = pickle.load(self._replies)
-        except EOFError:
-            raise ChildProcessError("the critic's helper process ended without a reply") from None
+        except Exception as exc:  # no reply, part of one, or an exception whose class does not rebuild
+            raise CriticHelperError(f"cannot read a reply from the critic's helper process ({type(exc).__name__}: {exc})") from exc
         if isinstance(reply, Exception):
             raise reply
-        return reply
+        critic, opt = self._params.critic, self._params.critic_opt
+        critic.flat[...], opt.m[...], opt.v[...], opt.t, steps = reply
+        return steps
 
     def __enter__(self) -> "_CriticHelper":
         return self
@@ -170,19 +177,9 @@ def _serve_critic(params: PolicyParams, config: PpoConfig, requests, replies) ->
             steps = critic_steps(params.critic, params.critic_opt, states, value_targets, orders, config)
             reply = (params.critic.flat, params.critic_opt.m, params.critic_opt.v, params.critic_opt.t, steps)
         except Exception as exc:  # raised in the caller
-            reply = _picklable(exc)
+            reply = exc
         pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
         replies.flush()
-
-
-def _picklable(exc: Exception) -> Exception:
-    """`exc`, or a RuntimeError naming it where it does not survive a pickle
-    round trip (a custom __init__ signature, an attribute pickle refuses)."""
-    try:
-        pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
 
 
 def _critic_helper(params: PolicyParams, config: PpoConfig, single_thread: bool):

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,10 +27,11 @@ from execlab.capture.records import GRID_NS
 from execlab.cli import main, read_frames_npz, write_frames_npz
 from execlab.config import ExperimentConfig, load_config, parse_config
 from execlab.errors import ConfigError, UnwritableOutput, open_output
-from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint
+from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint, trainer
 from execlab.signals import feature_bundle
 from execlab.synth import SynthConfig, generate
 from markets import flat_market
+from test_critic_helper import HELPER_FAILURES, assert_no_child, needs_helper
 
 
 def write_config(path, **overrides):
@@ -746,6 +748,51 @@ def test_cli_out_of_memory(pipeline, tmp_path, capsys, monkeypatch, command, ove
     code, err = run_cli(command + ["--config", str(cfg), *target], capsys)
     assert code == 1 and err.startswith(f"error: OutOfMemory: {message}"), err
     assert not generated.exists() and not ckpt.exists() and not list(out.glob("manifest_*"))
+
+
+@needs_helper
+@pytest.mark.parametrize("failure", sorted(HELPER_FAILURES))
+def test_cli_a_lost_critic_helper_is_one_error_line(pipeline, tmp_path, capsys, monkeypatch, failure):
+    # the helper exits, is killed, cuts its reply short, sends an exception
+    # that does not rebuild or takes no request
+    name, replacement, message = HELPER_FAILURES[failure]
+    monkeypatch.setattr(trainer, name, replacement)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # the rule sets one thread, so the helper runs
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out)})
+    code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert code == 1 and re.match("error: CriticHelperError: " + message, err), err
+    assert_no_child()
+    assert not list(out.glob("ppo_*")) and not list(out.glob("manifest_*"))
+
+
+def test_every_command_is_quiet_under_python_dev_mode(tmp_path):
+    # `python -X dev -W error` turns an unclosed file, a warning of any kind
+    # or a misuse that dev mode checks into a line on stderr; a clean command prints none there.
+    capture, out = tmp_path / "market.ndjson", tmp_path / "out"
+    cfg = str(write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(out / "ppo_cross.npz")},
+        synth_duration_s=30.0,
+        train={"updates": 1},
+    ))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["synth", "gen", "--config", cfg, "--out", str(capture)],
+        ["capture", "resample", str(capture), str(tmp_path / "frames.csv")],
+        ["capture", "align", str(capture), str(tmp_path / "clock.json")],
+        ["signals", "report", "--config", cfg],
+        ["train", "--config", cfg],
+        ["evaluate", "--config", cfg],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "execlab", *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 @pytest.mark.parametrize(

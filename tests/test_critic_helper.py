@@ -6,6 +6,8 @@ raises, leave no process behind and hand the caller its BLAS thread count
 back; where the helper cannot run, the serial path runs."""
 
 import os
+import pickle
+import signal
 import threading
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from execlab import blas, signals
 from execlab.env import ProblemSpec
-from execlab.errors import NonFiniteLossError
+from execlab.errors import CriticHelperError, NonFiniteLossError
 from execlab.ppo import PpoConfig, RolloutBuffer, agent, trainer, update
 from execlab.synth import SynthConfig, generate_frames
 from test_ppo import off_policy_batch, previous_update, trained_params
@@ -137,6 +139,37 @@ def assert_no_child() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+class Unrebuildable(Exception):
+    def __init__(self, code, detail):  # pickle rebuilds it from args alone, and fails
+        super().__init__(f"code {code}: {detail}")
+
+
+def fail_unrebuildably(*args):
+    raise Unrebuildable(7, "the critic failed")
+
+
+def half_a_reply(params, config, requests, replies):
+    pickle.load(requests)
+    reply = pickle.dumps((params.critic.flat, params.critic_opt.m, params.critic_opt.v, params.critic_opt.t, []))
+    replies.write(reply[: len(reply) // 2])
+
+
+CANNOT_READ = "cannot read a reply from the critic's helper process "
+# Ways to lose the helper: (the trainer's name the helper runs, its
+# replacement, the message of the CriticHelperError the caller raises).
+HELPER_FAILURES = {
+    "exit": ("critic_steps", lambda *args: os._exit(3), CANNOT_READ + r"\(EOFError: "),
+    "sigkill": ("critic_steps", lambda *args: os.kill(os.getpid(), signal.SIGKILL), CANNOT_READ + r"\(EOFError: "),
+    "truncated_reply": ("_serve_critic", half_a_reply, CANNOT_READ + r"\(UnpicklingError: "),
+    "unrebuildable_exception": ("critic_steps", fail_unrebuildably, CANNOT_READ + r"\(TypeError: .*Unrebuildable"),
+    # the request meets a closed pipe, or the reply an end of file
+    "no_request_taken": (
+        "_serve_critic", lambda *args: None,
+        r"cannot (send a request to the critic's helper process \(BrokenPipeError|read a reply .* \(EOFError): ",
+    ),
+}
+
+
 @needs_helper
 def test_helper_gives_the_serial_bits(market, rule_sets_the_count, monkeypatch):
     want = serial(market)
@@ -170,32 +203,23 @@ def test_helper_raises_what_the_serial_path_raises(market, rule_sets_the_count, 
 
 
 @needs_helper
-def test_an_error_in_the_helper_reaches_the_caller(market, rule_sets_the_count, monkeypatch):
-    def failing(*args):
-        raise ValueError("the critic failed")
+def test_an_error_in_the_helper_reaches_the_caller(market, rule_sets_the_count):
+    def raising(exc):
+        def failing(*args):
+            raise exc
 
-    monkeypatch.setattr(trainer, "critic_steps", failing)
-    with pytest.raises(ValueError, match="the critic failed"):
-        train(market)
-    assert_no_child()
+        return failing
 
-    class Unpicklable(Exception):
-        def __init__(self, code, detail):  # pickle rebuilds it from args alone, and fails
-            super().__init__(f"code {code}: {detail}")
-
-    def failing_oddly(*args):
-        raise Unpicklable(7, "the critic failed")
-
-    monkeypatch.setattr(trainer, "critic_steps", failing_oddly)
-    with pytest.raises(RuntimeError, match="^Unpicklable: code 7: the critic failed$"):
-        train(market)
-    assert_no_child()
-
-    monkeypatch.setattr(trainer, "critic_steps", lambda *args: os._exit(3))
-    with pytest.raises(ChildProcessError, match="ended without a reply"):
-        train(market)
-    assert_no_child()
-    assert CONTROL[0]() == 2
+    # what the helper raises is raised as itself; a helper lost on the way is one named error
+    cases = [("critic_steps", raising(exc), type(exc), f"^{exc}$")
+             for exc in (ValueError("the critic failed"), MemoryError("Unable to allocate 8. EiB"))]
+    cases += [(*patch, CriticHelperError, "^" + message) for *patch, message in HELPER_FAILURES.values()]
+    for name, replacement, raised, message in cases:
+        with pytest.MonkeyPatch.context() as m, pytest.raises(raised, match=message):
+            m.setattr(trainer, name, replacement)
+            train(market)
+        assert_no_child()
+        assert CONTROL[0]() == 2, message
 
 
 @needs_helper
@@ -266,14 +290,17 @@ class InProcessHelper:
     of the critic and its Adam state."""
 
     def __init__(self, params, config):
-        self.critic, self.opt, self.config = params.critic.copy(), params.critic_opt.copy(), config
+        self.params, self.config = params, config
+        self.critic, self.opt = params.critic.copy(), params.critic_opt.copy()
 
     def send(self, states, value_targets, orders):
         self.request = (states, value_targets, orders)
 
     def receive(self):
         steps = agent.critic_steps(self.critic, self.opt, *self.request, self.config)
-        return self.critic.flat, self.opt.m, self.opt.v, self.opt.t, steps
+        critic, opt = self.params.critic, self.params.critic_opt
+        critic.flat[...], opt.m[...], opt.v[...], opt.t = self.critic.flat, self.opt.m, self.opt.v, self.opt.t
+        return steps
 
 
 def three_ways(params, buffer, config, seed):
