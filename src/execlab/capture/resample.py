@@ -45,9 +45,21 @@ CSV_COLUMNS = (
 )
 
 
+# The parts of a book row, in the order CSV_COLUMNS lists their levels.
+BID_PRICE, BID_QTY, ASK_PRICE, ASK_QTY = range(4)
+
+
 @dataclass
 class VenueFrames:
-    """Column arrays for one venue, one row per grid point."""
+    """Column arrays for one venue, one row per grid point.
+
+    Each book is held once per change, not once per frame: `book` has one
+    row for each run of consecutive frames whose books are bit-identical,
+    and frame i's book is book[book_at[i]].  `book_table` builds the pair,
+    and the pair is a function of the per-frame books alone.  bid_price,
+    bid_qty, ask_price and ask_qty are read-only (n, BOOK_DEPTH) copies
+    gathered from it.
+    """
 
     present: np.ndarray  # bool
     best_bid: np.ndarray
@@ -55,10 +67,43 @@ class VenueFrames:
     mid: np.ndarray
     buy_volume: np.ndarray
     sell_volume: np.ndarray
-    bid_price: np.ndarray  # (n, BOOK_DEPTH), NaN-padded
-    bid_qty: np.ndarray  # (n, BOOK_DEPTH), 0-padded
-    ask_price: np.ndarray
-    ask_qty: np.ndarray
+    book: np.ndarray  # (k, 4, BOOK_DEPTH): bid prices (NaN-padded), bid qtys (0-padded), ask prices, ask qtys
+    book_at: np.ndarray  # int64, one per frame: 0 first, steps of 0 or 1, k - 1 last
+
+    def _levels(self, part: int) -> np.ndarray:
+        levels = self.book[self.book_at, part]
+        levels.flags.writeable = False
+        return levels
+
+    bid_price = property(lambda self: self._levels(BID_PRICE))
+    bid_qty = property(lambda self: self._levels(BID_QTY))
+    ask_price = property(lambda self: self._levels(ASK_PRICE))
+    ask_qty = property(lambda self: self._levels(ASK_QTY))
+
+
+def book_table(rows: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(book, book_at) of the frames whose books are rows[at], for rows of
+    shape (m, 4, BOOK_DEPTH) and an `at` that steps by 0 or 1: the rows at
+    which a frame's book is not bit for bit the previous frame's, and each
+    frame's index into them."""
+    if len(at) == 0:
+        return np.empty((0, 4, BOOK_DEPTH)), np.empty(0, dtype=np.int64)
+    used = rows[at[0] : at[-1] + 1]
+    bits = used.view(np.int64)
+    changed = np.empty(len(used), dtype=bool)
+    changed[0] = True
+    changed[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
+    run = np.cumsum(changed, dtype=np.int64) - 1
+    return used[changed], run[at - at[0]]
+
+
+def is_book_index(book_at: np.ndarray, k: int) -> bool:
+    """Whether `book_at` indexes a book table of `k` rows as `book_table`
+    builds it: 0 first, steps of 0 or 1, k - 1 last (empty when k is 0)."""
+    if len(book_at) == 0:
+        return k == 0
+    steps = np.diff(book_at)
+    return book_at[0] == 0 and book_at[-1] == k - 1 and bool(((steps == 0) | (steps == 1)).all())
 
 
 @dataclass
@@ -153,20 +198,18 @@ class _VenueState:
         read_at = np.zeros(n, dtype=np.intp)
         read_at[np.frombuffer(self.read_frames, dtype=np.int64)] = np.arange(1, len(self.read_frames) + 1)
         # Reads are taken in frame order, so a running max carries each one forward.
+        at = np.maximum.accumulate(read_at)
         reads = np.frombuffer(self.reads, dtype=np.float64).reshape(-1, _READ_WIDTH)
-        table = reads[np.maximum.accumulate(read_at)]
-        levels = table[:, 4:].reshape(n, 4, BOOK_DEPTH)
+        book, book_at = book_table(reads[:, 4:].reshape(-1, 4, BOOK_DEPTH), at)
         return VenueFrames(
-            present=table[:, 0] != 0.0,
-            best_bid=table[:, 1].copy(),
-            best_ask=table[:, 2].copy(),
-            mid=table[:, 3].copy(),
+            present=reads[at, 0] != 0.0,
+            best_bid=reads[at, 1],
+            best_ask=reads[at, 2],
+            mid=reads[at, 3],
             buy_volume=_volumes(self.buy, n),
             sell_volume=_volumes(self.sell, n),
-            bid_price=levels[:, 0].copy(),
-            bid_qty=levels[:, 1].copy(),
-            ask_price=levels[:, 2].copy(),
-            ask_qty=levels[:, 3].copy(),
+            book=book,
+            book_at=book_at,
         )
 
 
@@ -229,7 +272,7 @@ def resample(records: Iterable[MarketRecord], venues: Sequence[str] | None = Non
         vf = frames[v] = states.pop(v).frames(len(grid_ts))
         # Trade and level qtys are finite, so only a sum can overflow, and only to +inf.
         with np.errstate(over="ignore"):
-            depth = vf.bid_qty.sum(axis=1) + vf.ask_qty.sum(axis=1)
+            depth = (vf.book[:, BID_QTY].sum(axis=1) + vf.book[:, ASK_QTY].sum(axis=1))[vf.book_at]
         for what, total in (("taker volume", np.maximum(vf.buy_volume, vf.sell_volume)), ("book depth", depth)):
             if (total == np.inf).any():
                 raise VolumeOverflow(f"venue {v}: {what} at grid_ts {grid_ts[(total == np.inf).argmax()]} overflows")
@@ -268,6 +311,9 @@ def _write_frames(frames: FrameSet, fh: IO[str]) -> None:
         ]
         for col in (vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume):
             columns.append(_format_column(col))
-        for block in (vf.bid_price, vf.bid_qty, vf.ask_price, vf.ask_qty):
-            columns.extend(_format_column(block[:, j]) for j in range(BOOK_DEPTH))
+        # Each book row is formatted once, its 4 x BOOK_DEPTH cells joined, and repeated over its frames.
+        cells = _format_column(vf.book.reshape(-1))
+        width = 4 * BOOK_DEPTH
+        books = [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
+        columns.append(np.array(books, dtype=object)[vf.book_at].tolist())
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -40,6 +40,7 @@ from .blas import one_blas_thread
 from .capture import (
     BOOK_DEPTH, ClockMap, FrameSet, VenueFrames, align_clocks, read_capture, resample, write_frames_csv,
 )
+from .capture.resample import is_book_index
 from .errors import CheckpointError, ConfigError, ExecLabError, InvalidConfig, MissingInput, UnwritableOutput, open_output
 
 # The names only some commands use, by the module of the package that defines
@@ -149,8 +150,6 @@ def _print_status(output: str | Path, line: str) -> None:
 # -- frames.npz: the capture's frames, kept for the commands after the first
 
 FRAMES_NPZ = "frames.npz"
-# The columns of VenueFrames that hold BOOK_DEPTH levels per frame; the others hold one value.
-_LEVEL_COLUMNS = ("bid_price", "bid_qty", "ask_price", "ask_qty")
 
 
 @functools.cache
@@ -203,7 +202,8 @@ def _is_text(arr: np.ndarray, value: str) -> bool:
 def read_frames_npz(path: Path, capture_sha256: str) -> FrameSet | None:
     """The frames `write_frames_npz` stored at `path` for these capture bytes
     and this ingest code, or None: for a missing, damaged or stale file, a
-    directory, or any member with an unexpected name, dtype or shape."""
+    directory, any member with an unexpected name, dtype or shape, or a
+    book_at that is not an index into its book (see `is_book_index`)."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             if not (
@@ -224,11 +224,13 @@ def read_frames_npz(path: Path, capture_sha256: str) -> FrameSet | None:
                 cols = {}
                 for name in columns:
                     arr = npz[f"v{i}_{name}"]
-                    dtype = np.bool_ if name == "present" else np.float64
-                    shape = (n, BOOK_DEPTH) if name in _LEVEL_COLUMNS else (n,)
+                    dtype = {"present": np.bool_, "book_at": np.int64}.get(name, np.float64)
+                    shape = (*arr.shape[:1], 4, BOOK_DEPTH) if name == "book" else (n,)
                     if arr.dtype != dtype or arr.shape != shape:
                         return None
                     cols[name] = arr
+                if not is_book_index(cols["book_at"], len(cols["book"])):
+                    return None
                 by_venue[venue] = VenueFrames(**cols)
     except Exception:  # a damaged file fails in any of zipfile's and numpy's ways; each is a miss
         return None

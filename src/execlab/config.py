@@ -68,8 +68,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.total_units <= 0 or self.n_decisions < 1:
             raise ValueError("total_units must be > 0 and n_decisions >= 1")
-        if self.fee_rate < 0 or self.impact_coef < 0 or self.penalty_coef < 0:
-            raise ValueError("fee_rate, impact_coef and penalty_coef must be >= 0")
+        if not 0 <= self.fee_rate < 1:  # a fee of the whole sale or more leaves nothing to sell for
+            raise ValueError("fee_rate must lie in [0, 1)")
+        if self.impact_coef < 0 or self.penalty_coef < 0:
+            raise ValueError("impact_coef and penalty_coef must be >= 0")
         if self.fill_model not in FILL_MODELS:
             raise ValueError(f"fill_model must be one of {FILL_MODELS}")
         self.decision_steps()

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capture.resample import FrameSet
+from .capture.resample import BID_PRICE, BID_QTY, FrameSet
 from .config import FILL_BOOK_WALK, FILL_QUOTE, ProblemSpec
 from .errors import CaptureTooShort, OversellError
 from .lob import fill_market_sell  # noqa: F401  perfbench/tracing.py patches this name; no caller here
@@ -199,8 +199,9 @@ class ExecutionEnv:
         accumulating as `lob.fill_market_sell` does.  Once visible depth is
         exhausted the remainder clears at the worst visible bid, so inventory
         accounting stays exact."""
-        bid_px = self._venue.bid_price[rows]
-        bid_qty = self._venue.bid_qty[rows]
+        book, at = self._venue.book, self._venue.book_at[rows]
+        bid_px = book[at, BID_PRICE]
+        bid_qty = book[at, BID_QTY]
         visible = np.isfinite(bid_px) & (bid_qty > 0)
         px = np.where(visible, bid_px, 0.0)
         qty = np.where(visible, bid_qty, 0.0)

@@ -267,16 +267,30 @@ def value_loss(
     return loss, grads if np.isfinite(grads.flat).all() else None
 
 
-def _joined(actor: LossStats, actor_finite: bool, value: float, critic_finite: bool, config: PpoConfig) -> LossStats:
-    """The minibatch's LossStats from the actor's stats and the critic's
-    value loss, raising NonFiniteLossError where the loss or a gradient is
-    not finite."""
+def _joined(
+    actor: LossStats,
+    actor_finite: bool,
+    value: float,
+    critic_finite: bool,
+    config: PpoConfig,
+    update: int,
+    minibatch: int,
+) -> LossStats:
+    """The LossStats of minibatch `minibatch` (counted over the update's
+    epochs) of update `update` from the actor's stats and the critic's value
+    loss, raising NonFiniteLossError that names the update, the minibatch and
+    the first of the loss, the actor's gradient and the critic's gradient
+    that is not finite."""
     total = -actor.clip_objective + config.value_coef * value - config.entropy_coef * actor.entropy
     if not np.isfinite(total):
-        raise NonFiniteLossError(f"loss={total}")
-    if not (actor_finite and critic_finite):
-        raise NonFiniteLossError("non-finite gradient")
-    return replace(actor, total=total, value_loss=value)
+        what = f"loss={total}"
+    elif not actor_finite:
+        what = "the actor's gradient is not finite"
+    elif not critic_finite:
+        what = "the critic's gradient is not finite"
+    else:
+        return replace(actor, total=total, value_loss=value)
+    raise NonFiniteLossError(f"update {update}, minibatch {minibatch}: {what}")
 
 
 def _clip_grad_norm(grads: MlpParams, max_norm: float) -> None:
@@ -332,7 +346,7 @@ def update(
     else:
         critic = critic_helper.receive()
     # zip stops at the shorter half, whose last minibatch is then the first that fails
-    stats = [_joined(*a, *c, config) for a, c in zip(actor, critic)]
+    stats = [_joined(*a, *c, config, params.updates_done, i) for i, (a, c) in enumerate(zip(actor, critic))]
     params.updates_done += 1
     return {f.name: float(np.mean([getattr(s, f.name) for s in stats])) for f in fields(LossStats)}
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capture.resample import GRID_NS, FrameSet
+from .capture.resample import ASK_QTY, BID_QTY, GRID_NS, FrameSet
 from .errors import DegenerateXError, TooFewPointsError
 
 DEFAULT_WINDOW_MS = 30_000
@@ -124,8 +124,9 @@ def flow_imbalance_norm(x: np.ndarray, window: int) -> np.ndarray:
 def depth_imbalance(frames: FrameSet, venue: str) -> np.ndarray:
     """(B - A) / (B + A) over the cumulative top-5 depth of each side."""
     vf = frames.venues[venue]
-    b = vf.bid_qty.sum(axis=1)
-    a = vf.ask_qty.sum(axis=1)
+    # Summed once per book row: each frame sums the same levels in the same order.
+    b = vf.book[:, BID_QTY].sum(axis=1)[vf.book_at]
+    a = vf.book[:, ASK_QTY].sum(axis=1)[vf.book_at]
     total = b + a
     values = np.full(frames.n_frames, np.nan)
     ok = vf.present & (total > 0)

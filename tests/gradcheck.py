@@ -30,7 +30,8 @@ def full_ppo_loss(
     actor_out, critic_out = out if out is not None else (None, None)
     stats, actor_grads = ppo_loss(params, batch, config, out=actor_out)
     value, critic_grads = value_loss(params.critic, batch["states"], batch["value_targets"], config, out=critic_out)
-    return _joined(stats, actor_grads is not None, value, critic_grads is not None, config), actor_grads, critic_grads
+    joined = _joined(stats, actor_grads is not None, value, critic_grads is not None, config, params.updates_done, 0)
+    return joined, actor_grads, critic_grads
 
 
 def gradient_check(

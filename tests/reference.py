@@ -3,6 +3,7 @@
 import numpy as np
 from numpy.random import default_rng
 
+from execlab.capture.resample import BOOK_DEPTH, VenueFrames, book_table
 from execlab.env import States
 
 
@@ -32,3 +33,23 @@ def state_signals(features: dict[str, np.ndarray], n_frames: int) -> np.ndarray:
     the features, copied with every non-finite entry replaced by 0."""
     raw = np.column_stack(list(features.values())) if features else np.zeros((n_frames, 0))
     return np.where(np.isfinite(raw), raw, 0.0)
+
+
+def venue_frames(present, best_bid, best_ask, mid, buy_volume, sell_volume, bid_price, bid_qty, ask_price, ask_qty):
+    """VenueFrames of per-frame columns and (n, BOOK_DEPTH) levels, its
+    book table built by the encoder from one row per frame."""
+    rows = np.stack([np.asarray(a, dtype=np.float64) for a in (bid_price, bid_qty, ask_price, ask_qty)], axis=1)
+    book, book_at = book_table(rows, np.arange(len(present)))
+    return VenueFrames(present, best_bid, best_ask, mid, buy_volume, sell_volume, book, book_at)
+
+
+def per_frame_levels(reads: np.ndarray, read_frames: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """The resampler's levels as it once held them, one (n, BOOK_DEPTH) array
+    each: `reads` (one row per book read, row 0 the empty book, the first 4
+    columns present, best bid, best ask and mid) expanded to every frame,
+    row i + 1 holding from frame read_frames[i] until the next read."""
+    read_at = np.zeros(n, dtype=np.intp)
+    read_at[read_frames] = np.arange(1, len(read_frames) + 1)
+    table = reads[np.maximum.accumulate(read_at)]
+    levels = table[:, 4:].reshape(n, 4, BOOK_DEPTH)
+    return {name: levels[:, i].copy() for i, name in enumerate(("bid_price", "bid_qty", "ask_price", "ask_qty"))}

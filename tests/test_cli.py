@@ -31,6 +31,7 @@ from execlab.ppo import PolicyParams, PpoConfig, save_checkpoint, trainer
 from execlab.signals import feature_bundle
 from execlab.synth import SynthConfig, generate
 from markets import flat_market
+from reference import venue_frames
 from test_critic_helper import HELPER_FAILURES, assert_no_child, needs_helper
 
 
@@ -497,6 +498,22 @@ def test_cli_synth_gen_rejects_out_of_range_values(tmp_path, capsys, override, f
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: ConfigParse: {field}")
     assert not (tmp_path / "m.ndjson").exists()
+
+
+@pytest.mark.parametrize("fee_rate", [1.0, 1e308])
+def test_cli_fee_rate_of_the_whole_sale_is_refused(pipeline, tmp_path, capsys, fee_rate):
+    # A fee of 1 or more leaves nothing to sell for: refused at load, before
+    # any run could warn of an overflow or end in a non-finite loss.
+    _, _, capture = pipeline
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json", paths={"capture": str(capture), "out_dir": str(out)}, problem={"fee_rate": fee_rate}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert (code, err) == (2, "error: ConfigParse: section 'problem': fee_rate must lie in [0, 1)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["signals", "report"], ["train"], ["evaluate"]])
@@ -1308,8 +1325,12 @@ def test_cached_frames_keep_signed_zeros_and_nan_payloads(tmp_path):
     frames = resample(read_capture(capture))
     assert list(frames.venues) == ["v0"]
     vf = frames.venues["v0"]
+    levels = {name: getattr(vf, name).copy() for name in ("bid_price", "bid_qty", "ask_price", "ask_qty")}
+    levels["bid_price"].view(np.int64)[2, 4] = 0x7FF8000000000123  # a NaN with a payload
+    vf = frames.venues["v0"] = venue_frames(
+        vf.present, vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume, **levels
+    )
     vf.buy_volume[1] = -0.0
-    vf.bid_price.view(np.int64)[2, 4] = 0x7FF8000000000123  # a NaN with a payload
     vf.mid[3] = np.nan
     assert write_frames_npz(frames, cached, "0" * 64)
     assert frames_bits(read_frames_npz(cached, "0" * 64)) == frames_bits(frames)
@@ -1317,7 +1338,11 @@ def test_cached_frames_keep_signed_zeros_and_nan_payloads(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit", ["none", "dtype", "byte order", "shape", "extra member", "missing member", "venues as bytes"]
+    "edit",
+    [
+        "none", "dtype", "byte order", "shape", "extra member", "missing member", "venues as bytes",
+        "book_at dtype", "negative index", "index past the table", "step of 2", "decrease", "book depth",
+    ],
 )
 def test_frames_npz_of_another_layout_is_a_miss(tmp_path, edit):
     # Both digests match, so only the member checks can turn these away.
@@ -1326,12 +1351,28 @@ def test_frames_npz_of_another_layout_is_a_miss(tmp_path, edit):
     assert write_frames_npz(resample(read_capture(capture)), cached, "0" * 64)
     with np.load(cached) as npz:
         members = dict(npz)
+    book, book_at = members["v0_book"], members["v0_book_at"]
+    assert len(book) == 1 and not book_at.any()  # the flat market's one book
     if edit == "dtype":
         members["v0_present"] = members["v0_present"].astype(np.float64)
     elif edit == "byte order":
         members["grid_ts"] = members["grid_ts"].astype(">i8")
     elif edit == "shape":
-        members["v0_bid_price"] = members["v0_bid_price"][:, 0]
+        members["v0_book"] = book[:, 0]
+    elif edit == "book_at dtype":
+        members["v0_book_at"] = book_at.astype(np.int32)
+    elif edit == "negative index":
+        book_at[1] = -1
+    elif edit == "index past the table":
+        book_at[-1] = 1
+    elif edit == "step of 2":  # to the last row of a table of three
+        members["v0_book"] = np.repeat(book, 3, axis=0)
+        book_at[-1] = 2
+    elif edit == "decrease":  # 0, then 1, then 0 again, ending on the last row of two
+        members["v0_book"] = np.repeat(book, 2, axis=0)
+        book_at[1], book_at[-1] = 1, 1
+    elif edit == "book depth":
+        members["v0_book"] = book[:, :, :-1]
     elif edit == "extra member":
         members["v1_present"] = members["v0_present"]
     elif edit == "missing member":
@@ -1340,6 +1381,29 @@ def test_frames_npz_of_another_layout_is_a_miss(tmp_path, edit):
         members["venues"] = members["venues"].astype(np.bytes_)
     np.savez(cached, **members)
     assert (read_frames_npz(cached, "0" * 64) is None) == (edit != "none")
+
+
+def test_no_command_reads_the_per_frame_levels(tmp_path, monkeypatch):
+    # The frames hold each book once per change; a command that read the four
+    # per-frame level arrays would gather every frame's book again.
+    def refused(vf):
+        raise AssertionError("a command read a per-frame level array")
+
+    for name in ("bid_price", "bid_qty", "ask_price", "ask_qty"):
+        monkeypatch.setattr(VenueFrames, name, property(refused))
+    capture, out = tmp_path / "market.ndjson", tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(out), "checkpoint_cross": str(out / "ppo_cross.npz")},
+        synth_duration_s=30.0,
+        problem={"horizon_s": 5.0, "n_decisions": 10, "fill_model": "walk", "impact_enabled": True},
+        train={"updates": 1},
+        evaluate={"episodes": 5, "heatmap_episodes": 2},
+    )
+    assert main(["synth", "gen", "--config", str(cfg), "--out", str(capture)]) == 0
+    assert main(["capture", "resample", str(capture), str(tmp_path / "frames.csv")]) == 0
+    for command in (["signals", "report"], ["train"], ["evaluate"]):
+        assert main([*command, "--config", str(cfg)]) == 0, command
 
 
 def test_venue_name_a_str_array_cannot_hold_is_not_cached(tmp_path):

@@ -349,11 +349,15 @@ def test_split_update_gives_the_serial_bits(seed, n, normalize, max_grad_norm):
     "columns, normalize, message",
     [
         # the critic's value loss overflows
-        ({"value_targets": np.full(100, 1e200)}, True, "loss=inf"),
+        ({"value_targets": np.full(100, 1e200)}, True, "update 0, minibatch 0: loss=inf"),
         # one advantage is NaN: the actor's terms are NaN from its minibatch on
-        ({"advantages": np.r_[np.zeros(70), np.nan, np.zeros(29)]}, True, "loss=nan"),
+        ({"advantages": np.r_[np.zeros(70), np.nan, np.zeros(29)]}, True, "update 0, minibatch 0: loss=nan"),
         # both halves finite, their sum is not
-        ({"advantages": np.full(100, -1e308), "value_targets": np.full(100, 1.2e154)}, False, "loss=inf"),
+        (
+            {"advantages": np.full(100, -1e308), "value_targets": np.full(100, 1.2e154)},
+            False,
+            "update 0, minibatch 0: loss=inf",
+        ),
     ],
     ids=["critic", "actor", "total"],
 )

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 import reference
-from execlab.capture import BOOK_DEPTH, FrameSet, VenueFrames
+from execlab.capture import BOOK_DEPTH, FrameSet
 from execlab.capture.records import GRID_NS
 from execlab.env import (
     ExecutionEnv,
@@ -185,7 +185,7 @@ def presence_market(present) -> FrameSet:
     present = np.asarray(present, dtype=bool)
     n = len(present)
     price, levels, zeros = np.full(n, 100.0), np.full((n, BOOK_DEPTH), 100.0), np.zeros(n)
-    venue = VenueFrames(present, price, price, price, zeros, zeros, levels, levels, levels, levels)
+    venue = reference.venue_frames(present, price, price, price, zeros, zeros, levels, levels, levels, levels)
     return FrameSet(np.arange(n, dtype=np.int64) * GRID_NS, {"v0": venue})
 
 

@@ -223,6 +223,24 @@ def test_nonfinite_loss_raises():
         full_ppo_loss(params, batch, PpoConfig())
 
 
+@pytest.mark.parametrize(
+    "value, actor_finite, critic_finite, what",
+    [
+        (np.inf, False, False, "loss=inf"),
+        (1.0, False, False, "the actor's gradient is not finite"),
+        (1.0, True, False, "the critic's gradient is not finite"),
+    ],
+    ids=["loss", "actor", "critic"],
+)
+def test_nonfinite_loss_names_what_failed_and_where(value, actor_finite, critic_finite, what):
+    stats = LossStats(
+        total=np.nan, clip_objective=0.0, value_loss=np.nan, entropy=0.0, approx_kl=0.0, clip_fraction=0.0
+    )
+    with pytest.raises(NonFiniteLossError) as exc:
+        agent._joined(stats, actor_finite, value, critic_finite, PpoConfig(), 2, 7)
+    assert str(exc.value) == f"update 2, minibatch 7: {what}"
+
+
 # -- gradients -------------------------------------------------------------------
 
 
@@ -499,7 +517,7 @@ def previous_adam_step(params, grads, state, lr):
     params.flat -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def previous_ppo_loss(params, batch, config):
+def previous_ppo_loss(params, batch, config, where="update 0, minibatch 0"):
     states = batch["states"]
     actions = batch["actions"]
     masks = batch["masks"]
@@ -535,7 +553,7 @@ def previous_ppo_loss(params, batch, config):
     entropy_mean = float(entropy.mean())
     total = -clip_obj + config.value_coef * value_loss - config.entropy_coef * entropy_mean
     if not np.isfinite(total):
-        raise NonFiniteLossError(f"loss={total}")
+        raise NonFiniteLossError(f"{where}: loss={total}")
 
     active = (unclipped <= clipped).astype(float)
     coef = active * ratio * adv
@@ -551,8 +569,9 @@ def previous_ppo_loss(params, batch, config):
     grad_value = (config.value_coef * 2.0 * value_err / n)[:, None]
     critic_grads = previous_mlp_backward(params.critic, critic_cache, grad_value)
 
-    if not (np.isfinite(actor_grads.flat).all() and np.isfinite(critic_grads.flat).all()):
-        raise NonFiniteLossError("non-finite gradient")
+    for name, grads in (("actor", actor_grads), ("critic", critic_grads)):
+        if not np.isfinite(grads.flat).all():
+            raise NonFiniteLossError(f"{where}: the {name}'s gradient is not finite")
 
     stats = LossStats(
         total=total,
@@ -584,7 +603,8 @@ def previous_update(params, buffer, config, rng, minibatches=None):
             }
             if minibatches is not None:
                 minibatches.append(len(idx))
-            stats, actor_grads, critic_grads = previous_ppo_loss(params, batch, config)
+            where = f"update {params.updates_done}, minibatch {len(stats_acc['total'])}"
+            stats, actor_grads, critic_grads = previous_ppo_loss(params, batch, config, where)
             if config.max_grad_norm > 0:
                 agent._clip_grad_norm(actor_grads, config.max_grad_norm)
                 agent._clip_grad_norm(critic_grads, config.max_grad_norm)

@@ -15,15 +15,16 @@ from execlab.capture import (
     MarketRecord,
     TickerPayload,
     TradePayload,
-    VenueFrames,
     read_capture,
     resample,
     write_frames_csv,
 )
 from execlab.capture.book import LocalBook, apply_delta, apply_snapshot, merge_ticker
+from execlab.capture.resample import _READ_WIDTH, _VenueState, is_book_index
 from execlab.capture.records import BookPayload
 from execlab.errors import CrossedTicker, UnsortedInput
 from execlab.synth import SynthConfig, generate
+from reference import per_frame_levels, venue_frames
 
 MS = 1_000_000
 SHORT_MARKET_FRAMES_SHA256 = "102ab502e1013e545babd2ed18915795c81011f6dad326563e368b0bc4f3af4b"
@@ -150,7 +151,7 @@ def _random_frameset(rng, n, venues):
 
     frames = {}
     for v in venues:
-        frames[v] = VenueFrames(
+        frames[v] = venue_frames(
             rng.random(n) < 0.7, col(n), col(n), col(n), col(n), col(n),
             col(n, BOOK_DEPTH), col(n, BOOK_DEPTH), col(n, BOOK_DEPTH), col(n, BOOK_DEPTH),
         )
@@ -169,7 +170,7 @@ def test_frames_csv_matches_cell_by_cell_reference(tmp_path_factory, seed, n, n_
 
 def test_frames_csv_keeps_signed_zero_apart(tmp_path):
     col = np.array([0.0, -0.0, 0.0, -0.0, np.nan, -np.nan])
-    vf = VenueFrames(np.ones(6, bool), col, col, col, col, col, *(np.zeros((6, BOOK_DEPTH)) for _ in range(4)))
+    vf = venue_frames(np.ones(6, bool), col, col, col, col, col, *(np.zeros((6, BOOK_DEPTH)) for _ in range(4)))
     frames = FrameSet(grid_ts=np.arange(6, dtype=np.int64) * GRID_NS, venues={"v0": vf})
     write_frames_csv(frames, tmp_path / "frames.csv")
     text = (tmp_path / "frames.csv").read_text()
@@ -258,7 +259,7 @@ def _reference_resample(records, venues=None):
                 cols["bid_price"][i, j], cols["bid_qty"][i, j] = px, q
             for j, (px, q) in enumerate(asks):
                 cols["ask_price"][i, j], cols["ask_qty"][i, j] = px, q
-        out[v] = VenueFrames(**cols)
+        out[v] = venue_frames(**cols)
     return FrameSet(grid_ts=np.asarray(grid_points, dtype=np.int64), venues=out)
 
 
@@ -329,6 +330,68 @@ def test_resample_matches_reference_on_every_kind_of_update():
     assert v.buy_volume[7] == 1.5 and v.best_ask[7] == 100.1
     assert v.best_ask[8] == 100.3 and v.best_ask[9] == 100.3
     assert not got.venues["v1"].present.any()
+
+
+# -- the book table against the per-frame expansion it replaced ---------------
+
+_NAN_WITH_PAYLOAD = float(np.array(0x7FF8000000000123).view(np.float64))
+# 0.0 and -0.0 key one level but read back as two bit patterns.
+_ODD_LEVELS = st.lists(
+    st.tuples(st.one_of(_PRICE, st.sampled_from([0.0, -0.0, _NAN_WITH_PAYLOAD])), _QTY), max_size=7
+).map(tuple)
+
+
+@st.composite
+def _book_streams(draw):
+    """One venue's book records, some frames apart: snapshots, deltas (qty 0
+    deletes a level), tickers, and repeats of the last snapshot."""
+    ts = draw(st.integers(0, 3 * GRID_NS))
+    records, last = [], None
+    for _ in range(draw(st.integers(0, 40))):
+        ts += draw(st.sampled_from([0, 1, 3 * MS, GRID_NS, 4 * GRID_NS + 7]))
+        kind = draw(st.sampled_from(["book_snapshot", "book_delta", "ticker", "repeat"]))
+        if kind == "repeat":
+            if last is None:
+                continue
+            kind, payload = "book_snapshot", last
+        elif kind == "ticker":
+            payload = draw(_PAYLOADS["ticker"])
+        else:
+            payload = BookPayload(draw(_ODD_LEVELS), draw(_ODD_LEVELS))
+        if kind == "book_snapshot":
+            last = payload
+        records.append(MarketRecord("v0", kind, ts, payload))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_book_streams())
+def test_book_table_reads_back_as_the_per_frame_levels(records):
+    # The reads the venue's state took, expanded to every frame as the
+    # resampler once held them, are what the four views return, bit for bit.
+    seen = []
+    frames_of = _VenueState.frames
+
+    def spy(state, n):
+        vf = frames_of(state, n)
+        reads = np.frombuffer(state.reads, dtype=np.float64).reshape(-1, _READ_WIDTH).copy()
+        seen.append((reads, np.frombuffer(state.read_frames, dtype=np.int64).copy(), n))
+        return vf
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_VenueState, "frames", spy)
+        vf = resample(records, venues=["v0"]).venues["v0"]
+    ((reads, read_frames, n),) = seen
+    want = per_frame_levels(reads, read_frames, n)
+    for name, levels in want.items():
+        got = getattr(vf, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (levels.dtype, levels.shape, levels.tobytes()), name
+        assert not got.flags.writeable
+    # One book row per run of frames whose books are bit-identical.
+    bits = np.stack(list(want.values()), axis=1).view(np.int64)
+    runs = int(n > 0) + int((bits[1:] != bits[:-1]).any(axis=(1, 2)).sum())
+    assert vf.book.shape == (runs, 4, BOOK_DEPTH)
+    assert vf.book_at.dtype == np.int64 and is_book_index(vf.book_at, runs)
 
 
 # -- the streaming contract ----------------------------------------------------

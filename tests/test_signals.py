@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from execlab.capture.resample import GRID_NS, FrameSet, VenueFrames
+from execlab.capture.resample import GRID_NS, FrameSet
 from execlab.errors import DegenerateXError, TooFewPointsError
 from execlab.signals import (
     bin_curve,
@@ -25,6 +25,7 @@ from execlab.signals import (
     trailing_min_max,
 )
 from execlab.synth import SynthConfig, generate_frames
+from reference import venue_frames
 
 
 def frames_from(mid=None, buy=None, sell=None, bid_qty=None, ask_qty=None, venue="v0", present=None):
@@ -35,7 +36,7 @@ def frames_from(mid=None, buy=None, sell=None, bid_qty=None, ask_qty=None, venue
     bq = np.asarray(bid_qty, dtype=float) if bid_qty is not None else np.ones((n, 5))
     aq = np.asarray(ask_qty, dtype=float) if ask_qty is not None else np.ones((n, 5))
     pres = np.asarray(present, dtype=bool) if present is not None else np.ones(n, dtype=bool)
-    vf = VenueFrames(
+    vf = venue_frames(
         present=pres,
         best_bid=mid - 0.05,
         best_ask=mid + 0.05,
@@ -398,13 +399,17 @@ def test_anti_lookahead_under_future_permutation():
     frames_b = generate_frames(cfg, 60.0)
     cut = 3000
     rng = np.random.default_rng(0)
-    for vf in frames_b.venues.values():
+    for venue, vf in frames_b.venues.items():
         perm = rng.permutation(np.arange(cut + 1, frames_b.n_frames))
         for field in ("mid", "buy_volume", "sell_volume"):
             arr = getattr(vf, field)
             arr[cut + 1 :] = arr[perm]
-        vf.bid_qty[cut + 1 :] = vf.bid_qty[perm]
-        vf.ask_qty[cut + 1 :] = vf.ask_qty[perm]
+        levels = {name: getattr(vf, name).copy() for name in ("bid_price", "bid_qty", "ask_price", "ask_qty")}
+        for name in ("bid_qty", "ask_qty"):
+            levels[name][cut + 1 :] = levels[name][perm]
+        frames_b.venues[venue] = venue_frames(
+            vf.present, vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume, **levels
+        )
     for scope in ("single", "cross"):
         fa = feature_bundle(frames_a, "v1", scope)
         fb = feature_bundle(frames_b, "v1", scope)

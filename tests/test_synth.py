@@ -16,7 +16,7 @@ from execlab.capture.records import GRID_NS, TS_MAX
 from execlab.cli import main
 from execlab.errors import InvalidConfig
 from execlab.synth import SynthConfig, _materialize, duration_steps, generate, generate_frames
-from markets import flat_market, flat_market_frames
+from markets import flat_market, flat_market_config, flat_market_frames
 from synth_reference import generate_records
 
 # SHA-256 of the capture `synth gen` writes.  The first two were written when
@@ -326,6 +326,24 @@ def test_draws_hold_each_book_once_per_refresh():
     assert held < 1.1 * need
 
 
+def test_frames_hold_each_book_once_per_refresh():
+    config = SynthConfig(seed=1234)
+    tracemalloc.start()
+    try:
+        frames = generate_frames(config, 300.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = frames.n_frames
+    refreshes = -(-n // (config.book_update_ms * 1_000_000 // GRID_NS))
+    assert all(len(vf.book) == refreshes for vf in frames.venues.values())
+    # grid_ts, and per venue: present, five float columns and the book index
+    # per frame, and 4 x 5 levels per refresh.  Levels per frame would hold
+    # about 17.5 MB.
+    need = n * 8 + config.n_venues * (n * (1 + 5 * 8 + 8) + refreshes * 20 * 8)
+    assert held < 1.1 * need
+
+
 @pytest.mark.parametrize("vol", [0.05, 1e306], ids=["negative-prices", "overflow"])
 def test_synth_gen_refuses_draws_its_reader_would_reject(tmp_path, capsys, vol):
     (tmp_path / "cfg.json").write_text(json.dumps({"synth": {"seed": 1, "vol": vol}, "synth_duration_s": 5.0}))
@@ -440,6 +458,8 @@ def oracle_markets(draw):
 @example((SynthConfig(n_venues=1, lag_ms=(0,), basis=(0.0,), mid0=1e12, tick=1e-4), 1.0))
 # Many trades of a size that does not add up exactly: 0.1 * 6 != 0.1 + ... + 0.1.
 @example((SynthConfig(seed=2, trade_qty=0.1, trade_intensity=20.0), 1.0))
+# Every refresh is the same book, so each frame set holds one book row.
+@example((flat_market_config(), 2.0))
 def test_generate_frames_is_the_resampled_capture(market):
     config, duration_s = market
     with tempfile.TemporaryDirectory() as tmp:
