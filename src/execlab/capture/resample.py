@@ -293,6 +293,9 @@ def _format_column(col: np.ndarray) -> list[str]:
     return np.array(cells, dtype=object)[where].tolist()
 
 
+_BLOCK_ROWS = 2048  # frames of one venue the CSV writer formats at a time, which bounds its memory
+
+
 def write_frames_csv(frames: FrameSet, path: str | Path) -> None:
     with open_output(path) as fh:
         _write_frames(frames, fh)
@@ -300,20 +303,25 @@ def write_frames_csv(frames: FrameSet, path: str | Path) -> None:
 
 def _write_frames(frames: FrameSet, fh: IO[str]) -> None:
     fh.write(",".join(CSV_COLUMNS) + "\n")
-    grid_ts = [str(ts) for ts in frames.grid_ts.tolist()]
-    n = len(grid_ts)
     for venue in frames.venue_names:
-        vf = frames.venues[venue]
-        columns = [
-            grid_ts,
-            [venue] * n,
-            ["1" if p else "0" for p in vf.present.tolist()],
-        ]
-        for col in (vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume):
-            columns.append(_format_column(col))
-        # Each book row is formatted once, its 4 x BOOK_DEPTH cells joined, and repeated over its frames.
-        cells = _format_column(vf.book.reshape(-1))
-        width = 4 * BOOK_DEPTH
-        books = [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
-        columns.append(np.array(books, dtype=object)[vf.book_at].tolist())
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        for i0 in range(0, frames.n_frames, _BLOCK_ROWS):
+            _write_block(frames, venue, slice(i0, i0 + _BLOCK_ROWS), fh)
+
+
+def _write_block(frames: FrameSet, venue: str, rows: slice, fh: IO[str]) -> None:
+    """The CSV lines of one venue's frames ``rows``, dropped on return."""
+    vf = frames.venues[venue]
+    at = vf.book_at[rows]
+    # Each book row the block uses is formatted once, its 4 x BOOK_DEPTH cells joined, and
+    # repeated over its frames.  A row whose run crosses a block edge is formatted in both blocks.
+    cells = _format_column(vf.book[at[0] : at[-1] + 1].reshape(-1))
+    width = 4 * BOOK_DEPTH
+    books = [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
+    columns = [
+        [str(ts) for ts in frames.grid_ts[rows].tolist()],
+        [venue] * len(at),
+        ["1" if p else "0" for p in vf.present[rows].tolist()],
+        *(_format_column(col[rows]) for col in (vf.best_bid, vf.best_ask, vf.mid, vf.buy_volume, vf.sell_volume)),
+        np.array(books, dtype=object)[at - at[0]].tolist(),
+    ]
+    fh.writelines(",".join(row) + "\n" for row in zip(*columns))

@@ -39,12 +39,16 @@ def impact_cost(action, spec: ProblemSpec, start_price):
     if np.any(np.asarray(action) < 0):
         raise ValueError("action must be >= 0")
     v = spec.total_units
-    return spec.impact_coef * np.maximum(0.0, action / v - 0.1) * v * start_price
+    # A huge impact_coef overflows to inf here, and training then ends in NonFiniteLossError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec.impact_coef * np.maximum(0.0, action / v - 0.1) * v * start_price
 
 
 def settle_terminal(inventory, terminal_price, spec: ProblemSpec):
     """(liquidation cash, ending penalty) for inventory left at the horizon."""
-    penalty = spec.penalty_coef * inventory * inventory * terminal_price
+    # A huge penalty_coef overflows to inf here, and training then ends in NonFiniteLossError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = spec.penalty_coef * inventory * inventory * terminal_price
     return inventory * terminal_price, penalty
 
 

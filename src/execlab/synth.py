@@ -128,13 +128,16 @@ def _ou_path(rng: np.random.Generator, n: int, tau_steps: float, stat_std: float
         return np.zeros(n)
     phi = float(np.exp(-1.0 / tau_steps))
     innov_std = stat_std * np.sqrt(1.0 - phi * phi)
-    w = rng.standard_normal(n)
-    out = np.empty(n)
-    prev = rng.standard_normal() * stat_std
+    path = rng.standard_normal(n)
+    path *= innov_std  # the innovations, overwritten by the path below
+    prev = float(rng.standard_normal() * stat_std)
+    # A memoryview reads and writes Python floats, not numpy scalars: the same
+    # multiply-add in the same order at a fraction of the cost, in no more memory.
+    cells = memoryview(path)
     for k in range(n):
-        prev = phi * prev + innov_std * w[k]
-        out[k] = prev
-    return out
+        prev = phi * prev + cells[k]
+        cells[k] = prev
+    return path
 
 
 def _materialize(config: SynthConfig, n_steps: int) -> _Draws:

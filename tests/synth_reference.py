@@ -1,10 +1,13 @@
 """The per-record generator `synth.generate` replaced, kept as the reference
 its column writer is checked against: `write_capture(generate_records(...))`
-writes the bytes `generate` writes."""
+writes the bytes `generate` writes.  Also the numpy-scalar loop that
+`synth._ou_path` replaced, which its Python-float loop must match bit for bit."""
 
 from __future__ import annotations
 
 from typing import Iterator
+
+import numpy as np
 
 from execlab.capture.records import (
     KIND_BOOK_SNAPSHOT,
@@ -17,6 +20,21 @@ from execlab.capture.records import (
 )
 from execlab.capture.resample import GRID_NS
 from execlab.synth import _GRID_MS, _SNAP_OFF, _TRADE_OFF, _TRADE_SPACING, SynthConfig, _materialize, duration_steps
+
+
+def ou_path(rng: np.random.Generator, n: int, tau_steps: float, stat_std: float) -> np.ndarray:
+    """Stationary Ornstein-Uhlenbeck path sampled at the grid, one numpy scalar at a time."""
+    if stat_std == 0:
+        return np.zeros(n)
+    phi = float(np.exp(-1.0 / tau_steps))
+    innov_std = stat_std * np.sqrt(1.0 - phi * phi)
+    w = rng.standard_normal(n)
+    out = np.empty(n)
+    prev = rng.standard_normal() * stat_std
+    for k in range(n):
+        prev = phi * prev + innov_std * w[k]
+        out[k] = prev
+    return out
 
 
 def _venue_clock_offset(venue_idx: int) -> int:

@@ -516,6 +516,25 @@ def test_cli_fee_rate_of_the_whole_sale_is_refused(pipeline, tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "problem", [{"penalty_coef": 1e308}, {"impact_coef": 1e308, "impact_enabled": True}], ids=["penalty", "impact"]
+)
+def test_cli_cost_coefficient_that_overflows_ends_in_one_error_line(pipeline, tmp_path, capsys, problem):
+    # The ending penalty or the impact cost overflows to inf: numpy warns of
+    # nothing, and the run ends in the non-finite loss it leads to.
+    _, _, capture = pipeline
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        paths={"capture": str(capture), "out_dir": str(tmp_path / "out")},
+        problem=problem,
+        train={"updates": 1},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_cli(["train", "--config", str(cfg)], capsys)
+    assert (code, err) == (1, "error: NonFiniteLossError: update 0, minibatch 0: loss=nan\n")
+
+
 @pytest.mark.parametrize("command", [["signals", "report"], ["train"], ["evaluate"]])
 def test_cli_unknown_target_venue_exit_code(pipeline, tmp_path, capsys, command):
     _, _, capture = pipeline

@@ -1,10 +1,12 @@
 import hashlib
+import importlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from execlab.capture import (
@@ -23,11 +25,15 @@ from execlab.capture.book import LocalBook, apply_delta, apply_snapshot, merge_t
 from execlab.capture.resample import _READ_WIDTH, _VenueState, is_book_index
 from execlab.capture.records import BookPayload
 from execlab.errors import CrossedTicker, UnsortedInput
-from execlab.synth import SynthConfig, generate
+from execlab.synth import SynthConfig, generate, generate_frames
 from reference import per_frame_levels, venue_frames
 
+resample_module = importlib.import_module("execlab.capture.resample")  # the package re-exports its function
 MS = 1_000_000
 SHORT_MARKET_FRAMES_SHA256 = "102ab502e1013e545babd2ed18915795c81011f6dad326563e368b0bc4f3af4b"
+# The frames CSV of generate_frames(SynthConfig(seed=1234), 30.0), 3000 frames
+# a venue, as the writer wrote it before it wrote a block of frames at a time.
+LONG_MARKET_FRAMES_SHA256 = "f700394a0a4bdaa3b09a4022f1a66448ce0c0788a9b0c7caef8a90c429da8498"
 
 
 def snap(ts, venue="v0", bid=100.0, ask=100.1):
@@ -159,23 +165,36 @@ def _random_frameset(rng, n, venues):
     return FrameSet(grid_ts=grid, venues=frames)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), n_venues=st.integers(0, 3))
-def test_frames_csv_matches_cell_by_cell_reference(tmp_path_factory, seed, n, n_venues):
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    n_venues=st.integers(0, 3),
+    block=st.sampled_from([1, 2, 4, 5, 8, resample_module._BLOCK_ROWS]),
+)
+@example(seed=0, n=0, n_venues=2, block=4)  # no frames
+@example(seed=1, n=12, n_venues=2, block=4)  # whole blocks; book runs of 3 cross their edges
+@example(seed=2, n=13, n_venues=1, block=4)  # a last block of one frame
+def test_frames_csv_matches_cell_by_cell_reference(tmp_path_factory, seed, n, n_venues, block):
     frames = _random_frameset(np.random.default_rng(seed), n, [f"v{i}" for i in range(n_venues)][::-1])
     path = tmp_path_factory.mktemp("csv") / "frames.csv"
-    write_frames_csv(frames, path)
+    with mock.patch.object(resample_module, "_BLOCK_ROWS", block):
+        write_frames_csv(frames, path)
     assert path.read_bytes() == _reference_csv(frames).encode("utf-8")
 
 
 def test_frames_csv_keeps_signed_zero_apart(tmp_path):
     col = np.array([0.0, -0.0, 0.0, -0.0, np.nan, -np.nan])
     vf = venue_frames(np.ones(6, bool), col, col, col, col, col, *(np.zeros((6, BOOK_DEPTH)) for _ in range(4)))
+    assert len(vf.book) == 1
     frames = FrameSet(grid_ts=np.arange(6, dtype=np.int64) * GRID_NS, venues={"v0": vf})
-    write_frames_csv(frames, tmp_path / "frames.csv")
-    text = (tmp_path / "frames.csv").read_text()
-    assert [line.split(",")[3] for line in text.splitlines()[1:]] == ["0", "-0", "0", "-0", "", ""]
-    assert text == _reference_csv(frames)
+    # In one block, and in blocks of 4 that split the one book run.
+    for block in (resample_module._BLOCK_ROWS, 4):
+        with mock.patch.object(resample_module, "_BLOCK_ROWS", block):
+            write_frames_csv(frames, tmp_path / "frames.csv")
+        text = (tmp_path / "frames.csv").read_text()
+        assert [line.split(",")[3] for line in text.splitlines()[1:]] == ["0", "-0", "0", "-0", "", ""]
+        assert text == _reference_csv(frames)
 
 
 def test_frames_csv_digest_of_short_synthetic_market(tmp_path):
@@ -185,6 +204,30 @@ def test_frames_csv_digest_of_short_synthetic_market(tmp_path):
     path = tmp_path / "frames.csv"
     write_frames_csv(resample(read_capture(capture)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SHORT_MARKET_FRAMES_SHA256
+
+
+def test_frames_csv_digest_of_a_market_longer_than_a_block(tmp_path):
+    frames = generate_frames(SynthConfig(seed=1234), 30.0)
+    assert frames.n_frames > resample_module._BLOCK_ROWS
+    path = tmp_path / "frames.csv"
+    write_frames_csv(frames, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_MARKET_FRAMES_SHA256
+
+
+def test_frames_csv_writer_holds_a_block_not_the_capture(tmp_path):
+    peaks = []
+    for duration_s in (30.0, 120.0):
+        frames = generate_frames(SynthConfig(seed=1234), duration_s)
+        tracemalloc.start()
+        try:
+            write_frames_csv(frames, tmp_path / "frames.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The 120 s CSV is 9.8 MB.  Writers that format every frame before writing
+    # a row peak at about 70 % of the CSV's size, 4 times as high as at 30 s.
+    assert (tmp_path / "frames.csv").stat().st_size > 9_000_000
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # -- the resampler against one that rebuilds top-of-book at every grid point ---

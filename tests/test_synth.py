@@ -15,9 +15,9 @@ from execlab.capture import read_capture, resample, write_capture
 from execlab.capture.records import GRID_NS, TS_MAX
 from execlab.cli import main
 from execlab.errors import InvalidConfig
-from execlab.synth import SynthConfig, _materialize, duration_steps, generate, generate_frames
+from execlab.synth import SynthConfig, _materialize, _ou_path, duration_steps, generate, generate_frames
 from markets import flat_market, flat_market_config, flat_market_frames
-from synth_reference import generate_records
+from synth_reference import generate_records, ou_path
 
 # SHA-256 of the capture `synth gen` writes.  The first two were written when
 # every record went through json.dumps: the default market, and one venue
@@ -306,6 +306,22 @@ def test_generate_holds_a_block_of_lines_not_the_capture(tmp_path):
     # The 30 s capture is 2.9 MB; the lines of all of it take about 11 MB.
     assert (tmp_path / "market.ndjson").stat().st_size > 2_000_000
     assert peak - held_by_draws < 3_000_000
+
+
+@pytest.mark.parametrize("seed", [1234, 1, 5, 9])
+@pytest.mark.parametrize(
+    "n, tau_steps, stat_std",
+    [(0, 1000.0, 1e-3), (1, 1000.0, 1e-3), (60_000, 3000.0, 2e-4), (200, 1.5, 1e308), (3, 10.0, 0.0)],
+    ids=["empty", "one", "long", "overflow", "zero-std"],
+)
+def test_ou_path_is_the_numpy_scalar_loop(seed, n, tau_steps, stat_std):
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _ou_path(rngs[0], n, tau_steps, stat_std)
+        want = ou_path(rngs[1], n, tau_steps, stat_std)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()  # NaN and inf included: 1e308 overflows
+    assert rngs[0].standard_normal() == rngs[1].standard_normal()  # both drew the same numbers
 
 
 def test_draws_hold_each_book_once_per_refresh():
